@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.special import gammaln, xlog1py, xlogy
 
 from . import young
 from .info import sorted_spectrum, sum_zero_ball
@@ -33,7 +36,7 @@ from .linalg import (
     partial_trace,
     psd_sqrt,
 )
-from .schur_weyl import young_projectors
+from .schur_weyl import block_prob_product, type_distribution, young_projectors
 
 NEG_INF = float("-inf")
 
@@ -88,30 +91,37 @@ def delta_schedule(n: int) -> tuple[float, float]:
 
 
 class VLCode:
-    """A built instrument: outcomes, their block clusters, and lengths."""
+    """A built instrument: outcomes, their block clusters, and lengths.
+
+    For d = 2, outcome (k0, n - k0) covers the labels (a, n - a) with a in
+    the window [max(k0 - t, ceil(n/2)), min(k0 + t, n)], t =
+    ``window_halfwidth``; ``blocks`` then lists a cluster when asked for it
+    and no cluster is stored.
+    """
 
     def __init__(self, params: CodeParams):
         self.params = params
         n, d = params.n, params.d
-        self.labels = young.young_indices(n, d)
         offsets = sum_zero_ball(n * params.delta, d)
         self.c1_count = len(offsets)
         if d == 2:
-            self.window_halfwidth = max(z[0] for z in offsets)
-        blocks: dict[tuple[int, ...], set] = {}
-        for lam in self.labels:
-            for z in offsets:
-                k = tuple(l + zi for l, zi in zip(lam, z))
-                blocks.setdefault(k, set()).add(lam)
-        self.outcomes = tuple(sorted(blocks, reverse=True))
-        self.blocks = {k: tuple(sorted(blocks[k], reverse=True)) for k in self.outcomes}
+            t = self.window_halfwidth = offsets[0][0]
+            self.outcomes = tuple((k0, n - k0) for k0 in range(n + t, (n + 1) // 2 - t - 1, -1))
+            self.blocks = _Windows(self)
+        else:
+            blocks: dict[tuple[int, ...], set] = {}
+            for lam in self.labels:
+                for z in offsets:
+                    k = tuple(l + zi for l, zi in zip(lam, z))
+                    blocks.setdefault(k, set()).add(lam)
+            self.outcomes = tuple(sorted(blocks, reverse=True))
+            self.blocks = {k: tuple(sorted(blocks[k], reverse=True)) for k in self.outcomes}
         if params.restricted:
             limit = params.delta1 * (1 + 1e-9) + 1e-12
-            specs = [np.asarray(s, dtype=float) for s in params.spectrum_set]
-            self.accepted = tuple(
-                k for k in self.outcomes
-                if any(np.linalg.norm(s - np.asarray(k) / n) <= limit for s in specs)
-            )
+            ks = np.asarray(self.outcomes, dtype=float) / n
+            specs = np.asarray(params.spectrum_set, dtype=float)
+            near = np.linalg.norm(ks[:, None, :] - specs[None, :, :], axis=-1) <= limit
+            self.accepted = tuple(itertools.compress(self.outcomes, near.any(axis=1)))
         else:
             self.accepted = self.outcomes
         self.num_symbols = len(self.accepted) + (1 if params.restricted else 0)
@@ -125,12 +135,30 @@ class VLCode:
     def d(self) -> int:
         return self.params.d
 
+    @property
+    def labels(self) -> tuple[tuple[int, ...], ...]:
+        return young.young_indices(self.n, self.d)
+
+    def window(self, k) -> tuple[int, int]:
+        """Range [lo, hi] of the larger parts a of the labels (a, n - a)
+        covered by outcome k of a d = 2 code."""
+        n, t = self.n, self.window_halfwidth
+        if len(k) != 2 or k[0] + k[1] != n or not (n + 1) // 2 - t <= k[0] <= n + t:
+            raise KeyError(f"unknown outcome {tuple(k)}")
+        return max(k[0] - t, (n + 1) // 2), min(k[0] + t, n)
+
+    @cached_property
+    def _log_dims(self) -> dict[tuple[int, int], float]:
+        """Outcome -> ln(subspace dimension), for d = 2."""
+        n = self.n
+        a = np.arange((n + 1) // 2, n + 1)
+        logs = _cluster_logsumexp(self, young.log_dim_two_rows(a, n - a) + np.log(2 * a - n + 1))
+        return dict(zip(self.outcomes, logs.tolist()))
+
     def subspace_dim(self, k) -> int:
         """Total dimension of the blocks covered by outcome k (exact integer)."""
         k = tuple(k)
         if k not in self._dims:
-            if k not in self.blocks:
-                raise KeyError(f"unknown outcome {k}")
             self._dims[k] = sum(young.dim_block(lam, self.d) for lam in self.blocks[k])
         return self._dims[k]
 
@@ -138,12 +166,15 @@ class VLCode:
         """ln(number of symbols) + ln(subspace dimension), in nats.
 
         The reject flag carries no quantum subspace, so only the symbol
-        count contributes for it.
+        count contributes for it.  For d = 2 the dimension is summed in
+        the log domain; otherwise it is the exact integer.
         """
         if k is REJECT:
             if not self.params.restricted:
                 raise KeyError("this code has no reject symbol")
             return math.log(self.num_symbols)
+        if self.d == 2:
+            return math.log(self.num_symbols) + self._log_dims[tuple(k)]
         return math.log(self.num_symbols) + math.log(self.subspace_dim(k))
 
     def length_ceiling(self) -> float:
@@ -151,81 +182,126 @@ class VLCode:
         return max(self.coding_length(k) for k in self.accepted) / self.n
 
 
+class _Windows(Mapping):
+    """Outcome -> covered labels of a d = 2 code, listed from its window."""
+
+    def __init__(self, code: VLCode):
+        self._code = code
+
+    def __getitem__(self, k) -> tuple[tuple[int, int], ...]:
+        lo, hi = self._code.window(k)
+        n = self._code.n
+        return tuple((a, n - a) for a in range(hi, lo - 1, -1))
+
+    def __iter__(self):
+        return iter(self._code.outcomes)
+
+    def __len__(self) -> int:
+        return len(self._code.outcomes)
+
+
 def build_code(params: CodeParams) -> VLCode:
     return VLCode(params)
 
 
+# --- log-domain sums --------------------------------------------------------
+
+def _logsumexp(values: list[float]) -> float:
+    m = max(values, default=NEG_INF)
+    if m == NEG_INF:
+        return NEG_INF
+    return m + math.log(sum(math.exp(v - m) for v in values))
+
+
+def _window_logsumexp(v: np.ndarray, width: int) -> np.ndarray:
+    """Log-sum-exp of every run of ``width`` consecutive entries of v.
+
+    Van Herk / Gil-Werman: cut v into blocks of ``width``; a run is a block
+    suffix joined to the next block's prefix, so O(len(v)) in all.
+    """
+    blocks = np.concatenate([v, np.full(-len(v) % width, NEG_INF)]).reshape(-1, width)
+    prefix = np.logaddexp.accumulate(blocks, axis=1).ravel()
+    suffix = np.logaddexp.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    start = np.arange(len(v) - width + 1)
+    out = np.logaddexp(suffix[start], prefix[start + width - 1])
+    whole = start % width == 0  # the run is one whole block
+    out[whole] = suffix[start[whole]]
+    return out
+
+
+def _cluster_logsumexp(code: VLCode, block_logs: np.ndarray) -> np.ndarray:
+    """Per-outcome log-sum-exp of ``block_logs`` (entry i for the label
+    (ceil(n/2) + i, .)) over the window, in ``outcomes`` order; padding by
+    2t on both sides gives every window the full width 2t + 1."""
+    pad = np.full(2 * code.window_halfwidth, NEG_INF)
+    return _window_logsumexp(np.concatenate([pad, block_logs, pad]), 2 * code.window_halfwidth + 1)[::-1]
+
+
 # --- block cluster expectations ---------------------------------------------
 
-def _comb_float(n: int, k: int) -> float:
-    if k < 0 or k > n:
-        return 0.0
-    try:
-        return float(math.comb(n, k))
-    except OverflowError:
-        return math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1))
+# Skipped: atom types of total weight below this (no expectation moves by more)
+NEGLIGIBLE_WEIGHT = 1e-17
+# Dropped from the convolutions: binomial letter-count probabilities below this
+NEGLIGIBLE_PMF = 1e-30
 
 
-def _letter_weight_matrix(n: int) -> np.ndarray:
-    """X[c, i] = <e|P_(a, n-a)|e> for a basis vector with c zeros, a = amin + i.
+def _two_level_expectations(code: VLCode, diag, exponent: float) -> np.ndarray:
+    """E[(Tr P_k rho_1 x ... x rho_n)^exponent] per outcome, commuting d = 2 source.
 
-    The diagonal block weight dimV * Kostka / binom(n, c); the Kostka
-    factor for two rows is the indicator a >= max(c, n - c).
-    """
-    amin = (n + 1) // 2
-    avals = np.arange(amin, n + 1)
-    dim_v = np.array([_comb_float(n, n - a) - _comb_float(n, n - a - 1) for a in avals])
-    x = np.zeros((n + 1, len(avals)))
-    for c in range(n + 1):
-        hi = max(c, n - c)
-        mask = avals >= hi
-        x[c, mask] = dim_v[mask] / _comb_float(n, c)
-    return x
-
-
-def _window_sum_matrix(code: VLCode, x: np.ndarray, outcomes) -> np.ndarray:
-    """Per-outcome cluster sums of per-block weights, d=2 sliding window.
-
-    x has one column per block (indexed by the larger part a); returns one
-    column per outcome in ``outcomes``.
+    A basis vector with c zeros puts weight dimV(a) [a >= h] / C(n, c) on
+    block (a, n - a), h = max(c, n - c), and a window [lo, hi] of blocks
+    telescopes to (C(n, n - max(lo, h)) - C(n, n - hi - 1)) / C(n, c).  So
+    for a letter-count law pmf the outcome's trace is
+    C(n, lo) S(lo) + P(hi) - P(lo) - C(n, hi + 1) S(hi), with P and S the
+    prefix sums over h of pmf and pmf / C(n, c); S is kept in the log
+    domain.  One O(n) pass per atom type (composition of n over the atoms).
     """
     n = code.n
     amin = (n + 1) // 2
-    t = code.window_halfwidth
-    cums = np.concatenate([np.zeros(x.shape[:-1] + (1,)), np.cumsum(x, axis=-1)], axis=-1)
-    lo = np.array([max(k[0] - t, amin) - amin for k in outcomes])
-    hi = np.array([min(k[0] + t, n) - amin + 1 for k in outcomes])
-    hi = np.maximum(hi, lo)
-    return cums[..., hi] - cums[..., lo]
-
-
-def _two_level_letter_distributions(source_diag, n: int):
-    """Per-atom-type letter-count distributions for a d=2 commuting source.
-
-    Yields (atom_type_weight, pmf) with pmf[c] the probability that the
-    n letters contain c zeros, for every composition of n over the atoms.
-    """
-    weights, diags = source_diag
-    m = len(weights)
+    weights, diags = diag
     qs = [float(q[0]) for q in diags]
-    from scipy.stats import binom as binom_dist
+    h = np.arange(amin, n + 1)
+    log_comb = gammaln(n + 1.0) - gammaln(h + 1.0) - gammaln(n - h + 1.0)
+    lo, hi = (np.array([code.window(k) for k in code.outcomes]) - amin).T
+    log_comb_lo = log_comb[lo]
+    log_comb_above = np.append(log_comb[1:], NEG_INF)[hi]
+    taus = np.array(young.compositions(n, len(weights)))
+    log_w = gammaln(n + 1.0) - gammaln(taus + 1.0).sum(axis=1) + xlogy(taus, np.asarray(weights)).sum(axis=1)
+    keep = np.flatnonzero(log_w >= math.log(NEGLIGIBLE_WEIGHT / len(taus)))
+    binomials = {}
 
-    for tau in young.compositions(n, m):
-        w = float(young.multinomial(tau))
-        for wj, tj in zip(weights, tau):
-            if tj:
-                if wj == 0.0:
-                    w = 0.0
-                    break
-                w *= wj**tj
-        if w == 0.0:
-            continue
-        pmf = np.ones(1)
-        for qj, tj in zip(qs, tau):
-            if tj == 0:
-                continue
-            pmf = np.convolve(pmf, binom_dist.pmf(np.arange(tj + 1), tj, qj))
-        yield w, pmf
+    def binomial(j: int, tj: int):
+        if (j, tj) not in binomials:
+            c = np.arange(tj + 1)
+            pmf = np.exp(gammaln(tj + 1.0) - gammaln(c + 1.0) - gammaln(tj - c + 1.0)
+                         + xlogy(c, qs[j]) + xlog1py(tj - c, -qs[j]))
+            big = np.flatnonzero(pmf >= NEGLIGIBLE_PMF)
+            binomials[j, tj] = big[0], pmf[big[0]:big[-1] + 1]
+        return binomials[j, tj]
+
+    total = np.zeros(len(lo))
+    batch = max(1, (1 << 20) // (n + 1 + len(lo)))  # about 8 MB per array
+    for first in range(0, len(keep), batch):
+        rows = keep[first:first + batch]
+        pmf = np.zeros((len(rows), n + 1))
+        for r, i in enumerate(rows):
+            start, vals = 0, np.ones(1)
+            for j, tj in enumerate(taus[i]):
+                if tj:
+                    offset, part = binomial(j, int(tj))
+                    start += offset
+                    vals = np.convolve(vals, part)
+            pmf[r, start:start + len(vals)] = vals
+        by_h = pmf[:, amin:] + pmf[:, n - amin::-1]  # c = h and c = n - h
+        if n % 2 == 0:
+            by_h[:, 0] /= 2  # h = n/2 is a single c
+        cum = np.cumsum(by_h, axis=1)
+        with np.errstate(divide="ignore"):
+            log_s = np.logaddexp.accumulate(np.log(by_h) - log_comb, axis=1)
+        v = (np.exp(log_comb_lo + log_s[:, lo]) + cum[:, hi] - cum[:, lo]
+             - np.exp(log_comb_above + log_s[:, hi]))
+        total += np.exp(log_w[rows]) @ np.clip(v, 0.0, 1.0) ** exponent
+    return total
 
 
 def _commuting_diag(source: Source):
@@ -242,20 +318,16 @@ def cluster_expectations(code: VLCode, source: Source, exponent: float,
 
     Returns (dict outcome -> expectation, stderr or None).  Routes:
     commuting atoms group sequences by atom type and use the diagonal
-    block weights (any n); otherwise dense enumeration when the sequence
-    count and d^n are small, else counter-seeded Monte Carlo.  Passing
-    ``samples`` explicitly forces the Monte Carlo route.
+    block weights (any n; O(n) per atom type for d = 2); otherwise dense
+    enumeration when the sequence count and d^n are small, else
+    counter-seeded Monte Carlo.  Passing ``samples`` explicitly forces the
+    Monte Carlo route; its stderr is the standard error of the average
+    error estimate 1 - sum over accepted outcomes / C1.
     """
     n, d = code.n, code.d
     diag = None if samples is not None else _commuting_diag(source)
     if diag is not None and d == 2:
-        x = _letter_weight_matrix(n)
-        m = _window_sum_matrix(code, x, code.outcomes)  # (n+1, #outcomes)
-        total = np.zeros(len(code.outcomes))
-        for w, pmf in _two_level_letter_distributions(diag, n):
-            v = pmf @ m  # pmf always covers all n+1 letter counts
-            total += w * np.clip(v, 0.0, 1.0) ** exponent
-        return dict(zip(code.outcomes, total)), None
+        return dict(zip(code.outcomes, _two_level_expectations(code, diag, exponent).tolist())), None
     if diag is not None:
         weights, diags = diag
         out = {k: 0.0 for k in code.outcomes}
@@ -268,7 +340,7 @@ def cluster_expectations(code: VLCode, source: Source, exponent: float,
                     spectra.extend([qj] * tj)
             if w == 0.0:
                 continue
-            types = _type_distribution(spectra, d)
+            types = type_distribution(spectra)
             per_block = {
                 lam: sum(p * young.exact_block_weight(lam, c) for c, p in types.items())
                 for lam in code.labels
@@ -302,38 +374,25 @@ def cluster_expectations(code: VLCode, source: Source, exponent: float,
         return out, None
     if samples is None:
         samples = 10**5
+    acc = set(code.accepted)
     sums = {k: 0.0 for k in code.outcomes}
-    sq = 0.0
+    total = sq = 0.0
     for i in range(samples):
         rng = np.random.default_rng([seed, i])
         seq = rng.choice(m_atoms, size=n, p=source.weights)
         rho = _product_state(source, seq)
-        contrib = 0.0
+        kept = 0.0
         for k in code.outcomes:
             tr = float(np.real(np.einsum("ij,ji->", cluster[k], rho)))
             val = min(1.0, max(0.0, tr)) ** exponent
             sums[k] += val
-            contrib += val
-        sq += contrib * contrib
+            if k in acc:
+                kept += val
+        total += kept
+        sq += kept * kept
     out = {k: v / samples for k, v in sums.items()}
-    mean_total = sum(out.values())
-    var = max(0.0, sq / samples - mean_total**2)
-    stderr = math.sqrt(var / samples)
-    return out, stderr
-
-
-def _type_distribution(spectra, d: int) -> dict[tuple[int, ...], float]:
-    dist: dict[tuple[int, ...], float] = {(0,) * d: 1.0}
-    for q in spectra:
-        nxt: dict[tuple[int, ...], float] = {}
-        for counts, prob in dist.items():
-            for i in range(d):
-                if q[i] <= 0.0:
-                    continue
-                key = counts[:i] + (counts[i] + 1,) + counts[i + 1 :]
-                nxt[key] = nxt.get(key, 0.0) + prob * q[i]
-        dist = nxt
-    return dist
+    var = max(0.0, sq / samples - (total / samples) ** 2)
+    return out, math.sqrt(var / samples) / code.c1_count
 
 
 def _product_state(source: Source, seq) -> np.ndarray:
@@ -348,52 +407,29 @@ def _product_state(source: Source, seq) -> np.ndarray:
 def log_outcome_distribution(code: VLCode, spec) -> dict:
     """log P(outcome k) for an i.i.d. source with the given single-copy spectrum.
 
-    Includes the reject flag of a restricted code.  Exact log-domain block
-    sums; valid at any n for d = 2, and for moderate n in higher d.
+    Includes the reject flag of a restricted code.  Log-domain block
+    sums: for d = 2 lgamma dimensions, the bialternant and window sums in
+    O(n), valid at any n; for higher d exact dimensions and Kostka sums,
+    for moderate n.
     """
     n, d = code.n, code.d
     spec = np.sort(np.asarray(spec, dtype=float))[::-1]
     logc1 = math.log(code.c1_count)
     if d == 2:
-        amin = (n + 1) // 2
-        avals = np.arange(amin, n + 1)
-        logs = np.empty(len(avals))
-        for i, a in enumerate(avals):
-            ls = young.log_schur_two_rows(int(a), n - int(a), spec[0], spec[1])
-            logs[i] = NEG_INF if ls == NEG_INF else young.log_dim_sym_group((int(a), n - int(a))) + ls
-        t = code.window_halfwidth
-        out = {}
-        for k in code.outcomes:
-            lo = max(k[0] - t, amin) - amin
-            hi = min(k[0] + t, n) - amin + 1
-            window = logs[lo:hi]
-            m = np.max(window)
-            if m == NEG_INF:
-                out[k] = NEG_INF
-            else:
-                out[k] = float(m + np.log(np.sum(np.exp(window - m)))) - logc1
+        a = np.arange((n + 1) // 2, n + 1)
+        logs = young.log_dim_two_rows(a, n - a) + young.log_schur_two_rows(a, n - a, spec[0], spec[1])
+        out = dict(zip(code.outcomes, (_cluster_logsumexp(code, logs) - logc1).tolist()))
     else:
         logblock = {}
         for lam in code.labels:
             s = young.schur_poly(lam, spec)
             logblock[lam] = (math.log(s) + young.log_dim_sym_group(lam)) if s > 0 else NEG_INF
-        out = {}
-        for k in code.outcomes:
-            vals = [logblock[lam] for lam in code.blocks[k]]
-            m = max(vals)
-            if m == NEG_INF:
-                out[k] = NEG_INF
-            else:
-                out[k] = m + math.log(sum(math.exp(v - m) for v in vals)) - logc1
+        out = {k: _logsumexp([logblock[lam] for lam in code.blocks[k]]) - logc1 for k in code.outcomes}
     if code.params.restricted:
         acc = set(code.accepted)
-        rest = [out[k] for k in code.outcomes if k not in acc]
-        if rest:
-            m = max(rest)
-            out[REJECT] = (m + math.log(sum(math.exp(v - m) for v in rest))) if m > NEG_INF else NEG_INF
-        else:
-            out[REJECT] = NEG_INF
-        out = {k: out[k] for k in (*code.accepted, REJECT)}
+        reject = _logsumexp([out[k] for k in code.outcomes if k not in acc])
+        out = {k: out[k] for k in code.accepted}
+        out[REJECT] = reject
     return out
 
 
@@ -408,8 +444,6 @@ def outcome_distribution(code: VLCode, state) -> dict:
         spec = sorted_spectrum(state.average_state())
         return {k: math.exp(v) for k, v in log_outcome_distribution(code, spec).items()}
     if isinstance(state, (list, tuple)) and np.asarray(state[0]).ndim == 2:
-        from .schur_weyl import block_prob_product
-
         per_block = {lam: block_prob_product(lam, state) for lam in code.labels}
         out = {}
         for k in code.outcomes:
@@ -426,14 +460,7 @@ def outcome_distribution(code: VLCode, state) -> dict:
 def log_overflow_probability(code: VLCode, spec, rate: float) -> float:
     """log P{per-symbol coding length >= rate} for an i.i.d. spectrum."""
     logp = log_outcome_distribution(code, spec)
-    n = code.n
-    selected = [v for k, v in logp.items() if code.coding_length(k) / n >= rate]
-    if not selected:
-        return NEG_INF
-    m = max(selected)
-    if m == NEG_INF:
-        return NEG_INF
-    return m + math.log(sum(math.exp(v - m) for v in selected))
+    return _logsumexp([v for k, v in logp.items() if code.coding_length(k) / code.n >= rate])
 
 
 def overflow_probability(code: VLCode, spec, rate: float) -> float:
@@ -479,6 +506,32 @@ def _instrument_matrices(code: VLCode):
     }
 
 
+def _simulated_error(code: VLCode, source: Source, accepted_error) -> float:
+    """Average over atom sequences and outcomes of p_k times the error of
+    the normalized post-measurement state, by dense instrument simulation.
+
+    ``accepted_error(seq, rho, sigma)`` gives it for accepted outcomes; the
+    reject flag leaves the decoder no copy and is charged the worst case 1.
+    """
+    n, d = code.n, code.d
+    if d**n > MAX_TENSOR_DIM:
+        raise DimensionBudgetError(f"d^n = {d**n} too large for the dense route")
+    roots = {k: psd_sqrt(m) for k, m in _instrument_matrices(code).items()}
+    acc = set(code.accepted)
+    total = 0.0
+    for seq in itertools.product(range(source.num_atoms), repeat=n):
+        w = math.prod(source.weights[j] for j in seq)
+        if w == 0.0:
+            continue
+        rho = _product_state(source, seq)
+        for k in code.outcomes:
+            post = roots[k] @ rho @ roots[k]
+            p = float(np.real(np.trace(post)))
+            if p > 1e-15:
+                total += w * p * (accepted_error(seq, rho, post / p) if k in acc else 1.0)
+    return total
+
+
 def average_error_definitional(code: VLCode, source: Source) -> float:
     """Average error by direct instrument simulation (dense matrices).
 
@@ -487,66 +540,17 @@ def average_error_definitional(code: VLCode, source: Source) -> float:
     defining expression, kept independent of the closed chain so the two
     can check each other.
     """
-    n, d = code.n, code.d
-    if d**n > MAX_TENSOR_DIM:
-        raise DimensionBudgetError(f"d^n = {d**n} too large for the dense route")
-    ms = _instrument_matrices(code)
-    roots = {k: psd_sqrt(m) for k, m in ms.items()}
-    acc = set(code.accepted)
-    total = 0.0
-    for seq in itertools.product(range(source.num_atoms), repeat=n):
-        w = 1.0
-        for j in seq:
-            w *= source.weights[j]
-        if w == 0.0:
-            continue
-        rho = _product_state(source, seq)
-        for k in code.outcomes:
-            post = roots[k] @ rho @ roots[k]
-            p = float(np.real(np.trace(post)))
-            if p <= 1e-15:
-                continue
-            if k in acc:
-                b2 = 1.0 - fidelity(rho, post / p)
-            else:
-                b2 = 1.0  # reject flag: decoder has no copy, worst case
-            total += w * p * b2
-    return total
+    return _simulated_error(code, source, lambda seq, rho, sigma: 1.0 - fidelity(rho, sigma))
 
 
 def average_error_prime(code: VLCode, source: Source) -> float:
     """Per-copy error: mean squared Bures distance between each input
     factor and the matching normalized partial trace of the output."""
-    n, d = code.n, code.d
-    if d**n > MAX_TENSOR_DIM:
-        raise DimensionBudgetError(f"d^n = {d**n} too large for the dense route")
-    ms = _instrument_matrices(code)
-    roots = {k: psd_sqrt(m) for k, m in ms.items()}
-    acc = set(code.accepted)
-    total = 0.0
-    for seq in itertools.product(range(source.num_atoms), repeat=n):
-        w = 1.0
-        for j in seq:
-            w *= source.weights[j]
-        if w == 0.0:
-            continue
-        rho = _product_state(source, seq)
-        for k in code.outcomes:
-            post = roots[k] @ rho @ roots[k]
-            p = float(np.real(np.trace(post)))
-            if p <= 1e-15:
-                continue
-            if k in acc:
-                sigma = post / p
-                b2 = 0.0
-                for i in range(n):
-                    red = partial_trace(sigma, d, i)
-                    b2 += 1.0 - fidelity(source.states[seq[i]], red)
-                b2 /= n
-            else:
-                b2 = 1.0
-            total += w * p * b2
-    return total
+    def per_copy(seq, rho, sigma):
+        return sum(1.0 - fidelity(source.states[j], partial_trace(sigma, code.d, i))
+                   for i, j in enumerate(seq)) / code.n
+
+    return _simulated_error(code, source, per_copy)
 
 
 # --- outcome records and the fixed-length conversion -------------------------

@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -159,10 +158,6 @@ def block_prob_diagonal(lam, content) -> float:
     return float(young.exact_block_weight(tuple(lam), tuple(content)))
 
 
-def block_prob_diagonal_exact(lam, content) -> Fraction:
-    return young.exact_block_weight(tuple(lam), tuple(content))
-
-
 def type_distribution(spectra: list[np.ndarray]) -> dict[tuple[int, ...], float]:
     """Distribution of the letter-count vector of n independent digit draws.
 
@@ -216,8 +211,3 @@ def block_prob_product(lam, states, max_dim: int = MAX_TENSOR_DIM) -> float:
     val = float(np.real(np.trace(p @ rho)))
     return _clip_probability(val, f"block probability {lam}")
 
-
-def block_probs_iid(n: int, spec) -> dict[tuple[int, ...], float]:
-    """All block probabilities of an i.i.d. source at block length n."""
-    d = len(tuple(spec))
-    return {lam: block_prob_iid(lam, spec) for lam in young.young_indices(n, d)}

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -210,3 +213,41 @@ class TestDeterminism:
         a = run_text(base + ["--seed", "1"])
         b = run_text(base + ["--seed", "2"])
         assert a != b
+
+
+class TestLargeQubit:
+    """The d = 2 routes at n above 1029, where float binomials overflow."""
+
+    @staticmethod
+    def main_json(argv, capsys):
+        assert cli.main(argv + ["--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)["results"]
+
+    def test_distribution_and_error(self, capsys):
+        basis = ["--schedule", "--spectrum", "0.7,0.3"]
+        for n in (1030, 1100):
+            rows = self.main_json(["distribution", "--n", str(n), *basis], capsys)
+            (error,) = self.main_json(["error", "--n", str(n), *basis], capsys)
+            assert math.fsum(r["probability"] for r in rows) == pytest.approx(1.0, abs=1e-9)
+            contrib = math.fsum(r["error_contribution"] for r in rows)
+            assert contrib == pytest.approx(error["error"], abs=1e-9)
+            assert 0.0 < error["error"] < 1.0
+
+    def test_three_atom_commuting_source(self, tmp_path, capsys):
+        atoms = [{"weight": w, "matrix": [[[q, 0], [0, 0]], [[0, 0], [1 - q, 0]]]}
+                 for w, q in ((0.3, 0.2), (0.3, 0.5), (0.4, 0.9))]
+        path = tmp_path / "atoms3.json"
+        path.write_text(json.dumps({"d": 2, "atoms": atoms}))
+        (row,) = self.main_json(["error", "--n", "1100", "--schedule", "--source", str(path)], capsys)
+        assert 0.0 < row["error"] < 1.0
+
+
+def test_qubit_error_does_not_import_scipy_stats():
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    script = ("import sys\n"
+              f"sys.path.insert(0, {package_root!r})\n"
+              "from qvlcode import cli\n"
+              "assert cli.main(['error', '--n', '250', '--schedule', '--spectrum', '0.7,0.3']) == 0\n"
+              "assert 'scipy.stats' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -15,6 +15,7 @@ from qvlcode.linalg import (
     random_density,
     trace_norm,
 )
+from qvlcode.schur_weyl import type_distribution
 
 RNG = np.random.default_rng(2024)
 
@@ -392,3 +393,119 @@ class TestCodeParamsValidation:
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             CodeParams(n=0, d=2, delta=0.3)
+
+
+# --- the O(n) d = 2 route against the general-d route --------------------------
+
+def kostka_schur(lam, spec):
+    """s_lam(spec) by its monomial expansion with Kostka multiplicities."""
+    return sum(young.kostka(lam, c) * spec[0] ** c[0] * spec[1] ** c[1]
+               for c in young.compositions(sum(lam), 2))
+
+
+def general_distribution(code, spec):
+    """Outcome probabilities from exact dimensions and Kostka Schur sums."""
+    block = {lam: young.dim_sym_group(lam) * kostka_schur(lam, spec) for lam in code.labels}
+    out = {k: sum(block[lam] for lam in code.blocks[k]) / code.c1_count for k in code.outcomes}
+    if code.params.restricted:
+        out[REJECT] = sum(v for k, v in out.items() if k not in set(code.accepted))
+        out = {k: out[k] for k in (*code.accepted, REJECT)}
+    return out
+
+
+def general_expectations(code, weights, zero_probs, exponent):
+    """Cluster expectations of a commuting d = 2 source from exact block weights."""
+    contents = young.compositions(code.n, 2)
+    weight = {(lam, c): float(young.exact_block_weight(lam, c)) for lam in code.labels for c in contents}
+    out = dict.fromkeys(code.outcomes, 0.0)
+    for tau in young.compositions(code.n, len(weights)):
+        w = young.multinomial(tau) * math.prod(wj**tj for wj, tj in zip(weights, tau))
+        if w == 0.0:
+            continue
+        spectra = [np.array([q, 1.0 - q]) for q, tj in zip(zero_probs, tau) for _ in range(tj)]
+        types = type_distribution(spectra)
+        block = {lam: sum(p * weight[lam, c] for c, p in types.items()) for lam in code.labels}
+        for k in code.outcomes:
+            out[k] += w * min(1.0, max(0.0, sum(block[lam] for lam in code.blocks[k]))) ** exponent
+    return out
+
+
+def commuting_source(weights, zero_probs):
+    return Source(d=2, weights=weights,
+                  states=tuple(np.diag([q, 1.0 - q]).astype(complex) for q in zero_probs))
+
+
+ORACLE_CODES = {
+    "plain-n60": CodeParams(n=60, d=2, delta=delta_schedule(60)[0]),
+    "plain-n31": CodeParams(n=31, d=2, delta=0.3),
+    "restricted-n60": CodeParams(n=60, d=2, delta=delta_schedule(60)[0], delta1=delta_schedule(60)[1],
+                                 spectrum_set=((0.8, 0.2), (0.55, 0.45))),
+    "zero-radius-n30": CodeParams(n=30, d=2, delta=0.0),
+}
+
+
+class TestQubitRouteOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_CODES))
+    def test_probabilities_and_lengths(self, name):
+        code = build_code(ORACLE_CODES[name])
+        for spec in ((0.7, 0.3), (0.5, 0.5), (1.0, 0.0)):
+            got = codec.outcome_distribution(code, spec)
+            want = general_distribution(code, spec)
+            assert list(got) == list(want)
+            for k in want:
+                assert got[k] == pytest.approx(want[k], abs=1e-10)
+        for k in code.accepted:
+            exact = math.log(code.num_symbols) + math.log(code.subspace_dim(k))
+            assert code.coding_length(k) == pytest.approx(exact, abs=1e-10)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CODES))
+    def test_error_expectations(self, name):
+        code = build_code(ORACLE_CODES[name])
+        sources = [((0.7, 0.3), (1.0, 0.0)), ((0.5, 0.5), (1.0, 0.0)), ((1.0,), (1.0,)),
+                   ((0.6, 0.4), (0.8, 0.3))]
+        if code.n <= 31:
+            sources.append(((0.3, 0.3, 0.4), (0.2, 0.5, 1.0)))
+        for weights, zero_probs in sources:
+            source = commuting_source(weights, zero_probs)
+            for exponent in (1.0, 1.5, 2.0):
+                got, _ = codec.cluster_expectations(code, source, exponent)
+                want = general_expectations(code, weights, zero_probs, exponent)
+                for k in want:
+                    assert got[k] == pytest.approx(want[k], abs=1e-10), (weights, exponent, k)
+                err, _ = codec.average_error_chain(code, source, exponent)
+                want_err = 1.0 - sum(want[k] for k in code.accepted) / code.c1_count
+                assert err == pytest.approx(want_err, abs=1e-10)
+
+
+def test_window_logsumexp_matches_loop():
+    def loop(window):
+        m = max(window)
+        return m if m == -math.inf else m + math.log(sum(math.exp(x - m) for x in window))
+
+    rng = np.random.default_rng(17)
+    for length in (1, 2, 7, 30):
+        v = rng.normal(scale=50.0, size=length)
+        v[rng.random(length) < 0.3] = -np.inf
+        for width in range(1, length + 1):
+            want = [loop(v[i:i + width].tolist()) for i in range(length - width + 1)]
+            np.testing.assert_allclose(codec._window_logsumexp(v, width), want, rtol=1e-13, atol=1e-12)
+
+
+def test_distribution_normalized_at_large_n():
+    n = 100_000
+    code = build_code(CodeParams(n=n, d=2, delta=delta_schedule(n)[0]))
+    logp = codec.log_outcome_distribution(code, (0.7, 0.3))
+    assert math.fsum(math.exp(v) for v in logp.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+def test_monte_carlo_stderr_calibrated(restricted):
+    # the reported standard error against the spread of the estimate over seeds
+    extra = {"delta1": 0.29, "spectrum_set": ((1.0, 0.0),)} if restricted else {}
+    code = build_code(CodeParams(n=5, d=2, delta=0.3, **extra))
+    assert (len(code.accepted) < len(code.outcomes)) == restricted
+    runs = [codec.average_error_chain(code, noncommuting_source(), 1.5, samples=200, seed=s)
+            for s in range(30)]
+    spread = np.std([value for value, _ in runs], ddof=1)
+    reported = np.mean([stderr for _, stderr in runs])
+    assert spread / 1.5 <= reported <= spread * 1.5

@@ -260,6 +260,26 @@ def test_schur_normalization():
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
+def test_log_schur_two_rows_against_monomial_sum():
+    # the bialternant against sum_{c=b}^{a} x^c y^(n-c), also near and at x = y
+    for x, y in [(0.75, 0.25), (0.5 + 1e-9, 0.5 - 1e-9), (0.5, 0.5), (0.25, 0.75), (1.0, 0.0), (0.0, 1.0)]:
+        for a, b in [(7, 3), (40, 0), (25, 25), (0, 0)]:
+            direct = sum(x**c * y ** (a + b - c) for c in range(b, a + 1))
+            val = young.log_schur_two_rows(a, b, x, y)
+            assert (math.exp(val) if val > -math.inf else 0.0) == pytest.approx(direct, rel=1e-12, abs=1e-300)
+    a = np.arange(5, 11)
+    np.testing.assert_allclose(young.log_schur_two_rows(a, 10 - a, 0.6, 0.4),
+                               [young.log_schur_two_rows(int(v), 10 - int(v), 0.6, 0.4) for v in a], rtol=1e-15)
+
+
+def test_log_dim_two_rows_matches_exact():
+    for n in (1, 2, 9, 60, 301):
+        a = np.arange((n + 1) // 2, n + 1)
+        exact = [math.log(young.dim_sym_group((int(v), n - int(v)))) for v in a]
+        # lgamma differences: absolute error a few ulps of lgamma(n + 1)
+        np.testing.assert_allclose(young.log_dim_two_rows(a, n - a), exact, rtol=0, atol=1e-15 * math.lgamma(n + 2))
+
+
 def test_log_schur_large_n():
     # log path survives n = 10^6 and matches a scaled small case
     val = young.log_schur_two_rows(700_000, 300_000, 0.75, 0.25)
