@@ -3,8 +3,8 @@
 The message length concentrates at the source entropy; the probability
 of exceeding a rate R above it decays exponentially.  The best possible
 decay exponent is the divergence from the source spectrum to the
-entropy-R contour -- computed here by the one-dimensional contour
-search -- and the instrument's exact finite-n exponent creeps toward it
+entropy-R contour -- computed here from the tilted family p^s by a
+one-dimensional root find -- and the instrument's exact finite-n exponent creeps toward it
 as the window radius shrinks.
 
 For source *families* that rotate while they spread, a gap opens

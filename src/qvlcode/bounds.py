@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize
+from scipy.special import wrightomega
 
 from .info import (
     INF,
@@ -23,6 +24,7 @@ from .info import (
     entropy,
     entropy_contour_point,
 )
+from .linalg import NumericalFailure
 
 NEG_INF = float("-inf")
 
@@ -91,31 +93,78 @@ def restricted_error_ceiling(n: int, d: int, delta: float, delta1: float,
     return _error_bound_bracket(n, d, delta, delta1, exponent, c3_value)
 
 
-def _min_divergence_near_contour(rate: float, p: np.ndarray, slack: float) -> float:
+def _max_entropy_in_ball(anchor: np.ndarray, radius: float) -> float:
+    """max H(q) over probability vectors q within ``radius`` of ``anchor``.
+
+    ln d when the uniform law lies in the ball (to 1e-9, where H is ln d
+    to O(1e-18)).  Otherwise the maximizer sits on the sphere, on the
+    Lagrange path log q + lam q = lam anchor + mu, solved by
+    q = wrightomega(lam anchor + mu + ln lam) / lam: mu makes q sum to 1,
+    and lam puts q at distance ``radius``.  Along the path q runs from
+    the uniform law (lam -> 0) to the anchor (lam -> inf), each point the
+    maximizer for its own distance.
+    """
+    d = len(anchor)
+    if np.linalg.norm(anchor - 1.0 / d) <= radius + 1e-9:
+        return math.log(d)
+
+    def on_path(log_lam: float) -> np.ndarray:
+        lam = math.exp(log_lam)
+        # c = mu + ln lam; every q_i is at most (at least) 1/d at the lower
+        # (upper) end of this bracket
+        base = lam / d + math.log(lam / d)
+        c = optimize.brentq(lambda c: wrightomega(lam * anchor + c).sum() - lam,
+                            base - lam * anchor.max(), base - lam * anchor.min(), xtol=1e-14)
+        return wrightomega(lam * anchor + c) / lam
+
+    def gap(log_lam: float) -> float:
+        return float(np.linalg.norm(on_path(log_lam) - anchor)) - radius
+
+    lo = hi = 0.0
+    while gap(lo) <= 0:
+        lo -= 4.0
+    while gap(hi) > 0:
+        if hi > 40:  # a ball below the path's resolution: the larger ball's maximum bounds it
+            return entropy(on_path(hi))
+        lo, hi = hi, hi + 4.0
+    return entropy(on_path(optimize.brentq(gap, lo, hi, xtol=1e-13)))
+
+
+def _min_divergence(rate: float, p: np.ndarray, slack: float,
+                    anchor: np.ndarray | None = None, radius: float | None = None) -> float:
     """inf D(q' || p) over q' within ``slack`` of the entropy super-level set.
 
-    Feasible pairs: H(q) >= rate, ||q - q'|| <= slack; minimized over q'.
-    d=2 reduces to one dimension; higher d solves the joint convex
-    program with SLSQP.
+    Feasible pairs: H(q) >= rate, ||q - q'|| <= slack and, with an
+    ``anchor``, ||q - anchor|| <= radius; minimized over q'.  d=2 reduces
+    to intervals; higher d solves the joint convex program with SLSQP.
+    +inf only for an empty feasible set; a solver that finds no point of
+    a nonempty one raises NumericalFailure.
     """
     d = len(p)
-    if rate <= 0:
-        return 0.0
     if rate > math.log(d):
         return INF
-    if entropy(p) >= rate - 1e-15:
+    if anchor is None and (rate <= 0 or entropy(p) >= rate - 1e-15):
         return 0.0
     if d == 2:
         t = entropy_contour_point(min(rate, math.log(2)))
-        # contour q2 in [t, 1-t]; q2' reaches a further slack/sqrt(2) each way
-        lo = max(0.0, t - slack / math.sqrt(2))
-        hi = min(1.0, 1.0 - t + slack / math.sqrt(2))
+        # contour q2 in [t, 1-t], cut to the anchor's radius; q2' reaches
+        # a further slack/sqrt(2) each way
+        lo_q, hi_q = t, 1.0 - t
+        if anchor is not None:
+            a2 = min(anchor)
+            lo_q = max(lo_q, a2 - radius / math.sqrt(2))
+            hi_q = min(hi_q, a2 + radius / math.sqrt(2))
+            if lo_q > hi_q:
+                return INF
+        lo = max(0.0, lo_q - slack / math.sqrt(2))
+        hi = min(1.0, hi_q + slack / math.sqrt(2))
         p2 = min(p)
         if lo <= p2 <= hi:
             return 0.0
         edge = lo if p2 < lo else hi
         return binary_divergence(edge, p2)
-    import warnings
+    if anchor is not None and _max_entropy_in_ball(anchor, radius) < rate:
+        return INF
 
     def objective(z):
         qp = np.clip(z[:d], 1e-14, None)
@@ -127,19 +176,21 @@ def _min_divergence_near_contour(rate: float, p: np.ndarray, slack: float) -> fl
         {"type": "ineq", "fun": lambda z: entropy(np.clip(z[d:], 0, None) / np.clip(z[d:], 0, None).sum()) - rate},
         {"type": "ineq", "fun": lambda z: slack**2 - ((z[:d] - z[d:]) ** 2).sum()},
     ]
-    best = INF
+    starts = [np.ones(d) / d]
+    if anchor is not None:
+        constraints.append({"type": "ineq", "fun": lambda z: radius**2 - ((z[d:] - anchor) ** 2).sum()})
+        starts.insert(0, anchor)
     rng = np.random.default_rng(0)
-    starts = [np.concatenate([np.ones(d) / d, np.ones(d) / d])]
-    starts += [np.concatenate([rng.dirichlet(np.ones(d))] * 2) for _ in range(9)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for z0 in starts:
-            res = optimize.minimize(objective, z0, method="SLSQP",
-                                    bounds=[(1e-12, 1.0)] * (2 * d),
-                                    constraints=constraints,
-                                    options={"ftol": 1e-12, "maxiter": 500})
-            if res.success:
-                best = min(best, max(0.0, float(res.fun)))
+    starts += [rng.dirichlet(np.ones(d)) for _ in range(10 - len(starts))]
+    best = INF
+    for q0 in starts:
+        res = optimize.minimize(objective, np.concatenate([q0, q0]), method="SLSQP",
+                                bounds=[(1e-12, 1.0)] * (2 * d), constraints=constraints,
+                                options={"ftol": 1e-12, "maxiter": 500})
+        if res.success:
+            best = min(best, max(0.0, float(res.fun)))
+    if math.isinf(best):
+        raise NumericalFailure(f"SLSQP found no minimizer of D(q' || p) at rate {rate!r} from {len(starts)} starts")
     return best
 
 
@@ -151,8 +202,8 @@ def overflow_exponent_floor(n: int, d: int, delta: float, rate: float, p_spec) -
     """
     p = np.asarray(sorted(p_spec, reverse=True), dtype=float)
     reduced = rate - (4 * d / n) * math.log(n + d)
-    inner = _min_divergence_near_contour(reduced, p, 2 * delta)
-    if inner is INF or math.isinf(inner):
+    inner = _min_divergence(reduced, p, 2 * delta)
+    if math.isinf(inner):
         return INF
     return -(5 * d / n) * math.log(n + d) + inner
 
@@ -168,61 +219,10 @@ def restricted_overflow_exponent_floor(n: int, d: int, delta: float, delta1: flo
     best = INF
     for s in spectrum_set:
         s = np.asarray(sorted(s, reverse=True), dtype=float)
-        val = _min_divergence_constrained(reduced, p, 2 * delta, s, delta1)
-        best = min(best, val)
+        best = min(best, _min_divergence(reduced, p, 2 * delta, s, delta1))
     if math.isinf(best):
         return INF
     return -(5 * d / n) * math.log(n + d) + best
-
-
-def _min_divergence_constrained(rate: float, p: np.ndarray, slack: float,
-                                anchor: np.ndarray, radius: float) -> float:
-    """Same as _min_divergence_near_contour with q also within radius of anchor."""
-    d = len(p)
-    if rate > math.log(d):
-        return INF
-    if d == 2:
-        t = entropy_contour_point(min(rate, math.log(2)))
-        a2 = min(anchor)
-        # q2 in the contour interval AND within radius of the anchor
-        lo_q = max(t, a2 - radius / math.sqrt(2))
-        hi_q = min(1.0 - t, a2 + radius / math.sqrt(2))
-        if lo_q > hi_q:
-            return INF
-        lo = max(0.0, lo_q - slack / math.sqrt(2))
-        hi = min(1.0, hi_q + slack / math.sqrt(2))
-        p2 = min(p)
-        if lo <= p2 <= hi:
-            return 0.0
-        edge = lo if p2 < lo else hi
-        return binary_divergence(edge, p2)
-    import warnings
-
-    def objective(z):
-        qp = np.clip(z[:d], 1e-14, None)
-        return divergence(qp / qp.sum(), p)
-
-    constraints = [
-        {"type": "eq", "fun": lambda z: z[:d].sum() - 1.0},
-        {"type": "eq", "fun": lambda z: z[d:].sum() - 1.0},
-        {"type": "ineq", "fun": lambda z: entropy(np.clip(z[d:], 0, None) / np.clip(z[d:], 0, None).sum()) - rate},
-        {"type": "ineq", "fun": lambda z: slack**2 - ((z[:d] - z[d:]) ** 2).sum()},
-        {"type": "ineq", "fun": lambda z: radius**2 - ((z[d:] - anchor) ** 2).sum()},
-    ]
-    best = INF
-    rng = np.random.default_rng(0)
-    starts = [np.concatenate([anchor, anchor]), np.concatenate([np.ones(d) / d] * 2)]
-    starts += [np.concatenate([rng.dirichlet(np.ones(d))] * 2) for _ in range(8)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for z0 in starts:
-            res = optimize.minimize(objective, z0, method="SLSQP",
-                                    bounds=[(1e-12, 1.0)] * (2 * d),
-                                    constraints=constraints,
-                                    options={"ftol": 1e-12, "maxiter": 500})
-            if res.success:
-                best = min(best, max(0.0, float(res.fun)))
-    return best
 
 
 def log_block_probability_ceiling(lam, p_spec, d: int) -> float:

@@ -24,12 +24,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__, bounds, codec, info, young
-from .linalg import DimensionBudgetError, Source, basis_source
+from .linalg import DimensionBudgetError, NumericalFailure, Source, basis_source
 from .schur_weyl import young_projectors
-
-
-class NumericalFailure(RuntimeError):
-    """A computed quantity failed its internal sanity check."""
 
 
 class ConfigError(ValueError):
@@ -299,12 +295,8 @@ def cmd_exponent(config: ExperimentConfig, pool) -> list[dict]:
     _require(config, "rate")
     if config.spectrum is None:
         raise ConfigError("exponent needs --spectrum")
-    value = info.optimal_overflow_exponent(config.rate, config.spectrum, seed=config.seed)
-    return [{
-        "rate": config.rate,
-        "exponent": value,
-        "method": "closed-form" if len(config.spectrum) == 2 else "exact",
-    }]
+    value = info.optimal_overflow_exponent(config.rate, config.spectrum)
+    return [{"rate": config.rate, "exponent": value, "method": "closed-form"}]
 
 
 def cmd_lemma_l1(config: ExperimentConfig, pool) -> list[dict]:

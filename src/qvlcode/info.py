@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 
 import numpy as np
 import numpy.linalg as npl
@@ -229,44 +228,32 @@ def entropy_contour_point(R: float) -> float:
     return float(optimize.brentq(lambda t: binary_entropy(t) - R, 1e-300, 0.5, xtol=1e-15))
 
 
-def optimal_overflow_exponent(R: float, p_spec, restarts: int = 20, seed: int = 0) -> float:
+def optimal_overflow_exponent(R: float, p_spec) -> float:
     """Optimal overflow exponent inf of D(q || p) over {q : H(q) >= R}.
 
-    Zero when H(p) >= R.  d=2 solves the 1-dim problem on the entropy
-    contour exactly; higher d runs constrained minimization (SLSQP) from
-    ``restarts`` random interior points.  The problem is convex (the
-    entropy super-level set is convex, D convex in q), so restarts only
-    hedge against active-constraint corner cases.
+    Zero when H(p) >= R.  Otherwise the minimizer is the I-projection of
+    p onto the entropy super-level set, a member of the tilted family
+    q_s ~ p^s on the support of p: H(q_s) falls from ln |supp p| at s = 0
+    to H(p) at s = 1, and one root find on s in [0, 1] fixes H(q_s) = R.
+    Rates above ln |supp p| leave no q with D(q || p) finite (+inf).
     """
-    p = np.asarray(sorted(p_spec, reverse=True), dtype=float)
+    p = np.asarray(p_spec, dtype=float)
     d = len(p)
     if R > math.log(d) + 1e-12:
         raise ValueError(f"R = {R} exceeds ln d = {math.log(d)}: no feasible q")
     if entropy(p) >= R:
         return 0.0
-    if d == 2:
-        t = entropy_contour_point(R)
-        return binary_divergence(t, p[1])
-    rng = np.random.default_rng(seed)
-    best = INF
+    p = p[p > 0]
+    if R > math.log(len(p)) + 1e-12:
+        return INF
 
-    def objective(q):
-        return divergence(np.clip(q, 1e-14, None) / np.clip(q, 1e-14, None).sum(), p)
+    def tilt(s: float) -> np.ndarray:
+        q = p**s
+        return q / q.sum()
 
-    constraints = [
-        {"type": "eq", "fun": lambda q: q.sum() - 1.0},
-        {"type": "ineq", "fun": lambda q: entropy(np.clip(q, 0, None) / np.clip(q, 0, None).sum()) - R},
-    ]
-    bounds = [(1e-12, 1.0)] * d
-    starts = [np.ones(d) / d] + [rng.dirichlet(np.ones(d)) for _ in range(restarts - 1)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # SLSQP bound-clipping chatter
-        for q0 in starts:
-            res = optimize.minimize(objective, q0, method="SLSQP", bounds=bounds,
-                                    constraints=constraints, options={"ftol": 1e-12, "maxiter": 500})
-            if res.success and res.fun < best:
-                best = float(res.fun)
-    return max(0.0, best)
+    target = min(R, entropy(tilt(0.0)))  # ln |supp p|, as rounded
+    s = optimize.brentq(lambda s: entropy(tilt(s)) - target, 0.0, 1.0, xtol=1e-15)
+    return divergence(tilt(s), p)
 
 
 def universality_ceiling(R: float, p_state: np.ndarray, family) -> float:

@@ -25,6 +25,10 @@ class DimensionBudgetError(ValueError):
     """Requested dense operator would exceed the configured dimension cap."""
 
 
+class NumericalFailure(RuntimeError):
+    """A computed quantity failed its internal sanity check."""
+
+
 def tensor(*factors: np.ndarray, max_dim: int = MAX_TENSOR_DIM) -> np.ndarray:
     """Kronecker product of one or more matrices, with a dimension guard."""
     if not factors:

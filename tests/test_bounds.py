@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from qvlcode import bounds, codec, info
-from qvlcode.linalg import basis_source
+from qvlcode.linalg import NumericalFailure, basis_source
 from qvlcode.schur_weyl import log_block_prob_iid_two_level
 
 
@@ -141,6 +142,62 @@ class TestOverflowBound:
             n, 3, delta, 2.0, ((1 / 3, 1 / 3, 1 / 3),), rate, p)
         plain = bounds.overflow_exponent_floor(n, 3, delta, rate, p)
         assert wide == pytest.approx(plain, abs=1e-5)
+
+
+def failing_minimize(*args, **kwargs):
+    return optimize.OptimizeResult(x=args[1], fun=0.0, success=False, message="forced failure")
+
+
+def slsqp_max_entropy_in_ball(anchor, radius, starts=12):
+    """Multi-start SLSQP oracle for max H(q) over the simplex within radius of anchor."""
+    d = len(anchor)
+    rng = np.random.default_rng(0)
+    constraints = [{"type": "eq", "fun": lambda q: q.sum() - 1.0},
+                   {"type": "ineq", "fun": lambda q: radius**2 - ((q - anchor) ** 2).sum()}]
+    best = -math.inf
+    for q0 in [anchor] + [anchor + 0.5 * radius * (x - anchor) for x in rng.dirichlet(np.ones(d), starts)]:
+        res = optimize.minimize(lambda q: -info.entropy(np.clip(q, 1e-300, None) / np.clip(q, 1e-300, None).sum()),
+                                q0, method="SLSQP", bounds=[(1e-15, 1.0)] * d, constraints=constraints,
+                                options={"ftol": 1e-15, "maxiter": 1000})
+        if res.success:
+            best = max(best, -float(res.fun))
+    return best
+
+
+class TestOverflowFloorSolver:
+    N, D, RATE, SPEC = 40000, 3, 1.05, (0.6, 0.3, 0.1)
+
+    def test_solver_failure_raises(self, monkeypatch):
+        delta, delta1 = codec.delta_schedule(self.N)
+        monkeypatch.setattr(bounds.optimize, "minimize", failing_minimize)
+        with pytest.raises(NumericalFailure):
+            bounds.overflow_exponent_floor(self.N, self.D, delta, self.RATE, self.SPEC)
+        with pytest.raises(NumericalFailure):
+            bounds.restricted_overflow_exponent_floor(self.N, self.D, delta, delta1,
+                                                      ((0.5, 0.3, 0.2),), self.RATE, self.SPEC)
+
+    def test_infeasible_anchor_is_decided_without_solver(self, monkeypatch):
+        delta, delta1 = codec.delta_schedule(self.N)
+        anchor = np.array([0.8, 0.15, 0.05])
+        assert bounds._max_entropy_in_ball(anchor, delta1) < self.RATE
+        monkeypatch.setattr(bounds.optimize, "minimize", failing_minimize)
+        assert bounds.restricted_overflow_exponent_floor(
+            self.N, self.D, delta, delta1, (tuple(anchor),), self.RATE, self.SPEC) == math.inf
+
+    def test_max_entropy_in_ball_against_slsqp(self):
+        rng = np.random.default_rng(7)
+        for i in range(12):
+            d = 3 + i % 3
+            anchor = rng.dirichlet(np.ones(d))
+            radius = float(np.linalg.norm(anchor - 1.0 / d)) * rng.uniform(0.05, 0.95)
+            got = bounds._max_entropy_in_ball(anchor, radius)
+            assert got == pytest.approx(slsqp_max_entropy_in_ball(anchor, radius), abs=1e-9)
+
+    def test_max_entropy_in_ball_limits(self):
+        anchor = np.array([0.5, 0.3, 0.2])
+        assert bounds._max_entropy_in_ball(anchor, 1.0) == math.log(3)
+        assert bounds._max_entropy_in_ball(anchor, 0.0) == pytest.approx(info.entropy(anchor), abs=1e-12)
+        assert bounds._max_entropy_in_ball(np.array([0.6, 0.4, 0.0]), 0.01) > info.entropy([0.6, 0.4])
 
 
 class TestTailBounds:

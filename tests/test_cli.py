@@ -5,8 +5,9 @@ import subprocess
 import sys
 
 import pytest
+from scipy import optimize
 
-from qvlcode import cli
+from qvlcode import bounds, cli, info
 
 
 def run_cli(args, capsys=None):
@@ -64,6 +65,16 @@ class TestConfigHandling:
 
         monkeypatch.setitem(cli.COMMANDS, "dims", boom)
         assert cli.main(["dims", "--n", "3"]) == 3
+
+    def test_bounds_solver_failure_exit_code(self, monkeypatch, capsys):
+        def failing_minimize(*args, **kwargs):
+            return optimize.OptimizeResult(x=args[1], fun=0.0, success=False, message="forced failure")
+
+        monkeypatch.setattr(bounds.optimize, "minimize", failing_minimize)
+        assert cli.main(["bounds", "--n", "40000", "--d", "3", "--schedule", "--rate", "1.05",
+                         "--spectrum", "0.6,0.3,0.1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_config_round_trip(self):
         argv = ["overflow", "--n", "100", "--schedule", "--spectrum", "0.7,0.3",
@@ -157,6 +168,12 @@ class TestCommands:
         doc = json.loads(run_text(["exponent", "--rate", "0.673012",
                                    "--spectrum", "0.7,0.3", "--format", "json"]))
         assert doc["results"][0]["exponent"] == pytest.approx(0.022582, abs=1e-5)
+
+    def test_exponent_row_qudit(self):
+        row = json.loads(run_text(["exponent", "--rate", "1.05", "--spectrum", "0.6,0.3,0.1",
+                                   "--format", "json"]))["results"][0]
+        assert row["method"] == "closed-form"
+        assert row["exponent"] == info.optimal_overflow_exponent(1.05, (0.6, 0.3, 0.1))
 
     def test_lemma_l1_trend(self):
         doc = json.loads(run_text(["lemma-l1", "--spectrum", "0.75,0.25",

@@ -1,8 +1,10 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from qvlcode import info
 from qvlcode.linalg import pure_state, random_density, random_unitary
@@ -155,6 +157,34 @@ class TestCurvatureConstant:
         assert est == pytest.approx(1.0, abs=1e-5)
 
 
+def slsqp_overflow_exponent(R, p_spec, restarts=20, seed=0):
+    """The multi-start SLSQP program the tilted family replaced, kept as an oracle."""
+    p = np.asarray(sorted(p_spec, reverse=True), dtype=float)
+    d = len(p)
+    if info.entropy(p) >= R:
+        return 0.0
+    rng = np.random.default_rng(seed)
+    best = math.inf
+
+    def objective(q):
+        return info.divergence(np.clip(q, 1e-14, None) / np.clip(q, 1e-14, None).sum(), p)
+
+    constraints = [
+        {"type": "eq", "fun": lambda q: q.sum() - 1.0},
+        {"type": "ineq", "fun": lambda q: info.entropy(np.clip(q, 0, None) / np.clip(q, 0, None).sum()) - R},
+    ]
+    starts = [np.ones(d) / d] + [rng.dirichlet(np.ones(d)) for _ in range(restarts - 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # SLSQP bound-clipping chatter
+        for q0 in starts:
+            res = optimize.minimize(objective, q0, method="SLSQP", bounds=[(1e-12, 1.0)] * d,
+                                    constraints=constraints, options={"ftol": 1e-12, "maxiter": 500})
+            if res.success and res.fun < best:
+                best = float(res.fun)
+    return max(0.0, best)
+
+
+@pytest.mark.filterwarnings("error")
 class TestOptimalOverflowExponent:
     def test_zero_when_feasible(self):
         assert info.optimal_overflow_exponent(0.3, [0.7, 0.3]) == 0.0
@@ -192,6 +222,39 @@ class TestOptimalOverflowExponent:
                     best = min(best, info.divergence(q, p))
         assert value <= best + 1e-9
         assert value == pytest.approx(best, abs=2e-3)
+
+    def test_tilting_against_slsqp_oracle(self):
+        # 30 spectra with d = 3..5 at three rates between H(p) and ln d; the
+        # problem is convex, so three starts suffice for the oracle
+        rng = np.random.default_rng(2024)
+        for i in range(30):
+            d = 3 + i % 3
+            p = rng.dirichlet(np.ones(d))
+            h = info.entropy(p)
+            for f in (0.2, 0.5, 0.8):
+                rate = h + f * (math.log(d) - h)
+                want = slsqp_overflow_exponent(rate, p, restarts=3)
+                assert info.optimal_overflow_exponent(rate, p) == pytest.approx(want, abs=1e-9), (p, rate)
+
+    def test_d2_against_contour_closed_form(self):
+        for p2 in (0.01, 0.1, 0.3, 0.45):
+            for rate in np.linspace(0.05, math.log(2), 12):
+                want = 0.0
+                if rate > info.binary_entropy(p2):
+                    want = info.binary_divergence(info.entropy_contour_point(rate), p2)
+                got = info.optimal_overflow_exponent(rate, [1 - p2, p2])
+                assert got == pytest.approx(want, abs=1e-12), (p2, rate)
+
+    def test_support_deficient_spectra(self):
+        for spec in ((0.6, 0.4, 0.0), (0.5, 0.3, 0.2, 0.0)):
+            kept = [v for v in spec if v > 0]
+            top = math.log(len(kept))
+            assert info.optimal_overflow_exponent(top + 1e-3, spec) == math.inf
+            assert info.optimal_overflow_exponent(math.log(len(spec)), spec) == math.inf
+            for rate in (info.entropy(kept) + 1e-3, (info.entropy(kept) + top) / 2, top):
+                got = info.optimal_overflow_exponent(rate, spec)
+                assert got == info.optimal_overflow_exponent(rate, kept)
+                assert 0.0 < got < math.inf
 
 
 class TestUniversalityCeiling:
