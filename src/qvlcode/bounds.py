@@ -66,8 +66,12 @@ def error_ceiling(n: int, d: int, delta: float, exponent: float = 1.5,
 
     Infimum over the inner radius delta1 on a geometric grid in
     (0, delta); ``exponent`` 1.5 gives the squared-Bures criterion and 2
-    the overlap-squared criterion.  ``c3_value`` defaults to the
-    certified Pinsker constant 1/2, which only weakens the bound.
+    the overlap-squared criterion.  ``c3_value`` defaults to 1/2, below
+    the true constant ``info.c3(d) = 1``, which only weakens the bound.
+    At 1 the ceiling leaves its vacuous regime at smaller n, where the
+    ``c1``/``c2`` lattice enumerations run: for d = 3 at n = 40000 the
+    ceiling does not finish in 30 s (0.5 ms at 1/2).  The default waits
+    for lattice counts by formula.
     """
     if delta <= 0:
         return 1.0

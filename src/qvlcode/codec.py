@@ -11,7 +11,9 @@ the covered blocks; the decoder embeds that subspace back.
 Everything observable about the code reduces to block probabilities, so
 the evaluation routes mirror the three block-probability routes: exact
 dense matrices at small n, the i.i.d./Kostka closed forms at large n for
-commuting sources, and seeded Monte Carlo as a fallback.
+commuting sources, and seeded Monte Carlo as a fallback.  The instrument
+commutes with permutations of the copies, so every expectation over the
+source is a sum over atom types (``_atom_types``), one sequence per type.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .linalg import (
     joint_eigenbasis,
     partial_trace,
     psd_sqrt,
+    tensor,
 )
 from .schur_weyl import block_prob_product, type_distribution, young_projectors
 
@@ -243,6 +246,23 @@ def _cluster_logsumexp(code: VLCode, block_logs: np.ndarray) -> np.ndarray:
 NEGLIGIBLE_WEIGHT = 1e-17
 # Dropped from the convolutions: binomial letter-count probabilities below this
 NEGLIGIBLE_PMF = 1e-30
+# Above this many atom types the expectations fall back to Monte Carlo
+MAX_ATOM_TYPES = 10**6
+
+
+def _atom_types(weights, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Atom-count vectors tau of n i.i.d. draws from ``weights``, and their
+    probabilities n!/prod(tau_j!) prod(w_j^tau_j).
+
+    Every expectation of the code is invariant under permuting the copies
+    (the instrument commutes with permutations), so a sequence enters only
+    through its type and ``np.repeat(arange(m), tau)`` stands for all of
+    them.  Types of total weight below NEGLIGIBLE_WEIGHT are dropped.
+    """
+    taus = np.array(young.compositions(n, len(weights)))
+    log_w = gammaln(n + 1.0) - gammaln(taus + 1.0).sum(axis=1) + xlogy(taus, np.asarray(weights)).sum(axis=1)
+    keep = log_w >= math.log(NEGLIGIBLE_WEIGHT / len(taus))
+    return taus[keep], np.exp(log_w[keep])
 
 
 def _two_level_expectations(code: VLCode, diag, exponent: float) -> np.ndarray:
@@ -254,7 +274,7 @@ def _two_level_expectations(code: VLCode, diag, exponent: float) -> np.ndarray:
     for a letter-count law pmf the outcome's trace is
     C(n, lo) S(lo) + P(hi) - P(lo) - C(n, hi + 1) S(hi), with P and S the
     prefix sums over h of pmf and pmf / C(n, c); S is kept in the log
-    domain.  One O(n) pass per atom type (composition of n over the atoms).
+    domain.  One O(n) pass per atom type.
     """
     n = code.n
     amin = (n + 1) // 2
@@ -265,9 +285,7 @@ def _two_level_expectations(code: VLCode, diag, exponent: float) -> np.ndarray:
     lo, hi = (np.array([code.window(k) for k in code.outcomes]) - amin).T
     log_comb_lo = log_comb[lo]
     log_comb_above = np.append(log_comb[1:], NEG_INF)[hi]
-    taus = np.array(young.compositions(n, len(weights)))
-    log_w = gammaln(n + 1.0) - gammaln(taus + 1.0).sum(axis=1) + xlogy(taus, np.asarray(weights)).sum(axis=1)
-    keep = np.flatnonzero(log_w >= math.log(NEGLIGIBLE_WEIGHT / len(taus)))
+    taus, probs = _atom_types(weights, n)
     binomials = {}
 
     def binomial(j: int, tj: int):
@@ -281,12 +299,12 @@ def _two_level_expectations(code: VLCode, diag, exponent: float) -> np.ndarray:
 
     total = np.zeros(len(lo))
     batch = max(1, (1 << 20) // (n + 1 + len(lo)))  # about 8 MB per array
-    for first in range(0, len(keep), batch):
-        rows = keep[first:first + batch]
+    for first in range(0, len(taus), batch):
+        rows = taus[first:first + batch]
         pmf = np.zeros((len(rows), n + 1))
-        for r, i in enumerate(rows):
+        for r, tau in enumerate(rows):
             start, vals = 0, np.ones(1)
-            for j, tj in enumerate(taus[i]):
+            for j, tj in enumerate(tau):
                 if tj:
                     offset, part = binomial(j, int(tj))
                     start += offset
@@ -300,7 +318,7 @@ def _two_level_expectations(code: VLCode, diag, exponent: float) -> np.ndarray:
             log_s = np.logaddexp.accumulate(np.log(by_h) - log_comb, axis=1)
         v = (np.exp(log_comb_lo + log_s[:, lo]) + cum[:, hi] - cum[:, lo]
              - np.exp(log_comb_above + log_s[:, hi]))
-        total += np.exp(log_w[rows]) @ np.clip(v, 0.0, 1.0) ** exponent
+        total += probs[first:first + batch] @ np.clip(v, 0.0, 1.0) ** exponent
     return total
 
 
@@ -312,94 +330,72 @@ def _commuting_diag(source: Source):
     return source.weights, [np.clip(q, 0.0, None) for q in diags]
 
 
-def cluster_expectations(code: VLCode, source: Source, exponent: float,
-                         samples: int | None = None, seed: int = 0):
-    """E over the source of (Tr P_k rho_1 x ... x rho_n)^exponent per outcome.
+def _kostka_traces(code: VLCode, diags):
+    """Per-outcome traces of one sequence of commuting atoms, from the
+    letter-count law of its diagonals and the exact diagonal block weights."""
+    def traces(seq) -> np.ndarray:
+        types = type_distribution([diags[j] for j in seq])
+        per_block = {
+            lam: sum(p * young.exact_block_weight(lam, c) for c, p in types.items())
+            for lam in code.labels
+        }
+        return np.array([float(sum(per_block[lam] for lam in code.blocks[k])) for k in code.outcomes])
+    return traces
 
-    Returns (dict outcome -> expectation, stderr or None).  Routes:
-    commuting atoms group sequences by atom type and use the diagonal
-    block weights (any n; O(n) per atom type for d = 2); otherwise dense
-    enumeration when the sequence count and d^n are small, else
-    counter-seeded Monte Carlo.  Passing ``samples`` explicitly forces the
-    Monte Carlo route; its stderr is the standard error of the average
-    error estimate 1 - sum over accepted outcomes / C1.
-    """
+
+def _dense_traces(code: VLCode, source: Source):
+    """Per-outcome traces of one atom sequence against the dense cluster projectors."""
     n, d = code.n, code.d
-    diag = None if samples is not None else _commuting_diag(source)
-    if diag is not None and d == 2:
-        return dict(zip(code.outcomes, _two_level_expectations(code, diag, exponent).tolist())), None
-    if diag is not None:
-        weights, diags = diag
-        out = {k: 0.0 for k in code.outcomes}
-        for tau in young.compositions(n, len(weights)):
-            w = float(young.multinomial(tau))
-            spectra = []
-            for wj, tj, qj in zip(weights, tau, diags):
-                if tj:
-                    w *= wj**tj
-                    spectra.extend([qj] * tj)
-            if w == 0.0:
-                continue
-            types = type_distribution(spectra)
-            per_block = {
-                lam: sum(p * young.exact_block_weight(lam, c) for c, p in types.items())
-                for lam in code.labels
-            }
-            for k in code.outcomes:
-                val = float(sum(per_block[lam] for lam in code.blocks[k]))
-                out[k] += w * min(1.0, max(0.0, val)) ** exponent
-        return out, None
-    # dense routes
     if d**n > MAX_TENSOR_DIM:
         raise DimensionBudgetError(
             f"non-commuting source with d^n = {d**n} > {MAX_TENSOR_DIM}"
         )
-    projs = young_projectors(n, d)
-    cluster = {
-        k: sum(projs[lam] for lam in code.blocks[k]) for k in code.outcomes
-    }
-    m_atoms = source.num_atoms
-    if samples is None and m_atoms**n <= 10**6:
-        out = {k: 0.0 for k in code.outcomes}
-        for seq in itertools.product(range(m_atoms), repeat=n):
-            w = 1.0
-            for j in seq:
-                w *= source.weights[j]
-            if w == 0.0:
-                continue
-            rho = _product_state(source, seq)
-            for k in code.outcomes:
-                tr = float(np.real(np.einsum("ij,ji->", cluster[k], rho)))
-                out[k] += w * min(1.0, max(0.0, tr)) ** exponent
-        return out, None
+    clusters = _instrument_matrices(code)
+
+    def traces(seq) -> np.ndarray:
+        return np.real(np.einsum("kij,ji->k", clusters, tensor(*(source.states[j] for j in seq))))
+    return traces
+
+
+def cluster_expectations(code: VLCode, source: Source, exponent: float,
+                         samples: int | None = None, seed: int = 0):
+    """E over the source of (Tr P_k rho_1 x ... x rho_n)^exponent per outcome.
+
+    Returns (dict outcome -> expectation, stderr or None).  For d = 2 a
+    commuting source takes the O(n)-per-type closed form.  Otherwise one
+    sequence per atom type is weighed with the type's probability, its
+    traces from the Kostka block weights (commuting atoms, any n) or from
+    the dense cluster projectors (d^n within budget).  Above
+    MAX_ATOM_TYPES types, or when ``samples`` is given (which also forces
+    the dense traces), counter-seeded Monte Carlo over sequences replaces
+    the type sum; its stderr is the standard error of the average error
+    estimate 1 - sum over accepted outcomes / C1.
+    """
+    n, m = code.n, source.num_atoms
+    diag = None if samples is not None else _commuting_diag(source)
+    if diag is not None and code.d == 2:
+        return dict(zip(code.outcomes, _two_level_expectations(code, diag, exponent).tolist())), None
+    traces = _dense_traces(code, source) if diag is None else _kostka_traces(code, diag[1])
+    if samples is None and math.comb(n + m - 1, m - 1) <= MAX_ATOM_TYPES:
+        total = np.zeros(len(code.outcomes))
+        for tau, w in zip(*_atom_types(source.weights, n)):
+            total += w * np.clip(traces(np.repeat(np.arange(m), tau)), 0.0, 1.0) ** exponent
+        return dict(zip(code.outcomes, total.tolist())), None
     if samples is None:
         samples = 10**5
-    acc = set(code.accepted)
-    sums = {k: 0.0 for k in code.outcomes}
+    accepted = set(code.accepted)
+    acc = np.array([k in accepted for k in code.outcomes])
+    sums = np.zeros(len(code.outcomes))
     total = sq = 0.0
     for i in range(samples):
         rng = np.random.default_rng([seed, i])
-        seq = rng.choice(m_atoms, size=n, p=source.weights)
-        rho = _product_state(source, seq)
-        kept = 0.0
-        for k in code.outcomes:
-            tr = float(np.real(np.einsum("ij,ji->", cluster[k], rho)))
-            val = min(1.0, max(0.0, tr)) ** exponent
-            sums[k] += val
-            if k in acc:
-                kept += val
+        vals = np.clip(traces(rng.choice(m, size=n, p=source.weights)), 0.0, 1.0) ** exponent
+        sums += vals
+        kept = sum(vals[acc].tolist())
         total += kept
         sq += kept * kept
-    out = {k: v / samples for k, v in sums.items()}
     var = max(0.0, sq / samples - (total / samples) ** 2)
-    return out, math.sqrt(var / samples) / code.c1_count
-
-
-def _product_state(source: Source, seq) -> np.ndarray:
-    rho = source.states[seq[0]]
-    for j in seq[1:]:
-        rho = np.kron(rho, source.states[j])
-    return rho
+    return dict(zip(code.outcomes, (sums / samples).tolist())), math.sqrt(var / samples) / code.c1_count
 
 
 # --- outcome statistics -----------------------------------------------------
@@ -498,12 +494,16 @@ def average_error_dprime(code: VLCode, source: Source,
     return average_error_chain(code, source, 2.0, samples=samples, seed=seed)[0]
 
 
-def _instrument_matrices(code: VLCode):
+def _instrument_matrices(code: VLCode) -> np.ndarray:
+    """The cluster projectors P_k stacked in ``outcomes`` order; the
+    instrument's elements are M_k = P_k / C1."""
     projs = young_projectors(code.n, code.d)
-    return {
-        k: sum(projs[lam] for lam in code.blocks[k]) / code.c1_count
-        for k in code.outcomes
-    }
+    # filled in place: stacking a list of sums would hold every P_k twice
+    out = np.zeros((len(code.outcomes), code.d**code.n, code.d**code.n))
+    for p, k in zip(out, code.outcomes):
+        for lam in code.blocks[k]:
+            p += projs[lam]
+    return out
 
 
 def _simulated_error(code: VLCode, source: Source, accepted_error) -> float:
@@ -512,20 +512,21 @@ def _simulated_error(code: VLCode, source: Source, accepted_error) -> float:
 
     ``accepted_error(seq, rho, sigma)`` gives it for accepted outcomes; the
     reject flag leaves the decoder no copy and is charged the worst case 1.
+    Both criteria are invariant under permuting the copies (the
+    post-measurement state is permuted alike), so one sequence per atom
+    type carries the type's probability.
     """
     n, d = code.n, code.d
     if d**n > MAX_TENSOR_DIM:
         raise DimensionBudgetError(f"d^n = {d**n} too large for the dense route")
-    roots = {k: psd_sqrt(m) for k, m in _instrument_matrices(code).items()}
+    roots = [psd_sqrt(p / code.c1_count) for p in _instrument_matrices(code)]
     acc = set(code.accepted)
     total = 0.0
-    for seq in itertools.product(range(source.num_atoms), repeat=n):
-        w = math.prod(source.weights[j] for j in seq)
-        if w == 0.0:
-            continue
-        rho = _product_state(source, seq)
-        for k in code.outcomes:
-            post = roots[k] @ rho @ roots[k]
+    for tau, w in zip(*_atom_types(source.weights, n)):
+        seq = np.repeat(np.arange(source.num_atoms), tau)
+        rho = tensor(*(source.states[j] for j in seq))
+        for k, root in zip(code.outcomes, roots):
+            post = root @ rho @ root
             p = float(np.real(np.trace(post)))
             if p > 1e-15:
                 total += w * p * (accepted_error(seq, rho, post / p) if k in acc else 1.0)

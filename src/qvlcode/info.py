@@ -161,58 +161,20 @@ def c2(x: float, d: int, grid: int = 40) -> int:
     return best
 
 
-def c3(d: int, refine: bool = True) -> tuple[float, float]:
-    """Curvature constant min over (q, p) of D(q||p) / ||p - q||^2.
+def c3(d: int) -> float:
+    """Curvature constant: the largest C with D(q||p) >= C ||q - p||^2 for
+    every pair of probability vectors in d >= 2 dimensions.  It is 1.
 
-    Returns (certified_lower, numeric_estimate).  The certified value 1/2
-    follows from Pinsker's inequality D >= ||q-p||_1^2 / 2 and the
-    l2 <= l1 norm domination.  The numeric estimate combines a search
-    over well-separated pairs with the exact local limit (the minimal
-    eigenvalue of the Fisher form on the zero-sum subspace); the ratio is
-    numerically meaningless below the separation floor, where the local
-    form takes over.
+    Pinsker gives D >= ||q-p||_1^2 / 2.  A zero-sum w whose positive part
+    has mass S has ||w||_1 = 2S, and each of its two parts has squared l2
+    norm at most S^2, so ||w||_1^2 >= 2 ||w||_2^2 and D >= ||q-p||_2^2.
+    Near p = (1/2, 1/2, 0, ...) with q - p along (1, -1, 0, ...), D is
+    sum w_i^2 / (2 p_i) + O(|w|^3) = ||w||^2 + O(|w|^3): the ratio tends
+    to 1, so no larger constant holds.
     """
     if d < 2:
         raise ValueError("need d >= 2")
-    certified = 0.5
-    rng = np.random.default_rng(12345)
-    floor = 1e-3
-
-    def ratio(qp: np.ndarray) -> float:
-        q = np.clip(qp[:d], 1e-12, None)
-        p = np.clip(qp[d:], 1e-12, None)
-        q, p = q / q.sum(), p / p.sum()
-        dist2 = float(((q - p) ** 2).sum())
-        if dist2 < floor**2:
-            return INF
-        return divergence(q, p) / dist2
-
-    def local_form(p_free: np.ndarray) -> float:
-        # lim ratio as q -> p equals half the smallest eigenvalue of
-        # diag(1/p) restricted to the zero-sum subspace
-        p = np.clip(p_free, 1e-9, None)
-        p = p / p.sum()
-        basis = np.linalg.qr(np.eye(d)[:, : d - 1] - 1.0 / d)[0]
-        form = basis.T @ np.diag(1.0 / p) @ basis
-        return 0.5 * float(np.linalg.eigvalsh(form)[0])
-
-    samples = [np.concatenate([rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d))])
-               for _ in range(400)]
-    samples.sort(key=ratio)
-    best = ratio(samples[0])
-    p_samples = [rng.dirichlet(np.ones(d)) for _ in range(200)]
-    p_samples.sort(key=local_form)
-    best = min(best, local_form(p_samples[0]))
-    if refine:
-        for start in samples[:5]:
-            res = optimize.minimize(ratio, start, method="Nelder-Mead",
-                                    options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
-            best = min(best, float(res.fun))
-        for start in p_samples[:5]:
-            res = optimize.minimize(local_form, start, method="Nelder-Mead",
-                                    options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
-            best = min(best, float(res.fun))
-    return certified, max(certified, best)
+    return 1.0
 
 
 # --- exponents --------------------------------------------------------------

@@ -29,13 +29,18 @@ from .linalg import MAX_TENSOR_DIM, DimensionBudgetError, joint_eigenbasis
 logger = logging.getLogger(__name__)
 
 
+@lru_cache(maxsize=8)
 def _slot_index_maps(n: int, d: int) -> np.ndarray:
-    """Digit table: row J holds the base-d digits of J, most significant first."""
+    """Digit table: row J holds the base-d digits of J, most significant first.
+
+    Cached and shared by every permutation of the same (n, d); read-only.
+    """
     idx = np.arange(d**n)
     digits = np.empty((d**n, n), dtype=np.int64)
     for slot in range(n - 1, -1, -1):
         digits[:, slot] = idx % d
         idx = idx // d
+    digits.setflags(write=False)
     return digits
 
 
@@ -48,12 +53,8 @@ def permutation_index_map(sigma: tuple[int, ...], d: int) -> np.ndarray:
     index of basis state J, so the matrix is M[m[J], J] = 1.
     """
     n = len(sigma)
-    digits = _slot_index_maps(n, d)
     weights = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    out = np.zeros(d**n, dtype=np.int64)
-    for s in range(n):
-        out += digits[:, s] * weights[sigma[s]]
-    return out
+    return _slot_index_maps(n, d) @ weights[list(sigma)]
 
 
 def permutation_operator(sigma, d: int, max_dim: int = MAX_TENSOR_DIM) -> np.ndarray:

@@ -1,6 +1,7 @@
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,12 +11,17 @@ from qvlcode.codec import REJECT, CodeParams, build_code, delta_schedule
 from qvlcode.linalg import (
     Source,
     basis_source,
+    fidelity,
+    joint_eigenbasis,
+    partial_trace,
     psd_sqrt,
     pure_source,
     random_density,
+    random_unitary,
+    tensor,
     trace_norm,
 )
-from qvlcode.schur_weyl import type_distribution
+from qvlcode.schur_weyl import type_distribution, young_projectors
 
 RNG = np.random.default_rng(2024)
 
@@ -234,14 +240,13 @@ class TestErrorFunctionals:
         # literal overlap-squared criterion via dense trace norms, pure source
         code = build_code(CodeParams(n=4, d=2, delta=0.25))
         src = noncommuting_source()
-        ms = codec._instrument_matrices(code)
-        roots = {k: psd_sqrt(m) for k, m in ms.items()}
+        roots = [psd_sqrt(p / code.c1_count) for p in codec._instrument_matrices(code)]
         total = 0.0
         for seq in itertools.product(range(2), repeat=4):
             w = np.prod([src.weights[j] for j in seq])
-            rho = codec._product_state(src, seq)
-            for k in code.outcomes:
-                post = roots[k] @ rho @ roots[k]
+            rho = tensor(*(src.states[j] for j in seq))
+            for root in roots:
+                post = root @ rho @ root
                 p = float(np.real(np.trace(post)))
                 if p <= 1e-15:
                     continue
@@ -376,8 +381,7 @@ class TestInstrumentCompleteness:
 
     def test_dense_sum_is_identity(self):
         code = build_code(CodeParams(n=4, d=2, delta=0.4))
-        ms = codec._instrument_matrices(code)
-        total = sum(ms.values())
+        total = codec._instrument_matrices(code).sum(axis=0) / code.c1_count
         assert np.max(np.abs(total - np.eye(16))) < 1e-10
 
 
@@ -509,3 +513,139 @@ def test_monte_carlo_stderr_calibrated(restricted):
     spread = np.std([value for value, _ in runs], ddof=1)
     reported = np.mean([stderr for _, stderr in runs])
     assert spread / 1.5 <= reported <= spread * 1.5
+
+
+# --- averages over atom types against the m^n sequence loops they replaced ---
+
+def sequence_expectations(code, source, exponent):
+    """Cluster expectations by the m^n sequence loop, kept as an oracle."""
+    projs = young_projectors(code.n, code.d)
+    clusters = {k: sum(projs[lam] for lam in code.blocks[k]) for k in code.outcomes}
+    out = dict.fromkeys(code.outcomes, 0.0)
+    for seq in itertools.product(range(source.num_atoms), repeat=code.n):
+        w = math.prod(source.weights[j] for j in seq)
+        if w == 0.0:
+            continue
+        rho = tensor(*(source.states[j] for j in seq))
+        for k in code.outcomes:
+            tr = float(np.real(np.einsum("ij,ji->", clusters[k], rho)))
+            out[k] += w * min(1.0, max(0.0, tr)) ** exponent
+    return out
+
+
+def sequence_simulated_errors(code, source):
+    """(definitional, prime) errors by the m^n sequence loop, kept as an oracle."""
+    projs = young_projectors(code.n, code.d)
+    roots = {k: psd_sqrt(sum(projs[lam] for lam in code.blocks[k]) / code.c1_count) for k in code.outcomes}
+    acc = set(code.accepted)
+    definitional = prime = 0.0
+    for seq in itertools.product(range(source.num_atoms), repeat=code.n):
+        w = math.prod(source.weights[j] for j in seq)
+        if w == 0.0:
+            continue
+        rho = tensor(*(source.states[j] for j in seq))
+        for k in code.outcomes:
+            post = roots[k] @ rho @ roots[k]
+            p = float(np.real(np.trace(post)))
+            if p <= 1e-15:
+                continue
+            if k not in acc:
+                definitional += w * p
+                prime += w * p
+                continue
+            sigma = post / p
+            definitional += w * p * (1.0 - fidelity(rho, sigma))
+            prime += w * p * sum(1.0 - fidelity(source.states[j], partial_trace(sigma, code.d, i))
+                                 for i, j in enumerate(seq)) / code.n
+    return definitional, prime
+
+
+def multinomial_kostka_expectations(code, source, exponent):
+    """Cluster expectations of a commuting source by the exact-multinomial
+    Kostka loop over atom compositions, kept as an oracle."""
+    _, diags = joint_eigenbasis(source.states)
+    out = dict.fromkeys(code.outcomes, 0.0)
+    for tau in young.compositions(code.n, source.num_atoms):
+        w = float(young.multinomial(tau) * math.prod(Fraction(wj) ** tj for wj, tj in zip(source.weights, tau)))
+        if w == 0.0:
+            continue
+        spectra = [np.clip(q, 0.0, None) for q, tj in zip(diags, tau) for _ in range(tj)]
+        types = type_distribution(spectra)
+        block = {lam: sum(p * young.exact_block_weight(lam, c) for c, p in types.items()) for lam in code.labels}
+        for k in code.outcomes:
+            out[k] += w * min(1.0, max(0.0, float(sum(block[lam] for lam in code.blocks[k])))) ** exponent
+    return out
+
+
+def three_atom_source():
+    return pure_source(2, [[1, 0], [1, 1], [1, 0.5j]], (0.5, 0.3, 0.2))
+
+
+def zero_weight_source():
+    states = (random_density(2, np.random.default_rng(5)), random_density(2, np.random.default_rng(6)),
+              random_density(2, np.random.default_rng(7)))
+    return Source(d=2, weights=(0.6, 0.0, 0.4), states=states)
+
+
+def qutrit_source():
+    rng = np.random.default_rng(8)
+    return Source(d=3, weights=(0.7, 0.3), states=(random_density(3, rng), random_density(3, rng, pure=True)))
+
+
+TYPE_CASES = {
+    "two-atom-n5": (CodeParams(n=5, d=2, delta=0.3), noncommuting_source),
+    "two-atom-n4-zero-radius": (CodeParams(n=4, d=2, delta=0.0), noncommuting_source),
+    "three-atom-n4": (CodeParams(n=4, d=2, delta=0.4), three_atom_source),
+    "three-atom-n5-restricted": (CodeParams(n=5, d=2, delta=0.3, delta1=0.29, spectrum_set=((1.0, 0.0),)),
+                                 three_atom_source),
+    "zero-weight-n4": (CodeParams(n=4, d=2, delta=0.3), zero_weight_source),
+    "qutrit-n3": (CodeParams(n=3, d=3, delta=0.4), qutrit_source),
+}
+
+
+class TestAtomTypeRoutes:
+    @pytest.mark.parametrize("name", sorted(TYPE_CASES))
+    def test_chain_against_sequence_loop(self, name):
+        params, make = TYPE_CASES[name]
+        code, source = build_code(params), make()
+        assert joint_eigenbasis(source.states) is None  # the dense route
+        for exponent in (1.0, 1.5, 2.0):
+            got, stderr = codec.cluster_expectations(code, source, exponent)
+            assert stderr is None
+            want = sequence_expectations(code, source, exponent)
+            for k in want:
+                assert got[k] == pytest.approx(want[k], abs=1e-12), (exponent, k)
+
+    @pytest.mark.parametrize("name", sorted(TYPE_CASES))
+    def test_simulated_errors_against_sequence_loop(self, name):
+        params, make = TYPE_CASES[name]
+        code, source = build_code(params), make()
+        definitional, prime = sequence_simulated_errors(code, source)
+        assert codec.average_error_definitional(code, source) == pytest.approx(definitional, abs=1e-12)
+        assert codec.average_error_prime(code, source) == pytest.approx(prime, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 6, 9])
+    def test_commuting_qutrit_against_multinomial_loop(self, n):
+        u = random_unitary(3, np.random.default_rng(n))
+        states = tuple(u @ np.diag(q).astype(complex) @ u.conj().T
+                       for q in ([0.7, 0.2, 0.1], [0.1, 0.3, 0.6], [1.0, 0.0, 0.0]))
+        source = Source(d=3, weights=(0.5, 0.3, 0.2), states=states)
+        code = build_code(CodeParams(n=n, d=3, delta=0.35))
+        for exponent in (1.0, 1.5, 2.0):
+            got, stderr = codec.cluster_expectations(code, source, exponent)
+            assert stderr is None
+            want = multinomial_kostka_expectations(code, source, exponent)
+            for k in want:
+                assert got[k] == pytest.approx(want[k], abs=1e-12), (exponent, k)
+
+    def test_six_atoms_at_n8_exact_by_type(self):
+        # 6^8 sequences exceed 1e6 but there are only C(13, 5) = 1287 types
+        rng = np.random.default_rng(9)
+        source = Source(d=2, weights=tuple(rng.dirichlet(np.ones(6))),
+                        states=tuple(random_density(2, rng, pure=bool(j % 2)) for j in range(6)))
+        code = build_code(CodeParams(n=8, d=2, delta=0.3))
+        assert len(codec._atom_types(source.weights, 8)[0]) == 1287
+        exact, stderr = codec.average_error_chain(code, source, 1.5)
+        assert stderr is None
+        mc, mc_stderr = codec.average_error_chain(code, source, 1.5, samples=400, seed=2)
+        assert abs(mc - exact) <= 4 * mc_stderr

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import optimize, special
 
 from qvlcode import info
 from qvlcode.linalg import pure_state, random_density, random_unitary
@@ -134,15 +134,16 @@ class TestLatticeCounts:
 
 class TestCurvatureConstant:
     def test_certified_value(self):
-        cert, est = info.c3(2)
-        assert cert == 0.5
-        assert est >= cert
+        for d in range(2, 9):
+            assert info.c3(d) == 1.0
+        with pytest.raises(ValueError):
+            info.c3(1)
 
     def test_ratio_example(self):
         q, p = np.array([0.6, 0.4]), np.array([0.5, 0.5])
         ratio = info.divergence(q, p) / np.sum((q - p) ** 2)
         assert ratio == pytest.approx(1.0068, abs=1e-4)
-        assert ratio >= 0.5
+        assert ratio >= info.c3(2)
 
     def test_local_limit_at_uniform(self):
         # Taylor oracle: ratio -> 1 as q -> p = (1/2, 1/2)
@@ -153,8 +154,25 @@ class TestCurvatureConstant:
         assert ratio == pytest.approx(1.0, abs=1e-3)
 
     def test_estimate_near_one_for_qubits(self):
-        _, est = info.c3(2)
-        assert est == pytest.approx(1.0, abs=1e-5)
+        # the constant is sharp: along (1, -1, 0, ...) at p = (1/2, 1/2, 0, ...)
+        # the ratio is 1 + (2/3) eps^2 in every dimension
+        eps = 1e-3
+        for d in range(2, 7):
+            p = np.zeros(d)
+            p[:2] = 0.5
+            q = p.copy()
+            q[:2] += (eps, -eps)
+            ratio = info.divergence(q, p) / np.sum((q - p) ** 2)
+            assert info.c3(d) <= ratio <= info.c3(d) + 1e-5
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0])
+    def test_bound_on_random_pairs(self, alpha):
+        # D(q||p) >= c3 ||q - p||^2 on seeded Dirichlet pairs
+        rng = np.random.default_rng(3)
+        for d in range(2, 7):
+            q, p = rng.dirichlet(np.full(d, alpha), size=(2, 20000))
+            div = special.rel_entr(q, p).sum(axis=1)
+            assert np.all(div >= info.c3(d) * np.sum((q - p) ** 2, axis=1) - 1e-15)
 
 
 def slsqp_overflow_exponent(R, p_spec, restarts=20, seed=0):
