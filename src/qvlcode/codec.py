@@ -10,8 +10,10 @@ the covered blocks; the decoder embeds that subspace back.
 
 Everything observable about the code reduces to block probabilities, so
 the evaluation routes mirror the three block-probability routes: exact
-dense matrices at small n, the i.i.d./Kostka closed forms at large n for
-commuting sources, and seeded Monte Carlo as a fallback.  The instrument
+dense matrices at small n, the i.i.d. closed form (lgamma dimensions
+times the log-domain bialternant, one log-sum-exp per cluster) for
+outcome statistics, the Kostka closed form for errors of commuting
+sources, and seeded Monte Carlo as a fallback.  The instrument
 commutes with permutations of the copies, so every expectation over the
 source is a sum over atom types (``_atom_types``), one sequence per type.
 """
@@ -30,22 +32,25 @@ from scipy.special import gammaln, xlog1py, xlogy
 from . import young
 from .info import sorted_spectrum, sum_zero_ball
 from .linalg import (
-    MAX_TENSOR_DIM,
-    DimensionBudgetError,
     Source,
     fidelity,
     joint_eigenbasis,
     partial_trace,
     psd_sqrt,
+    require_bytes,
     tensor,
 )
-from .schur_weyl import block_prob_product, type_distribution, young_projectors
+from .schur_weyl import block_prob_product, dense_bytes, type_distribution, young_projectors
 
 NEG_INF = float("-inf")
 
 # Sentinel outcome for states rejected by a restricted code: only the
 # classical flag is sent, no quantum subspace.
 REJECT = None
+
+# Bytes per membership and coordinate held while the d >= 3 cluster index
+# is built (the sums, the sort keys and order, and the sorted copy).
+MEMBER_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -98,27 +103,25 @@ class VLCode:
 
     For d = 2, outcome (k0, n - k0) covers the labels (a, n - a) with a in
     the window [max(k0 - t, ceil(n/2)), min(k0 + t, n)], t =
-    ``window_halfwidth``; ``blocks`` then lists a cluster when asked for it
-    and no cluster is stored.
+    ``window_halfwidth``.  For d >= 3 the memberships (label + ball
+    offset) form one array index grouped by outcome, held within
+    linalg.MAX_BYTES: outcome i covers the labels numbered
+    ``_index[_starts[i]:_starts[i + 1]]``.  Either way ``blocks`` lists a
+    cluster when asked for it.
     """
 
     def __init__(self, params: CodeParams):
         self.params = params
         n, d = params.n, params.d
-        offsets = sum_zero_ball(n * params.delta, d)
-        self.c1_count = len(offsets)
         if d == 2:
+            offsets = sum_zero_ball(n * params.delta, d)
+            self.c1_count = len(offsets)
             t = self.window_halfwidth = offsets[0][0]
             self.outcomes = tuple((k0, n - k0) for k0 in range(n + t, (n + 1) // 2 - t - 1, -1))
-            self.blocks = _Windows(self)
         else:
-            blocks: dict[tuple[int, ...], set] = {}
-            for lam in self.labels:
-                for z in offsets:
-                    k = tuple(l + zi for l, zi in zip(lam, z))
-                    blocks.setdefault(k, set()).add(lam)
-            self.outcomes = tuple(sorted(blocks, reverse=True))
-            self.blocks = {k: tuple(sorted(blocks[k], reverse=True)) for k in self.outcomes}
+            self._index, self._starts, outcomes, self.c1_count = self._members()
+            self.outcomes = tuple(map(tuple, outcomes.tolist()))
+        self.blocks = _Clusters(self)
         if params.restricted:
             limit = params.delta1 * (1 + 1e-9) + 1e-12
             ks = np.asarray(self.outcomes, dtype=float) / n
@@ -128,7 +131,29 @@ class VLCode:
         else:
             self.accepted = self.outcomes
         self.num_symbols = len(self.accepted) + (1 if params.restricted else 0)
-        self._dims: dict[tuple[int, ...], int] = {}
+
+    def _members(self):
+        """(label index of each membership, first membership of each
+        outcome, outcomes, C1), memberships sorted by outcome descending,
+        then label descending."""
+        n, d = self.n, self.d
+        x = n * self.params.delta
+        # lower bounds first, so that no enumeration starts past the budget:
+        # labels >= C(n + d - 1, d - 1) / d!, and the ball holds at least
+        # vol B_(d-1)(x - rho) / sqrt(d) points, rho the covering radius of
+        # the zero-sum lattice A_(d-1) (Conway & Sloane, ch. 4)
+        rho = math.sqrt((d // 2) * (d - d // 2) / d)
+        ball = math.pi ** ((d - 1) / 2) * max(x - rho, 0.0) ** (d - 1) / math.gamma((d + 1) / 2) / math.sqrt(d)
+        what = f"the cluster index of n = {n}, d = {d}"
+        require_bytes(math.comb(n + d - 1, d - 1) / math.factorial(d) * ball * MEMBER_BYTES * d, what)
+        labels = np.array(self.labels)
+        offsets = np.array(sum_zero_ball(x, d))
+        require_bytes(len(labels) * len(offsets) * MEMBER_BYTES * d, what)
+        ks = (labels[:, None, :] + offsets[None, :, :]).reshape(-1, d)
+        order = np.lexsort((np.repeat(np.arange(len(labels)), len(offsets)), *(-ks.T[::-1])))
+        ks = ks[order]
+        starts = np.flatnonzero(np.concatenate([[True], (ks[1:] != ks[:-1]).any(axis=1)]))
+        return order // len(offsets), np.append(starts, len(ks)), ks[starts], len(offsets)
 
     @property
     def n(self) -> int:
@@ -151,50 +176,68 @@ class VLCode:
         return max(k[0] - t, (n + 1) // 2), min(k[0] + t, n)
 
     @cached_property
-    def _log_dims(self) -> dict[tuple[int, int], float]:
-        """Outcome -> ln(subspace dimension), for d = 2."""
+    def _position(self) -> dict[tuple[int, ...], int]:
+        return {k: i for i, k in enumerate(self.outcomes)}
+
+    def _cluster_logsumexp(self, block_logs: np.ndarray) -> np.ndarray:
+        """Per-outcome log-sum-exp of ``block_logs`` over each cluster, in
+        ``outcomes`` order.  For d = 2 entry i is for the label
+        (ceil(n/2) + i, .), padded by 2t on both sides so every window has
+        the full width 2t + 1; otherwise entry i is for ``labels[i]``."""
+        if self.d == 2:
+            pad = np.full(2 * self.window_halfwidth, NEG_INF)
+            width = 2 * self.window_halfwidth + 1
+            return _window_logsumexp(np.concatenate([pad, block_logs, pad]), width)[::-1]
+        return _grouped_logsumexp(block_logs[self._index], self._starts)
+
+    @cached_property
+    def _log_dims(self) -> dict[tuple[int, ...], float]:
+        """Outcome -> ln(subspace dimension), in lgamma."""
         n = self.n
-        a = np.arange((n + 1) // 2, n + 1)
-        logs = _cluster_logsumexp(self, young.log_dim_two_rows(a, n - a) + np.log(2 * a - n + 1))
-        return dict(zip(self.outcomes, logs.tolist()))
+        if self.d == 2:
+            a = np.arange((n + 1) // 2, n + 1)
+            block = young.log_dim_two_rows(a, n - a) + np.log(2 * a - n + 1)
+        else:
+            labels = np.array(self.labels)
+            block = young.log_dim_sym_group(labels) + young.log_dim_unitary_group(labels)
+        return dict(zip(self.outcomes, self._cluster_logsumexp(block).tolist()))
 
     def subspace_dim(self, k) -> int:
         """Total dimension of the blocks covered by outcome k (exact integer)."""
-        k = tuple(k)
-        if k not in self._dims:
-            self._dims[k] = sum(young.dim_block(lam, self.d) for lam in self.blocks[k])
-        return self._dims[k]
+        return sum(young.dim_block(lam, self.d) for lam in self.blocks[k])
 
     def coding_length(self, k) -> float:
         """ln(number of symbols) + ln(subspace dimension), in nats.
 
         The reject flag carries no quantum subspace, so only the symbol
-        count contributes for it.  For d = 2 the dimension is summed in
-        the log domain; otherwise it is the exact integer.
+        count contributes for it.  The dimension is summed in the log
+        domain from lgamma dimensions (``subspace_dim`` is its exact twin).
         """
         if k is REJECT:
             if not self.params.restricted:
                 raise KeyError("this code has no reject symbol")
             return math.log(self.num_symbols)
-        if self.d == 2:
-            return math.log(self.num_symbols) + self._log_dims[tuple(k)]
-        return math.log(self.num_symbols) + math.log(self.subspace_dim(k))
+        return math.log(self.num_symbols) + self._log_dims[tuple(k)]
 
     def length_ceiling(self) -> float:
         """Largest possible per-symbol coding length of this code."""
         return max(self.coding_length(k) for k in self.accepted) / self.n
 
 
-class _Windows(Mapping):
-    """Outcome -> covered labels of a d = 2 code, listed from its window."""
+class _Clusters(Mapping):
+    """Outcome -> covered labels, listed when asked for: from the window
+    for d = 2, from the membership index otherwise."""
 
     def __init__(self, code: VLCode):
         self._code = code
 
-    def __getitem__(self, k) -> tuple[tuple[int, int], ...]:
-        lo, hi = self._code.window(k)
-        n = self._code.n
-        return tuple((a, n - a) for a in range(hi, lo - 1, -1))
+    def __getitem__(self, k) -> tuple[tuple[int, ...], ...]:
+        code = self._code
+        if code.d == 2:
+            lo, hi = code.window(k)
+            return tuple((a, code.n - a) for a in range(hi, lo - 1, -1))
+        i = code._position[tuple(k)]
+        return tuple(code.labels[j] for j in code._index[code._starts[i]:code._starts[i + 1]].tolist())
 
     def __iter__(self):
         return iter(self._code.outcomes)
@@ -232,12 +275,12 @@ def _window_logsumexp(v: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _cluster_logsumexp(code: VLCode, block_logs: np.ndarray) -> np.ndarray:
-    """Per-outcome log-sum-exp of ``block_logs`` (entry i for the label
-    (ceil(n/2) + i, .)) over the window, in ``outcomes`` order; padding by
-    2t on both sides gives every window the full width 2t + 1."""
-    pad = np.full(2 * code.window_halfwidth, NEG_INF)
-    return _window_logsumexp(np.concatenate([pad, block_logs, pad]), 2 * code.window_halfwidth + 1)[::-1]
+def _grouped_logsumexp(v: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Log-sum-exp of each run v[starts[i]:starts[i + 1]] (all nonempty)."""
+    top = np.maximum.reduceat(v, starts[:-1])
+    shift = np.where(top > NEG_INF, top, 0.0)
+    with np.errstate(divide="ignore"):
+        return shift + np.log(np.add.reduceat(np.exp(v - np.repeat(shift, np.diff(starts))), starts[:-1]))
 
 
 # --- block cluster expectations ---------------------------------------------
@@ -265,8 +308,8 @@ def _atom_types(weights, n: int) -> tuple[np.ndarray, np.ndarray]:
     return taus[keep], np.exp(log_w[keep])
 
 
-def _two_level_expectations(code: VLCode, diag, exponent: float) -> np.ndarray:
-    """E[(Tr P_k rho_1 x ... x rho_n)^exponent] per outcome, commuting d = 2 source.
+def _two_level_expectations(code: VLCode, diag, exponents) -> np.ndarray:
+    """E[(Tr P_k rho_1 x ... x rho_n)^e] per exponent e and outcome, commuting d = 2 source.
 
     A basis vector with c zeros puts weight dimV(a) [a >= h] / C(n, c) on
     block (a, n - a), h = max(c, n - c), and a window [lo, hi] of blocks
@@ -297,7 +340,7 @@ def _two_level_expectations(code: VLCode, diag, exponent: float) -> np.ndarray:
             binomials[j, tj] = big[0], pmf[big[0]:big[-1] + 1]
         return binomials[j, tj]
 
-    total = np.zeros(len(lo))
+    total = np.zeros((len(exponents), len(lo)))
     batch = max(1, (1 << 20) // (n + 1 + len(lo)))  # about 8 MB per array
     for first in range(0, len(taus), batch):
         rows = taus[first:first + batch]
@@ -318,7 +361,9 @@ def _two_level_expectations(code: VLCode, diag, exponent: float) -> np.ndarray:
             log_s = np.logaddexp.accumulate(np.log(by_h) - log_comb, axis=1)
         v = (np.exp(log_comb_lo + log_s[:, lo]) + cum[:, hi] - cum[:, lo]
              - np.exp(log_comb_above + log_s[:, hi]))
-        total += probs[first:first + batch] @ np.clip(v, 0.0, 1.0) ** exponent
+        v = np.clip(v, 0.0, 1.0)
+        for row, e in zip(total, exponents):
+            row += probs[first:first + batch] @ v**e
     return total
 
 
@@ -333,69 +378,78 @@ def _commuting_diag(source: Source):
 def _kostka_traces(code: VLCode, diags):
     """Per-outcome traces of one sequence of commuting atoms, from the
     letter-count law of its diagonals and the exact diagonal block weights."""
+    clusters = list(code.blocks.values())
+
     def traces(seq) -> np.ndarray:
         types = type_distribution([diags[j] for j in seq])
         per_block = {
             lam: sum(p * young.exact_block_weight(lam, c) for c, p in types.items())
             for lam in code.labels
         }
-        return np.array([float(sum(per_block[lam] for lam in code.blocks[k])) for k in code.outcomes])
+        return np.array([float(sum(per_block[lam] for lam in labels)) for labels in clusters])
     return traces
 
 
 def _dense_traces(code: VLCode, source: Source):
-    """Per-outcome traces of one atom sequence against the dense cluster projectors."""
-    n, d = code.n, code.d
-    if d**n > MAX_TENSOR_DIM:
-        raise DimensionBudgetError(
-            f"non-commuting source with d^n = {d**n} > {MAX_TENSOR_DIM}"
-        )
+    """Per-outcome traces of one atom sequence against the dense cluster
+    projectors.  P_k is real symmetric, so Tr P_k rho = Tr P_k Re(rho): a
+    real contraction, where the complex one promotes the whole stack."""
+    require_bytes(dense_bytes(code.n, code.d, len(code.outcomes)), "the dense cluster projectors")
     clusters = _instrument_matrices(code)
 
     def traces(seq) -> np.ndarray:
-        return np.real(np.einsum("kij,ji->k", clusters, tensor(*(source.states[j] for j in seq))))
+        return np.einsum("kij,ji->k", clusters, tensor(*(source.states[j] for j in seq)).real)
     return traces
 
 
-def cluster_expectations(code: VLCode, source: Source, exponent: float,
+def cluster_expectations(code: VLCode, source: Source, exponents: tuple[float, ...],
                          samples: int | None = None, seed: int = 0):
-    """E over the source of (Tr P_k rho_1 x ... x rho_n)^exponent per outcome.
+    """E over the source of (Tr P_k rho_1 x ... x rho_n)^e per outcome, for
+    each exponent e in ``exponents``.
 
-    Returns (dict outcome -> expectation, stderr or None).  For d = 2 a
-    commuting source takes the O(n)-per-type closed form.  Otherwise one
-    sequence per atom type is weighed with the type's probability, its
-    traces from the Kostka block weights (commuting atoms, any n) or from
-    the dense cluster projectors (d^n within budget).  Above
-    MAX_ATOM_TYPES types, or when ``samples`` is given (which also forces
-    the dense traces), counter-seeded Monte Carlo over sequences replaces
-    the type sum; its stderr is the standard error of the average error
-    estimate 1 - sum over accepted outcomes / C1.
+    Returns (one dict outcome -> expectation per exponent, one stderr per
+    exponent or None).  Each sequence's traces are computed once for all
+    exponents.  For d = 2 a commuting source takes the O(n)-per-type
+    closed form.  Otherwise one sequence per atom type is weighed with the
+    type's probability, its traces from the Kostka block weights
+    (commuting atoms, any n) or from the dense cluster projectors (within
+    linalg.MAX_BYTES).  Above MAX_ATOM_TYPES types, or when ``samples``
+    is given (which also forces the dense traces), counter-seeded Monte
+    Carlo over sequences replaces the type sum; its stderr is the
+    standard error of the average error estimate 1 - sum over accepted
+    outcomes / C1.
     """
     n, m = code.n, source.num_atoms
     diag = None if samples is not None else _commuting_diag(source)
     if diag is not None and code.d == 2:
-        return dict(zip(code.outcomes, _two_level_expectations(code, diag, exponent).tolist())), None
+        totals = _two_level_expectations(code, diag, exponents)
+        return [dict(zip(code.outcomes, row.tolist())) for row in totals], None
     traces = _dense_traces(code, source) if diag is None else _kostka_traces(code, diag[1])
+    totals = np.zeros((len(exponents), len(code.outcomes)))
     if samples is None and math.comb(n + m - 1, m - 1) <= MAX_ATOM_TYPES:
-        total = np.zeros(len(code.outcomes))
         for tau, w in zip(*_atom_types(source.weights, n)):
-            total += w * np.clip(traces(np.repeat(np.arange(m), tau)), 0.0, 1.0) ** exponent
-        return dict(zip(code.outcomes, total.tolist())), None
+            clipped = np.clip(traces(np.repeat(np.arange(m), tau)), 0.0, 1.0)
+            for row, e in zip(totals, exponents):
+                row += w * clipped**e
+        return [dict(zip(code.outcomes, row.tolist())) for row in totals], None
     if samples is None:
         samples = 10**5
     accepted = set(code.accepted)
     acc = np.array([k in accepted for k in code.outcomes])
-    sums = np.zeros(len(code.outcomes))
-    total = sq = 0.0
+    kept = [0.0] * len(exponents)
+    sq = [0.0] * len(exponents)
     for i in range(samples):
         rng = np.random.default_rng([seed, i])
-        vals = np.clip(traces(rng.choice(m, size=n, p=source.weights)), 0.0, 1.0) ** exponent
-        sums += vals
-        kept = sum(vals[acc].tolist())
-        total += kept
-        sq += kept * kept
-    var = max(0.0, sq / samples - (total / samples) ** 2)
-    return dict(zip(code.outcomes, (sums / samples).tolist())), math.sqrt(var / samples) / code.c1_count
+        clipped = np.clip(traces(rng.choice(m, size=n, p=source.weights)), 0.0, 1.0)
+        for j, e in enumerate(exponents):
+            vals = clipped**e
+            totals[j] += vals
+            one = sum(vals[acc].tolist())
+            kept[j] += one
+            sq[j] += one * one
+    stderrs = [math.sqrt(max(0.0, q / samples - (t / samples) ** 2) / samples) / code.c1_count
+               for t, q in zip(kept, sq)]
+    return [dict(zip(code.outcomes, row.tolist())) for row in totals / samples], stderrs
 
 
 # --- outcome statistics -----------------------------------------------------
@@ -403,24 +457,21 @@ def cluster_expectations(code: VLCode, source: Source, exponent: float,
 def log_outcome_distribution(code: VLCode, spec) -> dict:
     """log P(outcome k) for an i.i.d. source with the given single-copy spectrum.
 
-    Includes the reject flag of a restricted code.  Log-domain block
-    sums: for d = 2 lgamma dimensions, the bialternant and window sums in
-    O(n), valid at any n; for higher d exact dimensions and Kostka sums,
-    for moderate n.
+    Includes the reject flag of a restricted code.  One log-domain pass:
+    lgamma dimensions plus log Schur values per label (for d = 2 the
+    two-row bialternant, otherwise ``young.log_schur``), then one
+    log-sum-exp per cluster (sliding windows for d = 2, the grouped
+    membership index otherwise).
     """
     n, d = code.n, code.d
     spec = np.sort(np.asarray(spec, dtype=float))[::-1]
-    logc1 = math.log(code.c1_count)
     if d == 2:
         a = np.arange((n + 1) // 2, n + 1)
         logs = young.log_dim_two_rows(a, n - a) + young.log_schur_two_rows(a, n - a, spec[0], spec[1])
-        out = dict(zip(code.outcomes, (_cluster_logsumexp(code, logs) - logc1).tolist()))
     else:
-        logblock = {}
-        for lam in code.labels:
-            s = young.schur_poly(lam, spec)
-            logblock[lam] = (math.log(s) + young.log_dim_sym_group(lam)) if s > 0 else NEG_INF
-        out = {k: _logsumexp([logblock[lam] for lam in code.blocks[k]]) - logc1 for k in code.outcomes}
+        labels = np.array(code.labels)
+        logs = young.log_dim_sym_group(labels) + young.log_schur(labels, spec)
+    out = dict(zip(code.outcomes, (code._cluster_logsumexp(logs) - math.log(code.c1_count)).tolist()))
     if code.params.restricted:
         acc = set(code.accepted)
         reject = _logsumexp([out[k] for k in code.outcomes if k not in acc])
@@ -477,9 +528,9 @@ def average_error_chain(code: VLCode, source: Source, exponent: float = 1.5,
     restricted code are charged the worst-case error 1.  Returns
     (value, stderr); stderr is None off the Monte Carlo route.
     """
-    exps, stderr = cluster_expectations(code, source, exponent, samples=samples, seed=seed)
+    (exps,), stderrs = cluster_expectations(code, source, (exponent,), samples=samples, seed=seed)
     acc = sum(exps[k] for k in code.accepted)
-    return 1.0 - acc / code.c1_count, stderr
+    return 1.0 - acc / code.c1_count, None if stderrs is None else stderrs[0]
 
 
 def average_error_exact(code: VLCode, source: Source,
@@ -516,9 +567,9 @@ def _simulated_error(code: VLCode, source: Source, accepted_error) -> float:
     post-measurement state is permuted alike), so one sequence per atom
     type carries the type's probability.
     """
-    n, d = code.n, code.d
-    if d**n > MAX_TENSOR_DIM:
-        raise DimensionBudgetError(f"d^n = {d**n} too large for the dense route")
+    n = code.n
+    # the stacked projectors and their complex square roots
+    require_bytes(dense_bytes(n, code.d, 3 * len(code.outcomes)), "the dense instrument simulation")
     roots = [psd_sqrt(p / code.c1_count) for p in _instrument_matrices(code)]
     acc = set(code.accepted)
     total = 0.0
@@ -567,8 +618,7 @@ class OutcomeRecord:
 def outcome_records(code: VLCode, source: Source,
                     samples: int | None = None, seed: int = 0) -> list[OutcomeRecord]:
     """Per-outcome probability, length, and error contribution for a source."""
-    exp1, _ = cluster_expectations(code, source, 1.0, samples=samples, seed=seed)
-    exp32, _ = cluster_expectations(code, source, 1.5, samples=samples, seed=seed)
+    (exp1, exp32), _ = cluster_expectations(code, source, (1.0, 1.5), samples=samples, seed=seed)
     acc = set(code.accepted)
     records = []
     reject_prob = 0.0

@@ -16,28 +16,41 @@ import numpy.linalg as npl
 VALIDATION_TOL = 1e-12
 RECONSTRUCTION_TOL = 1e-10
 
-# Hard ceiling on dense operator dimension (d=2 up to n=12, d=3 up to n=7).
-# Larger systems must go through the closed-form block formulas instead.
-MAX_TENSOR_DIM = 4096
+# Ceiling on the memory one computation may hold in its arrays: one
+# 4096 x 4096 complex matrix.  Larger systems must go through the
+# closed-form block formulas instead.
+MAX_BYTES = 2**28
 
 
 class DimensionBudgetError(ValueError):
-    """Requested dense operator would exceed the configured dimension cap."""
+    """Requested arrays would exceed the memory budget MAX_BYTES."""
 
 
 class NumericalFailure(RuntimeError):
     """A computed quantity failed its internal sanity check."""
 
 
-def tensor(*factors: np.ndarray, max_dim: int = MAX_TENSOR_DIM) -> np.ndarray:
-    """Kronecker product of one or more matrices, with a dimension guard."""
+def require_bytes(nbytes: float, what: str) -> None:
+    """Raise DimensionBudgetError, before anything is allocated, if ``what``
+    needs more than MAX_BYTES."""
+    if nbytes > MAX_BYTES:
+        raise DimensionBudgetError(
+            f"{what} needs about {nbytes / 2**20:.0f} MiB, over the budget of {MAX_BYTES / 2**20:.0f} MiB"
+        )
+
+
+def tensor(*factors: np.ndarray, max_dim: int | None = None) -> np.ndarray:
+    """Kronecker product of one or more matrices, within MAX_BYTES or,
+    if given, within ``max_dim`` rows and columns."""
     if not factors:
         raise ValueError("tensor() needs at least one factor")
     rows = cols = 1
     for f in factors:
         rows *= f.shape[0]
         cols *= f.shape[1]
-    if max(rows, cols) > max_dim:
+    if max_dim is None:
+        require_bytes(rows * cols * 16, f"a {rows} x {cols} tensor product")
+    elif max(rows, cols) > max_dim:
         raise DimensionBudgetError(
             f"tensor product dimension {max(rows, cols)} exceeds budget {max_dim}"
         )

@@ -5,8 +5,10 @@ with at most d parts; each block carries one SU(d) irrep tensored with
 one symmetric-group irrep.  Three routes compute the weight a state
 puts on a block:
 
-* dense matrices (projectors built by character averaging, n <= 8);
-* the i.i.d. closed form dim(S_n irrep) * schur_poly(spectrum);
+* dense matrices (projectors built by character averaging, n <= 8,
+  within the byte budget ``linalg.MAX_BYTES``);
+* the i.i.d. closed form dim(S_n irrep) * s_lam(spectrum), the Schur
+  value from the log-domain bialternant (``young.log_schur``), at any n;
 * the diagonal route via Kostka numbers, valid for products of
   commuting factors at any n.
 
@@ -24,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import young
-from .linalg import MAX_TENSOR_DIM, DimensionBudgetError, joint_eigenbasis
+from .linalg import DimensionBudgetError, joint_eigenbasis, require_bytes
 
 logger = logging.getLogger(__name__)
 
@@ -57,14 +59,13 @@ def permutation_index_map(sigma: tuple[int, ...], d: int) -> np.ndarray:
     return _slot_index_maps(n, d) @ weights[list(sigma)]
 
 
-def permutation_operator(sigma, d: int, max_dim: int = MAX_TENSOR_DIM) -> np.ndarray:
+def permutation_operator(sigma, d: int) -> np.ndarray:
     """Unitary permutation matrix acting on (C^d)^{x n} by permuting slots."""
     sigma = tuple(int(s) for s in sigma)
     n = len(sigma)
     if sorted(sigma) != list(range(n)):
         raise ValueError(f"{sigma} is not a permutation of 0..{n - 1}")
-    if d**n > max_dim:
-        raise DimensionBudgetError(f"d^n = {d**n} exceeds budget {max_dim}")
+    require_bytes(d ** (2 * n) * 8, f"a permutation matrix on d^n = {d**n} dimensions")
     m = np.zeros((d**n, d**n))
     m[permutation_index_map(sigma, d), np.arange(d**n)] = 1.0
     return m
@@ -89,17 +90,31 @@ def _class_sums(n: int, d: int) -> dict[tuple[int, ...], np.ndarray]:
     return sums
 
 
+def dense_bytes(n: int, d: int, extra: int = 0) -> int:
+    """Bytes of the real d^n x d^n matrices a dense route holds: the class
+    sums and block projectors of (n, d), plus ``extra`` more.
+
+    Raises DimensionBudgetError above n = 8, where the n!-term character
+    sum is capped.
+    """
+    if n > 8:
+        raise DimensionBudgetError(f"n = {n}: the n!-term character sum is capped at n = 8")
+    return (len(young.cycle_types(n)) + len(young.young_indices(n, d)) + extra) * d ** (2 * n) * 8
+
+
 @lru_cache(maxsize=8)
-def young_projectors(n: int, d: int, max_dim: int = MAX_TENSOR_DIM):
+def young_projectors(n: int, d: int, max_dim: int | None = None):
     """All block projectors on (C^d)^{x n} as a dict {label: matrix}.
 
     P_lam = (dim V_lam / n!) * sum_sigma chi_lam(sigma) Perm(sigma).
-    Feasible for n <= 8 (factorial sum); matrices are returned read-only.
+    Feasible for n <= 8 (factorial sum) within MAX_BYTES, or if given
+    within ``max_dim`` dimensions; matrices are returned read-only.
     """
-    if d**n > max_dim:
+    nbytes = dense_bytes(n, d)
+    if max_dim is None:
+        require_bytes(nbytes, f"the block projectors of n = {n}, d = {d}")
+    elif d**n > max_dim:
         raise DimensionBudgetError(f"d^n = {d**n} exceeds budget {max_dim}")
-    if n > 8:
-        raise DimensionBudgetError(f"n = {n}: the n!-term character sum is capped at n = 8")
     sums = _class_sums(n, d)
     fact = math.factorial(n)
     out = {}
@@ -115,7 +130,7 @@ def young_projectors(n: int, d: int, max_dim: int = MAX_TENSOR_DIM):
     return out
 
 
-def young_projector(lam, d: int, max_dim: int = MAX_TENSOR_DIM) -> np.ndarray:
+def young_projector(lam, d: int, max_dim: int | None = None) -> np.ndarray:
     """Projector onto the block labelled by the partition ``lam``."""
     lam = tuple(int(v) for v in lam)
     return young_projectors(sum(lam), d, max_dim)[lam]
@@ -179,11 +194,11 @@ def type_distribution(spectra: list[np.ndarray]) -> dict[tuple[int, ...], float]
     return dist
 
 
-def block_prob_product(lam, states, max_dim: int = MAX_TENSOR_DIM) -> float:
+def block_prob_product(lam, states, max_dim: int | None = None) -> float:
     """Tr P_lam (rho_1 x ... x rho_n) for an explicit list of factors.
 
     Commuting factors route through the Kostka formula at any n; the
-    general case builds the dense projector and needs d^n within budget.
+    general case builds the dense projectors, within MAX_BYTES.
     """
     lam = tuple(int(v) for v in lam)
     states = [np.asarray(s, dtype=complex) for s in states]
@@ -201,10 +216,6 @@ def block_prob_product(lam, states, max_dim: int = MAX_TENSOR_DIM) -> float:
                 continue
             total += prob * block_prob_diagonal(lam, content)
         return _clip_probability(total, f"block probability {lam}")
-    if d**n > max_dim:
-        raise DimensionBudgetError(
-            f"non-commuting factors with d^n = {d**n} > {max_dim}: no dense route"
-        )
     p = young_projector(lam, d, max_dim)
     rho = states[0]
     for s in states[1:]:

@@ -2,13 +2,17 @@
 
 A block label is a partition of n into at most d parts, stored as a
 tuple of d nonincreasing nonnegative integers (trailing zeros kept).
-Dimension counts are exact big integers, with a floating-point log form
-for two-row shapes; Schur polynomial values are floats, evaluated in the
-log domain where overflow is a concern.
+Dimension counts are exact big integers (``dim_*``), and their logarithms
+come from lgamma and product formulas (``log_dim_*``), one label or an
+array of labels at a time.  Schur values come from the log-domain
+bialternant (``log_schur``, and ``log_schur_two_rows`` for two rows), in
+O(d! d^2) per label at any n.  Kostka numbers give the exact rational
+block weights of commuting products (``exact_block_weight``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -317,43 +321,113 @@ def log_dim_two_rows(a, b):
     return gammaln(a + b + 1) - gammaln(b + 1) - gammaln(a + 2) + np.log(a - b + 1)
 
 
-def schur_poly(lam: tuple[int, ...], spec) -> float:
-    """Schur polynomial s_lam evaluated on a nonnegative vector.
+# A bialternant sum whose terms exceed its value by more than this factor
+# would keep fewer than about ten correct digits; such labels are summed
+# in exact rational arithmetic instead.
+MAX_CANCELLATION = 1e5
 
-    Symmetric in the entries and homogeneous of degree |lam|.  Two-part
-    shapes use the log-domain bialternant; general shapes expand
-    over monomial contents with Kostka multiplicities.
+
+@lru_cache(maxsize=None)
+def _laplace_terms(groups: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Column-to-group assignments of the Laplace expansion of a confluent
+    bialternant whose rows come in the given groups, and their signs.
+
+    ``groups`` is nondecreasing and is itself the first (identity)
+    assignment; with distinct entries the assignments are the r!
+    permutations and the expansion is Leibniz's.
     """
-    lam = _check_young(lam)
-    x = [float(v) for v in spec]
-    if any(v < -1e-15 for v in x):
+    assign = np.array(sorted(set(itertools.permutations(groups))), dtype=np.int64).reshape(-1, len(groups))
+    i, j = np.triu_indices(len(groups), 1)
+    return assign, 1 - 2 * ((assign[:, i] > assign[:, j]).sum(axis=1) % 2)
+
+
+def log_schur(labels, spec):
+    """log s_lam(spec) for one label or an (L, w) array of labels.
+
+    The bialternant det[x_i^(e_j)] / det[x_i^(d-j)], e = lam + delta
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.3), over the
+    nonzero entries x sorted descending; a label with more parts than x
+    gets -inf.  Exactly equal entries form groups whose rows take the
+    confluent limit: group (value y, m entries) on columns S has the minor
+    y^(sum_S e - m(m-1)/2) prod_{i<j in S} (e_i - e_j), up to a constant
+    that cancels.  The Laplace expansion over placements of the groups is
+    divided by its leading term (each group on its own columns); with
+    distinct entries each term is then exp(e . (log x_sigma - log x)) <= 1.
+    The denominator is the leading term prod x_i^(d-i) times
+    exp(sum of log1p(-x_j / x_i) over pairs i<j of unequal entries).  With
+    one group this is Weyl's dimension formula times y^n.  Nearly equal
+    entries cancel: the relative error is about machine epsilon times
+    (sum of |terms|) / (their sum), so labels above MAX_CANCELLATION take
+    ``_exact_log_schur``.  O(L d^2) per placement, at most d! placements.
+    """
+    lam = np.asarray(labels, dtype=np.int64)
+    single = lam.ndim == 1
+    lam = lam.reshape(-1, lam.shape[-1])
+    x = np.asarray(spec, dtype=float).ravel()
+    if np.any(x < -1e-15):
         raise ValueError("spectrum entries must be nonnegative")
-    x = [max(v, 0.0) for v in x]
-    d = len(x)
-    lam_stripped = _strip_zeros(lam)
-    if len(lam_stripped) > d:
-        return 0.0
-    if d == 2:
-        a, b = (lam + (0, 0))[:2]
-        val = log_schur_two_rows(a, b, x[0], x[1])
-        return math.exp(val) if val > NEG_INF else 0.0
-    n = sum(lam)
-    if n == 0:
-        return 1.0
-    total = 0.0
-    for content in compositions(n, d):
-        k = kostka(lam, content)
-        if k == 0:
-            continue
-        term = 1.0
-        for xi, ci in zip(x, content):
-            if ci:
-                if xi == 0.0:
-                    term = 0.0
-                    break
-                term *= xi**ci
-        total += k * term
-    return total
+    x = np.sort(x[x > 0])[::-1]
+    r = len(x)
+    if r == 0:
+        out = np.where(lam.any(axis=1), NEG_INF, 0.0)
+        return float(out[0]) if single else out
+    width = lam.shape[1]
+    outside = lam[:, r:].any(axis=1) if width > r else np.zeros(len(lam), dtype=bool)
+    lam = np.pad(lam[:, :r], ((0, 0), (0, max(0, r - width))))
+    group = np.concatenate([[0], np.cumsum(x[1:] != x[:-1])]).astype(np.int64)
+    logy = np.log(x[np.flatnonzero(np.diff(group, prepend=-1))])
+    e = lam + np.arange(r - 1, -1, -1)
+    i, j = np.triu_indices(r, 1)
+    logdiff = np.log((e[:, i] - e[:, j]).astype(float))
+    own = group[i] == group[j]
+    own_logdiff = logdiff[:, own].sum(axis=1)
+    total = np.zeros(len(lam))
+    size = np.zeros(len(lam))
+    for assign, sign in zip(*_laplace_terms(tuple(group.tolist()))):
+        term = np.exp(e @ (logy[assign] - logy[group]) + logdiff[:, assign[i] == assign[j]].sum(axis=1)
+                      - own_logdiff)
+        total += sign * term
+        size += term
+    with np.errstate(divide="ignore", invalid="ignore"):  # cancelled or outside: overwritten below
+        out = (lam @ logy[group] + own_logdiff - np.log((j - i)[own]).sum()
+               + np.log(total) - np.log1p(-x[j[~own]] / x[i[~own]]).sum())
+    cancelled = np.flatnonzero(~(size <= MAX_CANCELLATION * total) & ~outside)
+    out[cancelled] = [_exact_log_schur(row, x, group) for row in lam[cancelled].tolist()]
+    out[outside] = NEG_INF
+    return float(out[0]) if single else out
+
+
+def _exact_log_schur(lam: list[int], x: np.ndarray, group: np.ndarray) -> float:
+    """log s_lam(x) by the expansion of ``log_schur`` in exact rational
+    arithmetic (every float is a dyadic rational), for labels whose float
+    sum cancels; the constants that cancel between numerator and
+    denominator are left out of both."""
+    y = [Fraction(v) for v in x[np.flatnonzero(np.diff(group, prepend=-1))].tolist()]
+    placements = list(zip(*_laplace_terms(tuple(group.tolist()))))
+
+    def alternant(e: list[int]) -> Fraction:
+        total = Fraction(0)
+        for assign, sign in placements:
+            term = Fraction(int(sign))
+            for g, value in enumerate(y):
+                cols = [v for v, a in zip(e, assign) if a == g]
+                term *= value ** (sum(cols) - len(cols) * (len(cols) - 1) // 2)
+                term *= math.prod(a - b for a, b in itertools.combinations(cols, 2))
+            total += term
+        return total
+
+    r = len(x)
+    s = alternant([v + r - 1 - k for k, v in enumerate(lam)]) / alternant(list(range(r - 1, -1, -1)))
+    return math.log(s.numerator) - math.log(s.denominator)
+
+
+def schur_poly(lam: tuple[int, ...], spec) -> float:
+    """Schur polynomial s_lam evaluated on a nonnegative vector: exp(log_schur).
+
+    Symmetric in the entries and homogeneous of degree |lam|.
+    """
+    val = log_schur(_check_young(lam), spec)
+    return math.exp(val) if val > NEG_INF else 0.0
 
 
 @lru_cache(maxsize=None)
@@ -380,8 +454,30 @@ def schur_poly_bialternant2(lam: tuple[int, ...], x: float, y: float) -> float:
     return (x ** (a + 1) * y**b - x**b * y ** (a + 1)) / (x - y)
 
 
-def log_dim_sym_group(parts: tuple[int, ...]) -> float:
-    return math.log(dim_sym_group(tuple(parts)))
+def _log_vandermonde(l: np.ndarray) -> np.ndarray:
+    i, j = np.triu_indices(l.shape[-1], 1)
+    return np.log(l[..., i] - l[..., j]).sum(axis=-1)
+
+
+def log_dim_sym_group(labels):
+    """log dim of the S_n irrep, for one label or an (L, d) array of labels.
+
+    Frobenius' hook length formula in lgamma, with l = lam + delta:
+    ln n! - sum ln l_i! + sum over i<j of ln(l_i - l_j).
+    """
+    lam = np.asarray(labels, dtype=float)
+    l = lam + np.arange(lam.shape[-1] - 1, -1, -1)
+    out = gammaln(lam.sum(axis=-1) + 1) - gammaln(l + 1).sum(axis=-1) + _log_vandermonde(l)
+    return float(out) if out.ndim == 0 else out
+
+
+def log_dim_unitary_group(labels):
+    """log dim of the U(d) irrep, d the label length, by Weyl's product
+    over i<j of (l_i - l_j)/(j - i), l = lam + delta; arrays as above."""
+    lam = np.asarray(labels, dtype=float)
+    delta = np.arange(lam.shape[-1] - 1, -1, -1, dtype=float)
+    out = _log_vandermonde(lam + delta) - _log_vandermonde(delta)
+    return float(out) if out.ndim == 0 else out
 
 
 def shannon_entropy_of_counts(parts, n: int | None = None) -> float:

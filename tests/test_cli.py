@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from scipy import optimize
@@ -46,6 +47,28 @@ class TestDecomposeCheck:
 
     def test_budget_exit_code(self, capsys):
         assert cli.main(["decompose-check", "--n", "13", "--d", "2"]) == 2
+
+
+class TestMemoryBudget:
+    """Commands over the byte budget exit 2 at once, with no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["error", "--n", "7", "--d", "3", "--schedule", "--source", "SOURCE"],
+        ["overflow", "--n", "1000", "--d", "3", "--schedule", "--spectrum", "0.5,0.3,0.2", "--rate", "0.9"],
+    ])
+    def test_exit_2_quickly(self, argv, tmp_path, capsys):
+        # a non-commuting qutrit source: the dense route at n = 7 needs about 1 GB
+        atoms = [{"weight": 0.5, "matrix": [[[0.5, 0], [0.5, 0], [0, 0]], [[0.5, 0], [0.5, 0], [0, 0]],
+                                            [[0, 0], [0, 0], [0, 0]]]},
+                 {"weight": 0.5, "matrix": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]],
+                                            [[0, 0], [0, 0], [0, 0]]]}]
+        path = tmp_path / "qutrit.json"
+        path.write_text(json.dumps({"d": 3, "atoms": atoms}))
+        start = time.perf_counter()
+        assert cli.main([str(path) if a == "SOURCE" else a for a in argv]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "MiB" in err and "Traceback" not in err
 
 
 class TestConfigHandling:
@@ -216,6 +239,7 @@ class TestDeterminism:
         ["error", "--n", "5", "--delta", "0.3", "--spectrum", "0.75,0.25",
          "--samples", "40", "--seed", "7", "--format", "json"],
         ["distribution", "--n", "8", "--schedule", "--spectrum", "0.7,0.3"],
+        ["overflow", "--n", "12", "--d", "3", "--schedule", "--spectrum", "0.5,0.3,0.2", "--rate", "0.9"],
     ])
     def test_byte_identical_across_thread_counts(self, argv):
         outputs = {
@@ -260,11 +284,15 @@ class TestLargeQubit:
 
 
 def test_qubit_error_does_not_import_scipy_stats():
+    # the qudit overflow route imports neither scipy.stats nor mpmath
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
     script = ("import sys\n"
               f"sys.path.insert(0, {package_root!r})\n"
               "from qvlcode import cli\n"
               "assert cli.main(['error', '--n', '250', '--schedule', '--spectrum', '0.7,0.3']) == 0\n"
-              "assert 'scipy.stats' not in sys.modules\n")
+              "assert 'scipy.stats' not in sys.modules\n"
+              "assert cli.main(['overflow', '--n', '12', '--d', '3', '--schedule', '--spectrum', '0.5,0.3,0.2',"
+              " '--rate', '0.9']) == 0\n"
+              "assert 'scipy.stats' not in sys.modules and 'mpmath' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qvlcode import codec, info, young
+from qvlcode import codec, info, linalg, young
 from qvlcode.codec import REJECT, CodeParams, build_code, delta_schedule
 from qvlcode.linalg import (
+    DimensionBudgetError,
     Source,
     basis_source,
     fidelity,
@@ -21,7 +22,7 @@ from qvlcode.linalg import (
     tensor,
     trace_norm,
 )
-from qvlcode.schur_weyl import type_distribution, young_projectors
+from qvlcode.schur_weyl import dense_bytes, type_distribution, young_projectors
 
 RNG = np.random.default_rng(2024)
 
@@ -403,8 +404,8 @@ class TestCodeParamsValidation:
 
 def kostka_schur(lam, spec):
     """s_lam(spec) by its monomial expansion with Kostka multiplicities."""
-    return sum(young.kostka(lam, c) * spec[0] ** c[0] * spec[1] ** c[1]
-               for c in young.compositions(sum(lam), 2))
+    return sum(young.kostka(lam, c) * math.prod(x**ci for x, ci in zip(spec, c))
+               for c in young.compositions(sum(lam), len(spec)))
 
 
 def general_distribution(code, spec):
@@ -472,7 +473,7 @@ class TestQubitRouteOracle:
         for weights, zero_probs in sources:
             source = commuting_source(weights, zero_probs)
             for exponent in (1.0, 1.5, 2.0):
-                got, _ = codec.cluster_expectations(code, source, exponent)
+                (got,), _ = codec.cluster_expectations(code, source, (exponent,))
                 want = general_expectations(code, weights, zero_probs, exponent)
                 for k in want:
                     assert got[k] == pytest.approx(want[k], abs=1e-10), (weights, exponent, k)
@@ -610,7 +611,7 @@ class TestAtomTypeRoutes:
         code, source = build_code(params), make()
         assert joint_eigenbasis(source.states) is None  # the dense route
         for exponent in (1.0, 1.5, 2.0):
-            got, stderr = codec.cluster_expectations(code, source, exponent)
+            (got,), stderr = codec.cluster_expectations(code, source, (exponent,))
             assert stderr is None
             want = sequence_expectations(code, source, exponent)
             for k in want:
@@ -632,7 +633,7 @@ class TestAtomTypeRoutes:
         source = Source(d=3, weights=(0.5, 0.3, 0.2), states=states)
         code = build_code(CodeParams(n=n, d=3, delta=0.35))
         for exponent in (1.0, 1.5, 2.0):
-            got, stderr = codec.cluster_expectations(code, source, exponent)
+            (got,), stderr = codec.cluster_expectations(code, source, (exponent,))
             assert stderr is None
             want = multinomial_kostka_expectations(code, source, exponent)
             for k in want:
@@ -649,3 +650,143 @@ class TestAtomTypeRoutes:
         assert stderr is None
         mc, mc_stderr = codec.average_error_chain(code, source, 1.5, samples=400, seed=2)
         assert abs(mc - exact) <= 4 * mc_stderr
+
+
+# --- the array route for d >= 3 against the routes it replaced ---------------
+
+def set_clusters(params):
+    """Outcomes and clusters by the dict-of-sets construction the membership
+    index replaced, kept as an oracle: every label plus every ball offset."""
+    blocks = {}
+    for lam in young.young_indices(params.n, params.d):
+        for z in info.sum_zero_ball(params.n * params.delta, params.d):
+            blocks.setdefault(tuple(l + zi for l, zi in zip(lam, z)), set()).add(lam)
+    return {k: tuple(sorted(blocks[k], reverse=True)) for k in sorted(blocks, reverse=True)}
+
+
+QUDIT_CODES = {
+    "d3-n12": CodeParams(n=12, d=3, delta=delta_schedule(12)[0]),
+    "d3-n7-restricted": CodeParams(n=7, d=3, delta=0.5, delta1=0.3, spectrum_set=((0.6, 0.3, 0.1),)),
+    "d4-n8": CodeParams(n=8, d=4, delta=delta_schedule(8)[0]),
+    "d5-n6": CodeParams(n=6, d=5, delta=0.4),
+    "d3-n9-zero-radius": CodeParams(n=9, d=3, delta=0.0),
+}
+
+
+class TestQuditRouteOracle:
+    @pytest.mark.parametrize("name", sorted(QUDIT_CODES))
+    def test_clusters_against_set_construction(self, name):
+        params = QUDIT_CODES[name]
+        code = build_code(params)
+        want = set_clusters(params)
+        assert code.outcomes == tuple(want)
+        assert dict(code.blocks) == want
+        assert code.c1_count == info.c1(params.n * params.delta, params.d)
+
+    @pytest.mark.parametrize("name", sorted(QUDIT_CODES))
+    def test_probabilities_and_lengths(self, name):
+        code = build_code(QUDIT_CODES[name])
+        d = code.d
+        for spec in ((0.5, 0.3, 0.2, 0.0, 0.0)[:d] if d > 3 else (0.5, 0.3, 0.2), (1.0 / d,) * d,
+                     (0.4, 0.4) + (0.2 / (d - 2),) * (d - 2)):
+            got = codec.outcome_distribution(code, spec)
+            want = general_distribution(code, spec)
+            assert list(got) == list(want)
+            for k in want:
+                assert got[k] == pytest.approx(want[k], rel=1e-10, abs=1e-300), (spec, k)
+        for k in code.accepted:
+            exact = math.log(code.num_symbols) + math.log(code.subspace_dim(k))
+            assert code.coding_length(k) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("d, n", [(3, 60), (4, 30), (5, 16)])
+    def test_distribution_normalized(self, d, n):
+        code = build_code(CodeParams(n=n, d=d, delta=delta_schedule(n)[0]))
+        spec = np.linspace(2.0, 1.0, d) / np.linspace(2.0, 1.0, d).sum()
+        logp = codec.log_outcome_distribution(code, spec)
+        assert math.fsum(math.exp(v) for v in logp.values()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_no_kostka_numbers(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("kostka called")
+
+        monkeypatch.setattr(young, "kostka", forbidden)
+        for name in ("d3-n12", "d3-n7-restricted", "d4-n8"):
+            code = build_code(QUDIT_CODES[name])
+            logp = codec.log_outcome_distribution(code, (0.5, 0.3, 0.2, 0.0)[:code.d])
+            assert math.fsum(math.exp(v) for v in logp.values()) == pytest.approx(1.0, abs=1e-12)
+            code.length_ceiling()
+
+    def test_index_over_budget_raises_before_enumerating(self):
+        for n in (1000, 10**6):
+            with pytest.raises(DimensionBudgetError):
+                build_code(CodeParams(n=n, d=3, delta=delta_schedule(n)[0]))
+
+
+# --- several exponents in one pass ------------------------------------------
+
+def commuting_qutrit_source():
+    return Source(d=3, weights=(0.6, 0.4), states=(np.diag([0.7, 0.2, 0.1]).astype(complex),
+                                                   np.diag([0.1, 0.3, 0.6]).astype(complex)))
+
+
+EXPONENT_ROUTES = {
+    "closed-form-d2": (CodeParams(n=40, d=2, delta=0.3), mixed_commuting_source, None),
+    "kostka": (CodeParams(n=5, d=3, delta=0.4), commuting_qutrit_source, None),
+    "dense": (CodeParams(n=5, d=2, delta=0.3, delta1=0.29, spectrum_set=((1.0, 0.0),)), three_atom_source, None),
+    "monte-carlo": (CodeParams(n=5, d=2, delta=0.3), noncommuting_source, 60),
+}
+
+
+@pytest.mark.parametrize("route", sorted(EXPONENT_ROUTES))
+def test_exponents_in_one_pass_equal_separate_calls(route):
+    params, make, samples = EXPONENT_ROUTES[route]
+    code, source = build_code(params), make()
+    both, stderrs = codec.cluster_expectations(code, source, (1.0, 1.5), samples=samples, seed=4)
+    (one,), stderr1 = codec.cluster_expectations(code, source, (1.0,), samples=samples, seed=4)
+    (three_halves,), stderr32 = codec.cluster_expectations(code, source, (1.5,), samples=samples, seed=4)
+    assert both == [one, three_halves]
+    if samples is None:
+        assert stderrs is stderr1 is stderr32 is None
+    else:
+        assert stderrs == stderr1 + stderr32
+
+
+@pytest.mark.parametrize("make", [mixed_commuting_source, noncommuting_source])
+def test_outcome_records_enumerates_types_once(make, monkeypatch):
+    calls = []
+
+    def counted(weights, n):
+        calls.append(n)
+        return atom_types(weights, n)
+
+    atom_types = codec._atom_types
+    monkeypatch.setattr(codec, "_atom_types", counted)
+    codec.outcome_records(build_code(CodeParams(n=5, d=2, delta=0.3)), make())
+    assert calls == [5]
+
+
+def test_dense_traces_against_complex_contraction():
+    code = build_code(CodeParams(n=5, d=2, delta=0.3))
+    source = three_atom_source()
+    traces = codec._dense_traces(code, source)
+    clusters = codec._instrument_matrices(code)
+    for seq in ([0, 0, 1, 2, 2], [1, 2, 0, 1, 0], [2] * 5):
+        rho = tensor(*(source.states[j] for j in seq))
+        want = np.real(np.einsum("kij,ji->k", clusters, rho))
+        np.testing.assert_allclose(traces(seq), want, rtol=0, atol=1e-12)
+
+
+def test_dense_budget_counts_the_cluster_projectors(monkeypatch):
+    # the block projectors fit; the stacked cluster projectors (and their
+    # complex square roots, for the simulation) are counted on top
+    code = build_code(CodeParams(n=4, d=2, delta=0.3))
+    outcomes = len(code.outcomes)
+    monkeypatch.setattr(linalg, "MAX_BYTES", dense_bytes(4, 2, outcomes - 1))
+    with pytest.raises(DimensionBudgetError):
+        codec.average_error_chain(code, noncommuting_source())
+    monkeypatch.setattr(linalg, "MAX_BYTES", dense_bytes(4, 2, outcomes))
+    assert 0.0 <= codec.average_error_chain(code, noncommuting_source())[0] <= 1.0
+    with pytest.raises(DimensionBudgetError):
+        codec.average_error_definitional(code, noncommuting_source())
+    monkeypatch.setattr(linalg, "MAX_BYTES", dense_bytes(4, 2, 3 * outcomes))
+    assert 0.0 <= codec.average_error_definitional(code, noncommuting_source()) <= 1.0

@@ -1,7 +1,9 @@
+import itertools
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,6 +72,36 @@ def kostka_by_ssyt(shape, content) -> int:
         if tuple(counts) == tuple(content):
             count += 1
     return count
+
+
+def monomial_schur(lam, spec) -> float:
+    """s_lam(spec) by its monomial expansion with Kostka multiplicities,
+    the route the bialternant replaced, kept as an oracle."""
+    total = 0.0
+    for content in young.compositions(sum(lam), len(spec)):
+        k = young.kostka(lam, content)
+        if k:
+            total += k * math.prod(x**c for x, c in zip(spec, content))
+    return total
+
+
+def leibniz_log_schur(lam, spec, digits: int = 60) -> float:
+    """log s_lam(spec) by the bialternant summed term by term at the given
+    precision; distinct entries only.  (mpmath.det returns 0 for
+    lam = (1000, 0, 0): its pivot test takes the tiny matrix for singular.)"""
+    with mpmath.workdps(digits):
+        x = [mpmath.mpf(v) for v in spec]
+        d = len(x)
+
+        def alternant(e):
+            total = mpmath.mpf(0)
+            for perm in itertools.permutations(range(d)):
+                inversions = sum(perm[a] > perm[b] for a in range(d) for b in range(a + 1, d))
+                total += (-1) ** inversions * mpmath.fprod(x[perm[j]] ** e[j] for j in range(d))
+            return total
+
+        delta = list(range(d - 1, -1, -1))
+        return float(mpmath.log(alternant([p + q for p, q in zip(lam, delta)]) / alternant(delta)))
 
 
 partitions_upto = st.integers(min_value=1, max_value=8).flatmap(
@@ -286,6 +318,81 @@ def test_log_schur_large_n():
     assert np.isfinite(val) and val < 0
     small = young.log_schur_two_rows(7, 3, 0.75, 0.25)
     assert math.exp(small) == pytest.approx(young.schur_poly((7, 3), (0.75, 0.25)), rel=1e-12)
+
+
+BIALTERNANT_SPECTRA = {
+    3: [(0.5, 0.25, 0.25), (0.4, 0.4, 0.2), (1 / 3, 1 / 3, 1 / 3), (0.34, 0.333, 0.327), (0.6, 0.3, 0.1),
+        (0.6, 0.4, 0.0), (1.0, 0.0, 0.0), (0.3335, 0.3333, 0.3332), (0.3334, 0.3333, 0.3333)],
+    4: [(0.3, 0.3, 0.2, 0.2), (0.25, 0.25, 0.25, 0.25), (0.4, 0.3, 0.2, 0.1), (0.5, 0.3, 0.2, 0.0),
+        (0.5, 0.5, 0.0, 0.0), (0.2501, 0.25, 0.25, 0.2499)],
+    5: [(0.3, 0.25, 0.2, 0.15, 0.1), (0.2,) * 5, (0.4, 0.2, 0.2, 0.1, 0.1), (0.7, 0.2, 0.1, 0.0, 0.0)],
+}
+BIALTERNANT_SIZES = {3: (1, 6, 12, 24), 4: (6, 12), 5: (6, 10)}
+
+
+@pytest.mark.parametrize("d", sorted(BIALTERNANT_SPECTRA))
+def test_log_schur_against_monomial_expansion(d):
+    # zero, exactly equal and nearly equal entries (the last ones cancel in
+    # floating point and take the exact sum); zero values as -inf
+    for spec in BIALTERNANT_SPECTRA[d]:
+        for n in BIALTERNANT_SIZES[d]:
+            labels = young.young_indices(n, d)
+            got = young.log_schur(np.array(labels), spec)
+            for lam, value in zip(labels, got):
+                want = monomial_schur(lam, spec)
+                if want == 0.0:
+                    assert value == -math.inf, (spec, lam)
+                else:
+                    assert value == pytest.approx(math.log(want), rel=0, abs=1e-10), (spec, lam)
+
+
+@pytest.mark.parametrize("spec", [(0.6, 0.3, 0.1), (0.34, 0.333, 0.327), (0.5, 0.49, 0.01)])
+def test_log_schur_against_high_precision_bialternant(spec):
+    labels = young.young_indices(200, 3)[::17] + ((67, 67, 66), (100, 100, 0))
+    got = young.log_schur(np.array(labels), spec)
+    for lam, value in zip(labels, got):
+        assert value == pytest.approx(leibniz_log_schur(lam, spec), rel=0, abs=1e-10), lam
+    # one long row: every term but the leading one is below 1e-300
+    assert young.log_schur((1000, 0, 0), (0.6, 0.3, 0.1)) == pytest.approx(
+        leibniz_log_schur((1000, 0, 0), (0.6, 0.3, 0.1)), rel=1e-13)
+
+
+def test_log_schur_shapes_and_support():
+    # one label gives a float, an array of labels an array; labels longer
+    # than the nonzero support get -inf, shorter ones are zero-padded
+    assert young.log_schur((2, 1, 0), (0.7, 0.3, 0.0)) == pytest.approx(math.log(0.21), abs=1e-14)
+    assert young.log_schur((1, 1, 1), (0.7, 0.3, 0.0)) == -math.inf
+    assert young.log_schur((3, 1), (0.5, 0.3, 0.2)) == pytest.approx(
+        young.log_schur((3, 1, 0), (0.5, 0.3, 0.2)), abs=1e-15)
+    assert young.log_schur((0, 0, 0), (0.0, 0.0, 0.0)) == 0.0
+    out = young.log_schur(np.array([[2, 0, 0], [1, 1, 0]]), (0.2, 0.5, 0.3))
+    assert out.shape == (2,)
+    with pytest.raises(ValueError):
+        young.log_schur((1, 0), (1.1, -0.1))
+
+
+def test_log_schur_takes_exact_sum_when_terms_cancel(monkeypatch):
+    # with every label forced onto the exact rational sum the values agree
+    # with the floating-point route where that one does not cancel
+    labels = np.array(young.young_indices(18, 4))
+    for spec in [(0.4, 0.3, 0.2, 0.1), (0.4, 0.4, 0.1, 0.1), (0.5, 0.3, 0.2, 0.0)]:
+        fast = young.log_schur(labels, spec)
+        monkeypatch.setattr(young, "MAX_CANCELLATION", 0.0)
+        exact = young.log_schur(labels, spec)
+        monkeypatch.undo()
+        np.testing.assert_allclose(exact, fast, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_log_dims_match_exact(d):
+    for n in (1, 7, 18, 30):
+        labels = young.young_indices(n, d)
+        sym = young.log_dim_sym_group(np.array(labels))
+        unitary = young.log_dim_unitary_group(np.array(labels))
+        for lam, s, u in zip(labels, sym, unitary):
+            assert s == pytest.approx(math.log(young.dim_sym_group(lam)), rel=0, abs=1e-12)
+            assert u == pytest.approx(math.log(young.dim_unitary_group(lam, d)), rel=0, abs=1e-12)
+    assert young.log_dim_sym_group((3, 1, 0)) == pytest.approx(math.log(3), abs=1e-14)
 
 
 # --- kostka ----------------------------------------------------------------------
