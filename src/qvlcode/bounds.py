@@ -18,11 +18,12 @@ from scipy.special import wrightomega
 from .info import (
     INF,
     binary_divergence,
-    c1,
     c2,
+    c3,
     divergence,
     entropy,
     entropy_contour_point,
+    lattice_count_bounds,
 )
 from .linalg import NumericalFailure
 
@@ -45,56 +46,64 @@ class BoundReport:
         return self.lhs_value <= self.rhs_value + 1e-9
 
 
-def _error_bound_bracket(n: int, d: int, delta: float, delta1: float,
-                         exponent: float, c3_value: float) -> float:
-    """1 - (C2/C1) * (1 - (n+d)^(4d) exp(-n C3 (delta-delta1)^2))^exponent."""
-    log_poly = 4 * d * math.log(n + d) - n * c3_value * (delta - delta1) ** 2
+def _error_bound_bracket(n: int, d: int, delta: float, delta1: float, exponent: float) -> float:
+    """1 - (C2/C1) * (1 - (n+d)^(4d) exp(-n C3 (delta-delta1)^2))^exponent.
+
+    C3 = ``info.c3(d)`` = 1, C2 = ``info.c2(n delta1, d)``, and in place of
+    C1 its upper bound from ``info.lattice_count_bounds``: both counts err
+    towards a larger value, so the result is still a ceiling.
+    """
+    log_poly = 4 * d * math.log(n + d) - n * c3(d) * (delta - delta1) ** 2
     if log_poly >= 0:
         return 1.0  # the bracket is nonpositive: vacuous regime
     bracket = -math.expm1(log_poly)  # 1 - exp(log_poly), accurately
-    c1v = c1(n * delta, d)
     c2v = c2(n * delta1, d)
     if c2v == 0:
         return 1.0
-    val = 1.0 - (c2v / c1v) * bracket**exponent
+    val = 1.0 - (c2v / lattice_count_bounds(n * delta, d)[1]) * bracket**exponent
     return min(1.0, max(0.0, val))
 
 
-def error_ceiling(n: int, d: int, delta: float, exponent: float = 1.5,
-                  c3_value: float = 0.5, grid: int = 64) -> float:
+def error_ceiling(n: int, d: int, delta: float, exponent: float = 1.5) -> float:
     """Source-independent ceiling on the average error of the code.
 
-    Infimum over the inner radius delta1 on a geometric grid in
-    (0, delta); ``exponent`` 1.5 gives the squared-Bures criterion and 2
-    the overlap-squared criterion.  ``c3_value`` defaults to 1/2, below
-    the true constant ``info.c3(d) = 1``, which only weakens the bound.
-    At 1 the ceiling leaves its vacuous regime at smaller n, where the
-    ``c1``/``c2`` lattice enumerations run: for d = 3 at n = 40000 the
-    ceiling does not finish in 30 s (0.5 ms at 1/2).  The default waits
-    for lattice counts by formula.
+    ``exponent`` 1.5 gives the squared-Bures criterion and 2 the
+    overlap-squared criterion.  Any inner radius delta1 = delta - s gives
+    a ceiling; this takes the s that maximizes the bracket's smooth part
+    (delta - s)^(d-1) (1 - (n+d)^(4d) exp(-n C3 s^2))^exponent (C2 grows as
+    delta1^(d-1)).  Its log-derivative falls from +inf at s0 =
+    sqrt(4d ln(n+d) / (n C3)), the edge of the vacuous regime, to -inf at
+    delta, crossing zero once, at the root of
+    2 exponent n C3 s (delta - s) = (d - 1) expm1(n C3 s^2 - 4d ln(n+d)).
+    Every constant is a closed form (``_error_bound_bracket``), so the
+    cost does not grow with n.
     """
-    if delta <= 0:
+    log_poly = 4 * d * math.log(n + d)
+    curv = n * c3(d)
+    if delta <= 0 or curv * delta**2 <= log_poly:
         return 1.0
-    best = 1.0
-    for frac in np.geomspace(1e-3, 1.0, grid, endpoint=False):
-        best = min(best, _error_bound_bracket(n, d, delta, delta * frac, exponent, c3_value))
-    return best
+
+    def slope(s: float) -> float:
+        return 2 * exponent * curv * s * (delta - s) - (d - 1) * math.expm1(min(curv * s * s - log_poly, 700.0))
+
+    s = optimize.brentq(slope, math.sqrt(log_poly / curv), delta, xtol=1e-15 * delta)
+    return _error_bound_bracket(n, d, delta, delta - s, exponent)
 
 
-def error_ceiling_bures(n: int, d: int, delta: float, c3_value: float = 0.5) -> float:
-    return error_ceiling(n, d, delta, 1.5, c3_value)
+def error_ceiling_bures(n: int, d: int, delta: float) -> float:
+    return error_ceiling(n, d, delta, 1.5)
 
 
-def error_ceiling_overlap2(n: int, d: int, delta: float, c3_value: float = 0.5) -> float:
-    return error_ceiling(n, d, delta, 2.0, c3_value)
+def error_ceiling_overlap2(n: int, d: int, delta: float) -> float:
+    return error_ceiling(n, d, delta, 2.0)
 
 
 def restricted_error_ceiling(n: int, d: int, delta: float, delta1: float,
-                             exponent: float = 1.5, c3_value: float = 0.5) -> float:
+                             exponent: float = 1.5) -> float:
     """Error ceiling of the restricted code at its actual (delta, delta1)."""
     if delta <= 0 or delta1 <= 0 or delta1 >= delta:
         return 1.0
-    return _error_bound_bracket(n, d, delta, delta1, exponent, c3_value)
+    return _error_bound_bracket(n, d, delta, delta1, exponent)
 
 
 def _max_entropy_in_ball(anchor: np.ndarray, radius: float) -> float:
@@ -249,65 +258,44 @@ def block_probability_ceiling(lam, p_spec, d: int) -> float:
 def min_divergence_outside_boxes(boxes, p_spec, d: int) -> float:
     """min D(q || p) over probability vectors outside a union of boxes.
 
-    Boxes constrain the first d-1 coordinates of q.  The minimum sits at
-    p itself when p is outside, otherwise on a box face; faces are
-    scanned on a fine grid restricted to the complement closure (d = 2
-    is a union of intervals and handled exactly).
+    Boxes constrain the first d-1 coordinates of q.  The minimum is 0 when
+    p lies in no box's open interior; otherwise it sits on the boundary
+    of the union, which lies on the box faces.  On a face (q_axis = edge,
+    the other box coordinates in their intervals, q_last free) the
+    minimizer is q_i = clip(t p_i, lo_i, hi_i), with one monotone root find
+    on t for sum q = 1.  Faces wholly inside another box's open interior
+    are skipped.  Exact for one box and for d = 2; for a union in d >= 3
+    a face may still reach into another box, so the result is a lower
+    bound on the minimum, which only raises the tail-mass ceiling.
     """
     p = np.asarray(sorted(p_spec, reverse=True), dtype=float)
-
-    def inside(q) -> bool:
-        return any(all(lo <= q[i] <= hi for i, (lo, hi) in enumerate(box)) for box in boxes)
-
-    if not inside(p):
+    cube = np.asarray(boxes, dtype=float).reshape(-1, d - 1, 2)
+    lows, highs = cube[..., 0], cube[..., 1]
+    if not np.all((lows < p[:-1]) & (p[:-1] < highs), axis=1).any():
         return 0.0
-    if d == 2:
-        best = INF
-        for box in boxes:
-            (lo, hi), = box
-            for edge in (lo, hi):
-                if 0.0 <= edge <= 1.0 and not _strictly_inside_2d(boxes, edge):
-                    best = min(best, binary_divergence(1.0 - edge, min(p)))
-        return best
     best = INF
-    for box in boxes:
-        for axis, (lo, hi) in enumerate(box):
-            for edge in (lo, hi):
-                best = min(best, _min_divergence_on_face(boxes, box, axis, edge, p, d))
-    return best
+    for box_lo, box_hi in zip(lows, highs):
+        for axis in range(d - 1):
+            for edge in (box_lo[axis], box_hi[axis]):
+                lo, hi = box_lo.copy(), box_hi.copy()
+                lo[axis] = hi[axis] = edge
+                if not 0.0 <= edge <= 1.0 or np.all((lows < lo) & (hi < highs), axis=1).any():
+                    continue
+                lo = np.append(np.clip(lo, 0.0, 1.0), 0.0)
+                hi = np.append(np.clip(hi, 0.0, 1.0), INF)
+                if np.any(lo > hi) or lo.sum() > 1.0:
+                    continue  # no probability vector on this face
 
+                def excess(t: float) -> float:
+                    return float(np.clip(t * p, lo, hi).sum()) - 1.0
 
-def _strictly_inside_2d(boxes, q1: float) -> bool:
-    return any(lo < q1 < hi for (lo, hi), in boxes)
-
-
-def _min_divergence_on_face(boxes, box, axis: int, edge: float, p, d: int,
-                            grid: int = 60) -> float:
-    """Scan one box face (q_axis pinned to edge) for the divergence minimum."""
-    other = [i for i in range(d - 1) if i != axis]
-    best = INF
-
-    def q_of(free) -> np.ndarray | None:
-        q = np.zeros(d)
-        q[axis] = edge
-        for i, v in zip(other, free):
-            q[i] = v
-        tail = 1.0 - q[: d - 1].sum()
-        if tail < 0:
-            return None
-        q[d - 1] = tail
-        return q
-
-    ranges = [np.linspace(box[i][0], box[i][1], grid) for i in other]
-    import itertools as it
-
-    for free in it.product(*ranges) if other else [()]:
-        q = q_of(free)
-        if q is None or np.any(q < 0):
-            continue
-        if any(all(b[i][0] < q[i] < b[i][1] for i in range(d - 1)) for b in boxes):
-            continue  # interior of the union: not in the complement closure
-        best = min(best, divergence(q, p))
+                # q_last = 1 at t = 1/p_last; with p_last = 0 every
+                # coordinate is at its cap once t reaches max(hi / p)
+                top = 1.0 / p[-1] if p[-1] > 0 else float(np.max(hi[p > 0] / p[p > 0]))
+                if excess(top) < 0:
+                    continue
+                t = optimize.brentq(excess, 0.0, top, xtol=1e-300)
+                best = min(best, divergence(np.clip(t * p, lo, hi), p))
     return best
 
 
@@ -360,8 +348,9 @@ def decay_rate_ceiling(p_spec, n: int) -> float:
 def decay_rate_table(p_spec, n_grid, delta_fn=None):
     """Table of (n, -(1/n) ln error, ceiling) for the basis source.
 
-    ``delta_fn`` defaults to n^(-1/4).  Uses the diagonal (Kostka) route,
-    so the grid can reach n in the hundreds.
+    ``delta_fn`` defaults to n^(-1/4).  Uses the qubit closed form, one
+    O(n) pass per atom type kept, so the grid reaches n = 10^4 in about a
+    second per point.
     """
     from .codec import CodeParams, average_error_exact, build_code
     from .linalg import basis_source

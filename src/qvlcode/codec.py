@@ -30,8 +30,9 @@ import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
 
 from . import young
-from .info import sorted_spectrum, sum_zero_ball
+from .info import lattice_count_bounds, sorted_spectrum, sum_zero_ball
 from .linalg import (
+    DimensionBudgetError,
     Source,
     fidelity,
     joint_eigenbasis,
@@ -139,12 +140,9 @@ class VLCode:
         n, d = self.n, self.d
         x = n * self.params.delta
         # lower bounds first, so that no enumeration starts past the budget:
-        # labels >= C(n + d - 1, d - 1) / d!, and the ball holds at least
-        # vol B_(d-1)(x - rho) / sqrt(d) points, rho the covering radius of
-        # the zero-sum lattice A_(d-1) (Conway & Sloane, ch. 4)
-        rho = math.sqrt((d // 2) * (d - d // 2) / d)
-        ball = math.pi ** ((d - 1) / 2) * max(x - rho, 0.0) ** (d - 1) / math.gamma((d + 1) / 2) / math.sqrt(d)
+        # labels >= C(n + d - 1, d - 1) / d!, offsets >= the lattice count bound
         what = f"the cluster index of n = {n}, d = {d}"
+        ball = lattice_count_bounds(x, d)[0]
         require_bytes(math.comb(n + d - 1, d - 1) / math.factorial(d) * ball * MEMBER_BYTES * d, what)
         labels = np.array(self.labels)
         offsets = np.array(sum_zero_ball(x, d))
@@ -190,16 +188,20 @@ class VLCode:
             return _window_logsumexp(np.concatenate([pad, block_logs, pad]), width)[::-1]
         return _grouped_logsumexp(block_logs[self._index], self._starts)
 
+    @property
+    def _label_array(self) -> np.ndarray:
+        """The labels as an (L, d) array in ``_cluster_logsumexp`` order:
+        (a, n - a) for a rising from ceil(n/2) when d = 2, else ``labels``."""
+        if self.d == 2:
+            a = np.arange((self.n + 1) // 2, self.n + 1)
+            return np.stack([a, self.n - a], axis=1)
+        return np.array(self.labels)
+
     @cached_property
     def _log_dims(self) -> dict[tuple[int, ...], float]:
         """Outcome -> ln(subspace dimension), in lgamma."""
-        n = self.n
-        if self.d == 2:
-            a = np.arange((n + 1) // 2, n + 1)
-            block = young.log_dim_two_rows(a, n - a) + np.log(2 * a - n + 1)
-        else:
-            labels = np.array(self.labels)
-            block = young.log_dim_sym_group(labels) + young.log_dim_unitary_group(labels)
+        labels = self._label_array
+        block = young.log_dim_sym_group(labels) + young.log_dim_unitary_group(labels)
         return dict(zip(self.outcomes, self._cluster_logsumexp(block).tolist()))
 
     def subspace_dim(self, k) -> int:
@@ -301,7 +303,13 @@ def _atom_types(weights, n: int) -> tuple[np.ndarray, np.ndarray]:
     (the instrument commutes with permutations), so a sequence enters only
     through its type and ``np.repeat(arange(m), tau)`` stands for all of
     them.  Types of total weight below NEGLIGIBLE_WEIGHT are dropped.
+    More than MAX_ATOM_TYPES types raise DimensionBudgetError before any
+    is built.
     """
+    count = math.comb(n + len(weights) - 1, len(weights) - 1)
+    if count > MAX_ATOM_TYPES:
+        raise DimensionBudgetError(f"{count} atom types of {len(weights)} atoms at n = {n} exceed the "
+                                   f"limit of {MAX_ATOM_TYPES} (MAX_ATOM_TYPES)")
     taus = np.array(young.compositions(n, len(weights)))
     log_w = gammaln(n + 1.0) - gammaln(taus + 1.0).sum(axis=1) + xlogy(taus, np.asarray(weights)).sum(axis=1)
     keep = log_w >= math.log(NEGLIGIBLE_WEIGHT / len(taus))
@@ -410,7 +418,8 @@ def cluster_expectations(code: VLCode, source: Source, exponents: tuple[float, .
     Returns (one dict outcome -> expectation per exponent, one stderr per
     exponent or None).  Each sequence's traces are computed once for all
     exponents.  For d = 2 a commuting source takes the O(n)-per-type
-    closed form.  Otherwise one sequence per atom type is weighed with the
+    closed form, which raises DimensionBudgetError above MAX_ATOM_TYPES
+    types.  Otherwise one sequence per atom type is weighed with the
     type's probability, its traces from the Kostka block weights
     (commuting atoms, any n) or from the dense cluster projectors (within
     linalg.MAX_BYTES).  Above MAX_ATOM_TYPES types, or when ``samples``
@@ -463,14 +472,10 @@ def log_outcome_distribution(code: VLCode, spec) -> dict:
     log-sum-exp per cluster (sliding windows for d = 2, the grouped
     membership index otherwise).
     """
-    n, d = code.n, code.d
     spec = np.sort(np.asarray(spec, dtype=float))[::-1]
-    if d == 2:
-        a = np.arange((n + 1) // 2, n + 1)
-        logs = young.log_dim_two_rows(a, n - a) + young.log_schur_two_rows(a, n - a, spec[0], spec[1])
-    else:
-        labels = np.array(code.labels)
-        logs = young.log_dim_sym_group(labels) + young.log_schur(labels, spec)
+    labels = code._label_array
+    schur = young.log_schur_two_rows(*labels.T, *spec) if code.d == 2 else young.log_schur(labels, spec)
+    logs = young.log_dim_sym_group(labels) + schur
     out = dict(zip(code.outcomes, (code._cluster_logsumexp(logs) - math.log(code.c1_count)).tolist()))
     if code.params.restricted:
         acc = set(code.accepted)

@@ -315,12 +315,6 @@ def log_schur_two_rows(a, b, x: float, y: float):
     return float(out) if out.ndim == 0 else out
 
 
-def log_dim_two_rows(a, b):
-    """log dim of the S_n irrep (a, b), n = a + b, by the hook length formula
-    n! (a - b + 1) / ((a + 1)! b!) in lgamma; ``a`` and ``b`` may be arrays."""
-    return gammaln(a + b + 1) - gammaln(b + 1) - gammaln(a + 2) + np.log(a - b + 1)
-
-
 # A bialternant sum whose terms exceed its value by more than this factor
 # would keep fewer than about ten correct digits; such labels are summed
 # in exact rational arithmetic instead.

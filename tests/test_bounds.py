@@ -48,11 +48,37 @@ class TestErrorBounds:
         # the unrestricted bound takes an infimum over delta1, so it is tighter
         assert bounds.error_ceiling_bures(n, 2, delta) <= v + 1e-12
 
+    def test_bracket_counts_err_towards_a_larger_ceiling(self):
+        # C1 is replaced by an upper bound on the code's own count, never less
+        n, d = 10**7, 2
+        for delta in np.linspace(0.015, 0.025, 21):
+            c1 = info.c1(n * delta, d)
+            for frac in (0.6, 0.75, 0.9):
+                log_poly = 4 * d * math.log(n + d) - n * (delta - delta * frac) ** 2
+                if log_poly >= 0:
+                    continue  # vacuous
+                exact = 1.0 - info.c2(n * delta * frac, d) / c1 * (-math.expm1(log_poly)) ** 1.5
+                assert bounds._error_bound_bracket(n, d, delta, delta * frac, 1.5) >= max(0.0, exact)
+
     def test_uses_certified_curvature_by_default(self):
-        n, delta = 10**7, (10**7) ** -0.25
-        loose = bounds.error_ceiling_bures(n, 2, delta, c3_value=0.5)
-        tight = bounds.error_ceiling_bures(n, 2, delta, c3_value=1.0)
-        assert tight <= loose + 1e-12
+        # the bracket recomputed here at C3 = 1 (info.c3), minimized over a
+        # dense grid of inner radii, reproduces the ceiling; C3 = 1/2 does not
+        n, d = 10**7, 2
+        delta = n ** -0.25
+        c1_upper = info.lattice_count_bounds(n * delta, d)[1]
+
+        def bracket(delta1, c3):
+            log_poly = 4 * d * math.log(n + d) - n * c3 * (delta - delta1) ** 2
+            if log_poly >= 0:
+                return 1.0
+            return 1.0 - info.c2(n * delta1, d) / c1_upper * (-math.expm1(log_poly)) ** 1.5
+
+        inner = delta * np.linspace(0.01, 0.99, 4000)
+        at_one = min(bracket(x, 1.0) for x in inner)
+        at_half = min(bracket(x, 0.5) for x in inner)
+        v = bounds.error_ceiling_bures(n, d, delta)
+        assert v == pytest.approx(at_one, abs=1e-5)
+        assert v < at_half - 0.05
 
 
 class TestOverflowBound:
@@ -250,6 +276,70 @@ class TestTailBounds:
                 q = (q1, q2, 1 - q1 - q2)
                 edge_vals.append(info.divergence(q, p))
         assert v == pytest.approx(min(edge_vals), abs=1e-4)
+
+    @staticmethod
+    def face_scan(boxes, p, grid):
+        """Dense scan of every box face, skipping points inside the union's
+        open interior: each point scanned lies outside the union."""
+        d = len(p)
+        best = math.inf
+        for box in boxes:
+            for axis in range(d - 1):
+                for edge in box[axis]:
+                    free = [np.linspace(lo, hi, grid) for i, (lo, hi) in enumerate(box) if i != axis]
+                    pts = np.stack(np.meshgrid(*free, indexing="ij"), axis=-1).reshape(-1, d - 2)
+                    q = np.insert(pts, axis, edge, axis=1)
+                    q = np.concatenate([q, 1.0 - q.sum(axis=1, keepdims=True)], axis=1)
+                    q = q[(q >= 0).all(axis=1)]
+                    interior = np.zeros(len(q), dtype=bool)
+                    for b in boxes:
+                        lo, hi = np.array(b).T
+                        interior |= ((lo < q[:, :-1]) & (q[:, :-1] < hi)).all(axis=1)
+                    for row in q[~interior]:
+                        best = min(best, info.divergence(row, p))
+        return best
+
+    def test_face_minimum_against_1d_oracle_d3(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            p = np.sort(rng.dirichlet(np.ones(3)))[::-1]
+            box = [(p[i] - rng.uniform(0.01, 0.3), p[i] + rng.uniform(0.01, 0.3)) for i in range(2)]
+            want = math.inf
+            for axis in (0, 1):
+                other = 1 - axis
+                for edge in box[axis]:
+                    lo, hi = max(box[other][0], 0.0), min(box[other][1], 1.0 - edge)
+                    if not 0.0 <= edge <= 1.0 or lo > hi:
+                        continue
+
+                    def f(v, axis=axis, other=other, edge=edge):
+                        q = np.zeros(3)
+                        q[axis], q[other], q[2] = edge, v, 1.0 - edge - v
+                        return info.divergence(q, p)
+
+                    res = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
+                    want = min(want, res.fun, f(lo), f(hi))
+            assert bounds.min_divergence_outside_boxes([box], p, 3) == pytest.approx(want, abs=1e-9)
+
+    def test_face_minimum_below_dense_scan_d4(self):
+        p = np.array([0.4, 0.3, 0.2, 0.1])
+        one = [[(0.3, 0.5), (0.25, 0.4), (0.1, 0.3)]]
+        union = one + [[(0.35, 0.6), (0.2, 0.35), (0.15, 0.25)]]
+        for boxes in (one, union):
+            v = bounds.min_divergence_outside_boxes(boxes, p, 4)
+            scan = self.face_scan(boxes, p, 81)
+            assert 0.0 < v <= scan + 1e-12
+            if boxes is one:  # exact for one box: the scan only rounds it up
+                assert scan - v < 1e-3
+
+    def test_union_is_a_lower_bound_d3(self):
+        p = np.array([0.5, 0.3, 0.2])
+        boxes = [[(0.4, 0.6), (0.2, 0.4)], [(0.45, 0.7), (0.15, 0.35)]]
+        v = bounds.min_divergence_outside_boxes(boxes, p, 3)
+        assert 0.0 < v <= self.face_scan(boxes, p, 2001) + 1e-12
+        # a face wholly inside another box's interior is skipped
+        inner = [[(0.4, 0.6), (0.2, 0.4)], [(0.45, 0.55), (0.25, 0.35)]]
+        assert bounds.min_divergence_outside_boxes(inner, p, 3) == bounds.min_divergence_outside_boxes(inner[:1], p, 3)
 
 
 class TestSlowDecayDiagnostics:

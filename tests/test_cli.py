@@ -71,6 +71,19 @@ class TestMemoryBudget:
         assert err.startswith("error: ") and "MiB" in err and "Traceback" not in err
 
 
+    def test_atom_type_cap_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a 3-atom commuting qubit source at n = 20 has 231 atom types
+        from qvlcode import codec
+        monkeypatch.setattr(codec, "MAX_ATOM_TYPES", 100)
+        atoms = [{"weight": w, "matrix": [[[q, 0], [0, 0]], [[0, 0], [1 - q, 0]]]}
+                 for w, q in ((0.3, 0.2), (0.3, 0.5), (0.4, 0.9))]
+        path = tmp_path / "atoms3.json"
+        path.write_text(json.dumps({"d": 2, "atoms": atoms}))
+        assert cli.main(["error", "--n", "20", "--schedule", "--source", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "atom types" in err and "Traceback" not in err
+
+
 class TestConfigHandling:
     def test_missing_required_flag(self, capsys):
         assert cli.main(["dims"]) == 1
@@ -231,6 +244,29 @@ class TestCommands:
                                    "--format", "json"]))
         names = {r["bound"] for r in doc["results"]}
         assert {"error", "error-overlap2", "error-restricted", "overflow-exponent"} <= names
+
+
+class TestBoundsAtScale:
+    """The ceilings are closed forms: no lattice enumeration at any n."""
+
+    SPECTRA = {3: "0.6,0.3,0.1", 4: "0.4,0.3,0.2,0.1", 5: "0.3,0.25,0.2,0.15,0.1"}
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_million_copies_quickly(self, d, capsys):
+        start = time.perf_counter()
+        assert cli.main(["bounds", "--n", "1000000", "--d", str(d), "--schedule", "--rate", "1.0",
+                         "--spectrum", self.SPECTRA[d], "--format", "json"]) == 0
+        assert time.perf_counter() - start < 2.0
+        values = {r["bound"]: r["value"] for r in json.loads(capsys.readouterr().out)["results"]}
+        assert 0.0 < values["error"] <= values["error-overlap2"] < 1.0
+
+    def test_d3_past_the_enumeration_stall(self, capsys):
+        # lattice counts by formula: the radius-n*delta ball at n = 1e5 holds about 5.7e7 points
+        for n in ("40000", "100000"):
+            assert cli.main(["bounds", "--n", n, "--d", "3", "--schedule", "--rate", "1.0",
+                             "--spectrum", self.SPECTRA[3], "--format", "json"]) == 0
+            values = {r["bound"]: r["value"] for r in json.loads(capsys.readouterr().out)["results"]}
+            assert 0.0 < values["error"] < 1.0
 
 
 class TestDeterminism:

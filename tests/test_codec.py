@@ -790,3 +790,47 @@ def test_dense_budget_counts_the_cluster_projectors(monkeypatch):
         codec.average_error_definitional(code, noncommuting_source())
     monkeypatch.setattr(linalg, "MAX_BYTES", dense_bytes(4, 2, 3 * outcomes))
     assert 0.0 <= codec.average_error_definitional(code, noncommuting_source()) <= 1.0
+
+
+# --- the atom-type cap ---------------------------------------------------------
+
+def commuting_three_atom_qubit_source():
+    return Source(d=2, weights=(0.3, 0.3, 0.4),
+                  states=tuple(np.diag([q, 1 - q]).astype(complex) for q in (0.2, 0.5, 0.9)))
+
+
+class _MonteCarloReached(Exception):
+    pass
+
+
+class TestAtomTypeCap:
+    def test_qubit_closed_form_raises_before_building_types(self, monkeypatch):
+        # C(22, 2) = 231 types of a 3-atom source at n = 20, over a cap of 100
+        monkeypatch.setattr(codec, "MAX_ATOM_TYPES", 100)
+        monkeypatch.setattr(young, "compositions", lambda *args: pytest.fail("types were built"))
+        code = build_code(CodeParams(n=20, d=2, delta=delta_schedule(20)[0]))
+        with pytest.raises(DimensionBudgetError, match="231 atom types"):
+            codec.average_error_exact(code, commuting_three_atom_qubit_source())
+        with pytest.raises(DimensionBudgetError):
+            codec.outcome_records(code, commuting_three_atom_qubit_source())
+
+    def test_simulation_raises_before_building_types(self, monkeypatch):
+        monkeypatch.setattr(codec, "MAX_ATOM_TYPES", 10)  # C(6, 2) = 15 types at n = 4
+        monkeypatch.setattr(young, "compositions", lambda *args: pytest.fail("types were built"))
+        code = build_code(CodeParams(n=4, d=2, delta=0.3))
+        for simulate in (codec.average_error_definitional, codec.average_error_prime):
+            with pytest.raises(DimensionBudgetError):
+                simulate(code, three_atom_source())
+
+    @pytest.mark.parametrize("params, make", [
+        (CodeParams(n=3, d=2, delta=0.3), noncommuting_source),  # dense traces
+        (CodeParams(n=3, d=3, delta=0.4), lambda: basis_source(3, (0.5, 0.3, 0.2))),  # Kostka traces
+    ])
+    def test_other_routes_fall_back_to_monte_carlo(self, params, make, monkeypatch):
+        def reached(*args, **kwargs):
+            raise _MonteCarloReached
+
+        monkeypatch.setattr(codec, "MAX_ATOM_TYPES", 1)
+        monkeypatch.setattr(codec.np.random, "default_rng", reached)
+        with pytest.raises(_MonteCarloReached):
+            codec.cluster_expectations(build_code(params), make(), (1.5,))

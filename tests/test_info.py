@@ -124,9 +124,42 @@ class TestLatticeCounts:
         assert info.c2(math.sqrt(2), 2) == 2
 
     def test_c2_below_c1(self):
-        for d in (2, 3):
+        for d in (2, 3, 4, 5):
             for x in (0.1, 0.7, 1.3, 2.4, 4.0):
                 assert info.c2(x, d) <= info.c1(x, d)
+
+    @staticmethod
+    def brute_count(center, x):
+        """Zero-sum integer vectors within x of ``center``, c1's tie guard."""
+        d = len(center)
+        axes = [np.arange(math.floor(c - x) - 1, math.ceil(c + x) + 2) for c in center[:-1]]
+        heads = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d - 1)
+        pts = np.concatenate([heads, -heads.sum(axis=1, keepdims=True)], axis=1)
+        return int((((pts - center) ** 2).sum(axis=1) <= x * x * (1 + 1e-9) + 1e-12).sum())
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_count_bounds_bracket_origin(self, d):
+        for x in np.linspace(0.0, 12.0, 49):
+            lower, upper = info.lattice_count_bounds(x, d)
+            assert lower <= self.brute_count(np.zeros(d), x) <= upper, (d, x)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_count_bounds_bracket_random_centres(self, d):
+        rng = np.random.default_rng(100 + d)
+        for _ in range(200):
+            center = rng.normal(size=d) * 3
+            center -= center.mean()  # onto the zero-sum hyperplane
+            x = rng.uniform(0.0, 6.0 if d < 5 else 4.5)
+            lower, upper = info.lattice_count_bounds(x, d)
+            assert lower <= self.brute_count(center, x) <= upper, (d, center, x)
+            assert info.c2(x, d) <= self.brute_count(center, x)
+
+    def test_count_bounds_closed_form_at_large_radius(self):
+        # no enumeration: radii of block lengths ~1e12 cost no more than small ones
+        for d in (3, 4, 5):
+            lower, upper = info.lattice_count_bounds(1e9, d)
+            assert 0 < lower < upper
+            assert upper / lower == pytest.approx(1.0, rel=1e-8 * d)
 
     def test_c2_grows(self):
         assert info.c2(10.0, 2) == 14  # floor(sqrt(2) * 10)

@@ -305,11 +305,14 @@ def test_log_schur_two_rows_against_monomial_sum():
 
 
 def test_log_dim_two_rows_matches_exact():
-    for n in (1, 2, 9, 60, 301):
+    # the array formulas on the two-row labels (a, n - a) that the qubit routes pass
+    for n in (1, 2, 9, 60, 301, 2000):
         a = np.arange((n + 1) // 2, n + 1)
+        labels = np.stack([a, n - a], axis=1)
         exact = [math.log(young.dim_sym_group((int(v), n - int(v)))) for v in a]
         # lgamma differences: absolute error a few ulps of lgamma(n + 1)
-        np.testing.assert_allclose(young.log_dim_two_rows(a, n - a), exact, rtol=0, atol=1e-15 * math.lgamma(n + 2))
+        np.testing.assert_allclose(young.log_dim_sym_group(labels), exact, rtol=0, atol=1e-15 * math.lgamma(n + 2))
+        np.testing.assert_allclose(young.log_dim_unitary_group(labels), np.log(2 * a - n + 1), rtol=0, atol=1e-15)
 
 
 def test_log_schur_large_n():
