@@ -8,14 +8,15 @@ normalized cluster projectors form a complete instrument.  The encoder
 then ships the outcome k plus the post-measurement state, truncated to
 the covered blocks; the decoder embeds that subspace back.
 
-Everything observable about the code reduces to block probabilities, so
-the evaluation routes mirror the three block-probability routes: exact
-dense matrices at small n, the i.i.d. closed form (lgamma dimensions
-times the log-domain bialternant, one log-sum-exp per cluster) for
-outcome statistics, the Kostka closed form for errors of commuting
-sources, and seeded Monte Carlo as a fallback.  The instrument
-commutes with permutations of the copies, so every expectation over the
-source is a sum over atom types (``_atom_types``), one sequence per type.
+Everything observable about the code reduces to block probabilities,
+which ``schur_weyl`` computes over label arrays (dense, i.i.d. closed
+form, Kostka); this module only sums them over clusters: one log-sum-exp
+per cluster for outcome statistics, one sparse outcomes x labels
+incidence for error expectations.  Commuting d = 2 sources take an O(n)
+closed form per atom type, and seeded Monte Carlo is the fallback.  The
+instrument commutes with permutations of the copies, so every
+expectation over the source is a sum over atom types (``_atom_types``),
+one sequence per type.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.special import gammaln, xlog1py, xlogy
 
 from . import young
@@ -41,7 +43,14 @@ from .linalg import (
     require_bytes,
     tensor,
 )
-from .schur_weyl import block_prob_product, dense_bytes, type_distribution, young_projectors
+from .schur_weyl import (
+    block_probs_product,
+    dense_block_probs,
+    dense_bytes,
+    diagonal_block_probs,
+    log_block_probs_iid,
+    young_projectors,
+)
 
 NEG_INF = float("-inf")
 
@@ -128,8 +137,10 @@ class VLCode:
             ks = np.asarray(self.outcomes, dtype=float) / n
             specs = np.asarray(params.spectrum_set, dtype=float)
             near = np.linalg.norm(ks[:, None, :] - specs[None, :, :], axis=-1) <= limit
-            self.accepted = tuple(itertools.compress(self.outcomes, near.any(axis=1)))
+            self._accepted_mask = near.any(axis=1)
+            self.accepted = tuple(itertools.compress(self.outcomes, self._accepted_mask))
         else:
+            self._accepted_mask = np.ones(len(self.outcomes), dtype=bool)
             self.accepted = self.outcomes
         self.num_symbols = len(self.accepted) + (1 if params.restricted else 0)
 
@@ -198,11 +209,20 @@ class VLCode:
         return np.array(self.labels)
 
     @cached_property
-    def _log_dims(self) -> dict[tuple[int, ...], float]:
-        """Outcome -> ln(subspace dimension), in lgamma."""
+    def _incidence(self) -> csr_array:
+        """Outcomes x labels 0/1 matrix (rows in ``outcomes`` order, columns
+        in ``_label_array`` order) that sums per-label values over clusters."""
+        column = {lam: j for j, lam in enumerate(map(tuple, self._label_array.tolist()))}
+        clusters = list(self.blocks.values())
+        index = [column[lam] for labels in clusters for lam in labels]
+        starts = np.cumsum([0] + [len(labels) for labels in clusters])
+        return csr_array((np.ones(len(index)), index, starts), shape=(len(clusters), len(column)))
+
+    @cached_property
+    def _log_dims(self) -> np.ndarray:
+        """ln(subspace dimension) per outcome in ``outcomes`` order, in lgamma."""
         labels = self._label_array
-        block = young.log_dim_sym_group(labels) + young.log_dim_unitary_group(labels)
-        return dict(zip(self.outcomes, self._cluster_logsumexp(block).tolist()))
+        return self._cluster_logsumexp(young.log_dim_sym_group(labels) + young.log_dim_unitary_group(labels))
 
     def subspace_dim(self, k) -> int:
         """Total dimension of the blocks covered by outcome k (exact integer)."""
@@ -219,11 +239,11 @@ class VLCode:
             if not self.params.restricted:
                 raise KeyError("this code has no reject symbol")
             return math.log(self.num_symbols)
-        return math.log(self.num_symbols) + self._log_dims[tuple(k)]
+        return math.log(self.num_symbols) + float(self._log_dims[self._position[tuple(k)]])
 
     def length_ceiling(self) -> float:
         """Largest possible per-symbol coding length of this code."""
-        return max(self.coding_length(k) for k in self.accepted) / self.n
+        return (math.log(self.num_symbols) + float(self._log_dims[self._accepted_mask].max())) / self.n
 
 
 class _Clusters(Mapping):
@@ -253,13 +273,6 @@ def build_code(params: CodeParams) -> VLCode:
 
 
 # --- log-domain sums --------------------------------------------------------
-
-def _logsumexp(values: list[float]) -> float:
-    m = max(values, default=NEG_INF)
-    if m == NEG_INF:
-        return NEG_INF
-    return m + math.log(sum(math.exp(v - m) for v in values))
-
 
 def _window_logsumexp(v: np.ndarray, width: int) -> np.ndarray:
     """Log-sum-exp of every run of ``width`` consecutive entries of v.
@@ -383,33 +396,6 @@ def _commuting_diag(source: Source):
     return source.weights, [np.clip(q, 0.0, None) for q in diags]
 
 
-def _kostka_traces(code: VLCode, diags):
-    """Per-outcome traces of one sequence of commuting atoms, from the
-    letter-count law of its diagonals and the exact diagonal block weights."""
-    clusters = list(code.blocks.values())
-
-    def traces(seq) -> np.ndarray:
-        types = type_distribution([diags[j] for j in seq])
-        per_block = {
-            lam: sum(p * young.exact_block_weight(lam, c) for c, p in types.items())
-            for lam in code.labels
-        }
-        return np.array([float(sum(per_block[lam] for lam in labels)) for labels in clusters])
-    return traces
-
-
-def _dense_traces(code: VLCode, source: Source):
-    """Per-outcome traces of one atom sequence against the dense cluster
-    projectors.  P_k is real symmetric, so Tr P_k rho = Tr P_k Re(rho): a
-    real contraction, where the complex one promotes the whole stack."""
-    require_bytes(dense_bytes(code.n, code.d, len(code.outcomes)), "the dense cluster projectors")
-    clusters = _instrument_matrices(code)
-
-    def traces(seq) -> np.ndarray:
-        return np.einsum("kij,ji->k", clusters, tensor(*(source.states[j] for j in seq)).real)
-    return traces
-
-
 def cluster_expectations(code: VLCode, source: Source, exponents: tuple[float, ...],
                          samples: int | None = None, seed: int = 0):
     """E over the source of (Tr P_k rho_1 x ... x rho_n)^e per outcome, for
@@ -420,20 +406,28 @@ def cluster_expectations(code: VLCode, source: Source, exponents: tuple[float, .
     exponents.  For d = 2 a commuting source takes the O(n)-per-type
     closed form, which raises DimensionBudgetError above MAX_ATOM_TYPES
     types.  Otherwise one sequence per atom type is weighed with the
-    type's probability, its traces from the Kostka block weights
-    (commuting atoms, any n) or from the dense cluster projectors (within
-    linalg.MAX_BYTES).  Above MAX_ATOM_TYPES types, or when ``samples``
-    is given (which also forces the dense traces), counter-seeded Monte
-    Carlo over sequences replaces the type sum; its stderr is the
-    standard error of the average error estimate 1 - sum over accepted
-    outcomes / C1.
+    type's probability; its block probabilities come from
+    ``schur_weyl.diagonal_block_probs`` (commuting atoms, any n) or
+    ``schur_weyl.dense_block_probs`` (within linalg.MAX_BYTES) and are
+    summed over each cluster by the incidence matrix.  Above
+    MAX_ATOM_TYPES types, or when ``samples`` is given (which also forces
+    the dense route), counter-seeded Monte Carlo over sequences replaces
+    the type sum; its stderr is the standard error of the average error
+    estimate 1 - sum over accepted outcomes / C1.
     """
     n, m = code.n, source.num_atoms
     diag = None if samples is not None else _commuting_diag(source)
     if diag is not None and code.d == 2:
         totals = _two_level_expectations(code, diag, exponents)
         return [dict(zip(code.outcomes, row.tolist())) for row in totals], None
-    traces = _dense_traces(code, source) if diag is None else _kostka_traces(code, diag[1])
+    labels = code._label_array
+    if diag is None:  # before any tensor product is built
+        require_bytes(dense_bytes(n, code.d), f"the block projectors of n = {n}, d = {code.d}")
+
+    def traces(seq) -> np.ndarray:
+        if diag is None:
+            return code._incidence @ dense_block_probs(labels, tensor(*(source.states[j] for j in seq)))
+        return code._incidence @ diagonal_block_probs(labels, [diag[1][j] for j in seq])
     totals = np.zeros((len(exponents), len(code.outcomes)))
     if samples is None and math.comb(n + m - 1, m - 1) <= MAX_ATOM_TYPES:
         for tau, w in zip(*_atom_types(source.weights, n)):
@@ -443,8 +437,7 @@ def cluster_expectations(code: VLCode, source: Source, exponents: tuple[float, .
         return [dict(zip(code.outcomes, row.tolist())) for row in totals], None
     if samples is None:
         samples = 10**5
-    accepted = set(code.accepted)
-    acc = np.array([k in accepted for k in code.outcomes])
+    acc = code._accepted_mask
     kept = [0.0] * len(exponents)
     sq = [0.0] * len(exponents)
     for i in range(samples):
@@ -463,26 +456,24 @@ def cluster_expectations(code: VLCode, source: Source, exponents: tuple[float, .
 
 # --- outcome statistics -----------------------------------------------------
 
-def log_outcome_distribution(code: VLCode, spec) -> dict:
-    """log P(outcome k) for an i.i.d. source with the given single-copy spectrum.
+def _log_outcome_probs(code: VLCode, spec) -> np.ndarray:
+    """log P(outcome k) in ``outcomes`` order for an i.i.d. spectrum: one
+    log-sum-exp of the i.i.d. block probabilities per cluster."""
+    return code._cluster_logsumexp(log_block_probs_iid(code._label_array, spec)) - math.log(code.c1_count)
 
-    Includes the reject flag of a restricted code.  One log-domain pass:
-    lgamma dimensions plus log Schur values per label (for d = 2 the
-    two-row bialternant, otherwise ``young.log_schur``), then one
-    log-sum-exp per cluster (sliding windows for d = 2, the grouped
-    membership index otherwise).
-    """
-    spec = np.sort(np.asarray(spec, dtype=float))[::-1]
-    labels = code._label_array
-    schur = young.log_schur_two_rows(*labels.T, *spec) if code.d == 2 else young.log_schur(labels, spec)
-    logs = young.log_dim_sym_group(labels) + schur
-    out = dict(zip(code.outcomes, (code._cluster_logsumexp(logs) - math.log(code.c1_count)).tolist()))
-    if code.params.restricted:
-        acc = set(code.accepted)
-        reject = _logsumexp([out[k] for k in code.outcomes if k not in acc])
-        out = {k: out[k] for k in code.accepted}
-        out[REJECT] = reject
+
+def _with_reject(code: VLCode, per_outcome: np.ndarray, reduce) -> dict:
+    """Outcome -> value, a restricted code's rejected outcomes folded into REJECT by ``reduce``."""
+    if not code.params.restricted:
+        return dict(zip(code.outcomes, per_outcome.tolist()))
+    out = dict(zip(code.accepted, per_outcome[code._accepted_mask].tolist()))
+    out[REJECT] = float(reduce(per_outcome[~code._accepted_mask]))
     return out
+
+
+def log_outcome_distribution(code: VLCode, spec) -> dict:
+    """log P(outcome k), and of a restricted code's reject flag, for an i.i.d. spectrum."""
+    return _with_reject(code, _log_outcome_probs(code, spec), np.logaddexp.reduce)
 
 
 def outcome_distribution(code: VLCode, state) -> dict:
@@ -490,29 +481,21 @@ def outcome_distribution(code: VLCode, state) -> dict:
 
     A Source is reduced to the spectrum of its average state: the outcome
     statistics of the instrument depend on the source only through that
-    mixture.
+    mixture.  A list of factors takes ``schur_weyl.block_probs_product``.
     """
-    if isinstance(state, Source):
-        spec = sorted_spectrum(state.average_state())
-        return {k: math.exp(v) for k, v in log_outcome_distribution(code, spec).items()}
     if isinstance(state, (list, tuple)) and np.asarray(state[0]).ndim == 2:
-        per_block = {lam: block_prob_product(lam, state) for lam in code.labels}
-        out = {}
-        for k in code.outcomes:
-            out[k] = sum(per_block[lam] for lam in code.blocks[k]) / code.c1_count
-        if code.params.restricted:
-            acc = set(code.accepted)
-            out[REJECT] = sum(v for k, v in out.items() if k not in acc)
-            out = {k: out[k] for k in (*code.accepted, REJECT)}
-        return out
-    spec = np.asarray(state, dtype=float)
+        probs = code._incidence @ block_probs_product(code._label_array, state) / code.c1_count
+        return _with_reject(code, probs, np.sum)
+    spec = sorted_spectrum(state.average_state()) if isinstance(state, Source) else state
     return {k: math.exp(v) for k, v in log_outcome_distribution(code, spec).items()}
 
 
 def log_overflow_probability(code: VLCode, spec, rate: float) -> float:
     """log P{per-symbol coding length >= rate} for an i.i.d. spectrum."""
-    logp = log_outcome_distribution(code, spec)
-    return _logsumexp([v for k, v in logp.items() if code.coding_length(k) / code.n >= rate])
+    over = code._accepted_mask & ((math.log(code.num_symbols) + code._log_dims) / code.n >= rate)
+    if code.params.restricted and math.log(code.num_symbols) / code.n >= rate:
+        over |= ~code._accepted_mask  # the reject flag
+    return float(np.logaddexp.reduce(_log_outcome_probs(code, spec)[over]))
 
 
 def overflow_probability(code: VLCode, spec, rate: float) -> float:

@@ -2,18 +2,15 @@
 
 The n-fold tensor power splits into blocks labelled by partitions of n
 with at most d parts; each block carries one SU(d) irrep tensored with
-one symmetric-group irrep.  Three routes compute the weight a state
-puts on a block:
-
-* dense matrices (projectors built by character averaging, n <= 8,
-  within the byte budget ``linalg.MAX_BYTES``);
-* the i.i.d. closed form dim(S_n irrep) * s_lam(spectrum), the Schur
-  value from the log-domain bialternant (``young.log_schur``), at any n;
-* the diagonal route via Kostka numbers, valid for products of
-  commuting factors at any n.
-
-The routes agree on their common domains and the tests hold them to
-1e-10 of each other.
+one symmetric-group irrep.  Three routes give the weight Tr P_lam rho of
+every row of an (L, d) label array, and the per-label functions are
+entries of them: ``dense_block_probs`` (projectors by character
+averaging, n <= 8, within ``linalg.MAX_BYTES``); ``log_block_probs_iid``
+(the i.i.d. closed form, lgamma dimensions plus a log-domain
+bialternant, any n); ``diagonal_block_probs`` (Kostka weights against the
+letter-count law, products of commuting factors, any n).  The tests hold
+them to 1e-10 of each other; a value off [0, 1] by more than 1e-9 raises
+NumericalFailure.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import young
-from .linalg import DimensionBudgetError, joint_eigenbasis, require_bytes
+from .linalg import DimensionBudgetError, NumericalFailure, joint_eigenbasis, require_bytes, tensor
 
 logger = logging.getLogger(__name__)
 
@@ -103,18 +100,14 @@ def dense_bytes(n: int, d: int, extra: int = 0) -> int:
 
 
 @lru_cache(maxsize=8)
-def young_projectors(n: int, d: int, max_dim: int | None = None):
+def young_projectors(n: int, d: int):
     """All block projectors on (C^d)^{x n} as a dict {label: matrix}.
 
     P_lam = (dim V_lam / n!) * sum_sigma chi_lam(sigma) Perm(sigma).
-    Feasible for n <= 8 (factorial sum) within MAX_BYTES, or if given
-    within ``max_dim`` dimensions; matrices are returned read-only.
+    Feasible for n <= 8 (factorial sum) within MAX_BYTES; matrices are
+    returned read-only.
     """
-    nbytes = dense_bytes(n, d)
-    if max_dim is None:
-        require_bytes(nbytes, f"the block projectors of n = {n}, d = {d}")
-    elif d**n > max_dim:
-        raise DimensionBudgetError(f"d^n = {d**n} exceeds budget {max_dim}")
+    require_bytes(dense_bytes(n, d), f"the block projectors of n = {n}, d = {d}")
     sums = _class_sums(n, d)
     fact = math.factorial(n)
     out = {}
@@ -130,48 +123,41 @@ def young_projectors(n: int, d: int, max_dim: int | None = None):
     return out
 
 
-def young_projector(lam, d: int, max_dim: int | None = None) -> np.ndarray:
+def young_projector(lam, d: int) -> np.ndarray:
     """Projector onto the block labelled by the partition ``lam``."""
     lam = tuple(int(v) for v in lam)
-    return young_projectors(sum(lam), d, max_dim)[lam]
+    return young_projectors(sum(lam), d)[lam]
 
 
-def _clip_probability(p: float, what: str) -> float:
-    if p < 0.0 or p > 1.0:
-        clipped = min(1.0, max(0.0, p))
-        if abs(p - clipped) > 1e-9:
-            raise ValueError(f"{what} = {p} is not a probability")
-        logger.debug("clipped %s by %.3e", what, p - clipped)
-        return clipped
-    return p
+# --- block probabilities over label arrays ------------------------------------
+
+def _probabilities(values: np.ndarray, what: str) -> np.ndarray:
+    """``values`` clipped to [0, 1]; NumericalFailure if one lies outside
+    by more than 1e-9, which roundoff cannot explain."""
+    worst = max(-values.min(initial=0.0), values.max(initial=1.0) - 1.0)
+    if worst > 1e-9:
+        raise NumericalFailure(f"{what} is off [0, 1] by {worst:.3e}: not a probability")
+    if worst:
+        logger.debug("clipped %s by %.3e", what, worst)
+    return np.clip(values, 0.0, 1.0) if worst else values
 
 
-def block_prob_iid(lam, spec) -> float:
-    """Probability of block ``lam`` under n i.i.d. copies with the given spectrum.
-
-    Tr P_lam rho^{x n} depends on rho only through its spectrum and equals
-    dim(S_n irrep) * schur_poly(lam, spectrum).
-    """
-    lam = tuple(int(v) for v in lam)
-    val = young.dim_sym_group(lam) * young.schur_poly(lam, spec)
-    return _clip_probability(val, f"block probability {lam}")
+def _rows(labels, n: int, d: int) -> list[int]:
+    """Position of each label in ``young.young_indices(n, d)`` (KeyError if none)."""
+    pos = {lam: i for i, lam in enumerate(young.young_indices(n, d))}
+    return [pos[lam] for lam in map(tuple, np.asarray(labels).tolist())]
 
 
-def log_block_prob_iid_two_level(a: int, b: int, p1: float, p2: float) -> float:
-    """log Tr P_(a,b) rho^{x n} for a two-level spectrum, safe for large n."""
-    ls = young.log_schur_two_rows(a, b, p1, p2)
-    if ls == young.NEG_INF:
-        return young.NEG_INF
-    return young.log_dim_sym_group((a, b)) + ls
-
-
-def block_prob_diagonal(lam, content) -> float:
-    """Diagonal matrix element <e|P_lam|e> for a basis vector of given content.
-
-    Exact rational value dim(S_n irrep) * Kostka(lam, content) / multinomial,
-    converted to float.
-    """
-    return float(young.exact_block_weight(tuple(lam), tuple(content)))
+def log_block_probs_iid(labels, spec) -> np.ndarray:
+    """log Tr P_lam rho^{x n} for each row of an (L, w) label array: the
+    lgamma dimension of the S_n irrep plus log s_lam(spectrum), by
+    ``young.log_schur_two_rows`` for two rows over a two-level spectrum
+    and by ``young.log_schur`` otherwise.  Any n; not clipped."""
+    labels = np.asarray(labels, dtype=np.int64)
+    spec = np.sort(np.asarray(spec, dtype=float).ravel())[::-1]
+    if labels.shape[1] == spec.size == 2:
+        return young.log_dim_sym_group(labels) + young.log_schur_two_rows(*labels.T, *spec)
+    return young.log_dim_sym_group(labels) + young.log_schur(labels, spec)
 
 
 def type_distribution(spectra: list[np.ndarray]) -> dict[tuple[int, ...], float]:
@@ -186,40 +172,74 @@ def type_distribution(spectra: list[np.ndarray]) -> dict[tuple[int, ...], float]
         nxt: dict[tuple[int, ...], float] = {}
         for counts, prob in dist.items():
             for i in range(d):
-                if q[i] == 0.0:
-                    continue
-                key = counts[:i] + (counts[i] + 1,) + counts[i + 1 :]
-                nxt[key] = nxt.get(key, 0.0) + prob * q[i]
+                if q[i] != 0.0:
+                    key = counts[:i] + (counts[i] + 1,) + counts[i + 1 :]
+                    nxt[key] = nxt.get(key, 0.0) + prob * q[i]
         dist = nxt
     return dist
 
 
-def block_prob_product(lam, states, max_dim: int | None = None) -> float:
-    """Tr P_lam (rho_1 x ... x rho_n) for an explicit list of factors.
+@lru_cache(maxsize=8)
+def _diagonal_weights(n: int, d: int) -> np.ndarray:
+    """Floats <e|P_lam|e> = dim(S_n irrep) Kostka(lam, mu) / multinomial(mu), e of sorted
+    content mu; rows lam and columns mu in ``young.young_indices(n, d)`` order, read-only."""
+    labels = young.young_indices(n, d)
+    out = np.array([[float(young.exact_block_weight(lam, mu)) for mu in labels] for lam in labels])
+    out.setflags(write=False)
+    return out
 
-    Commuting factors route through the Kostka formula at any n; the
-    general case builds the dense projectors, within MAX_BYTES.
-    """
-    lam = tuple(int(v) for v in lam)
+
+def diagonal_block_probs(labels, spectra) -> np.ndarray:
+    """Tr P_lam (diag(spectra[0]) x ... x diag(spectra[n-1])) for each row
+    of an (L, d) label array, at any n: the letter-count law of the slots,
+    summed by sorted content, against the Kostka block weights."""
+    n, d = len(spectra), len(spectra[0])
+    types = type_distribution(spectra)
+    contents = _rows([sorted(c, reverse=True) for c in types], n, d)
+    law = np.bincount(contents, list(types.values()), len(young.young_indices(n, d)))
+    return _probabilities(_diagonal_weights(n, d)[_rows(labels, n, d)] @ law, "a diagonal block probability")
+
+
+def dense_block_probs(labels, rho) -> np.ndarray:
+    """Tr P_lam rho for each row of an (L, d) label array and a Hermitian
+    rho on (C^d)^{x n}, by the dense projectors (within MAX_BYTES).  P_lam
+    is real symmetric, so the trace is its inner product with Re(rho)."""
+    labels = np.asarray(labels)
+    projs = young_projectors(int(labels[0].sum()), labels.shape[1])
+    re = np.ascontiguousarray(rho.real)
+    return _probabilities(np.array([np.vdot(projs[lam], re) for lam in map(tuple, labels.tolist())]),
+                          "a dense block probability")
+
+
+def block_probs_product(labels, states) -> np.ndarray:
+    """Tr P_lam (rho_1 x ... x rho_n) for each row of an (L, d) label array:
+    commuting factors take the diagonal route, the others the dense one."""
     states = [np.asarray(s, dtype=complex) for s in states]
-    d = states[0].shape[0]
-    n = len(states)
-    if sum(lam) != n:
-        raise ValueError(f"|lam| = {sum(lam)} but n = {n}")
     joint = joint_eigenbasis(states)
     if joint is not None:
-        _, diags = joint
-        types = type_distribution([np.clip(q, 0.0, None) for q in diags])
-        total = 0.0
-        for content, prob in types.items():
-            if prob == 0.0:
-                continue
-            total += prob * block_prob_diagonal(lam, content)
-        return _clip_probability(total, f"block probability {lam}")
-    p = young_projector(lam, d, max_dim)
-    rho = states[0]
-    for s in states[1:]:
-        rho = np.kron(rho, s)
-    val = float(np.real(np.trace(p @ rho)))
-    return _clip_probability(val, f"block probability {lam}")
+        return diagonal_block_probs(labels, [np.clip(q, 0.0, None) for q in joint[1]])
+    n, d = len(states), states[0].shape[0]
+    require_bytes(dense_bytes(n, d), f"the block projectors of n = {n}, d = {d}")
+    return dense_block_probs(labels, tensor(*states))
 
+
+# --- one label at a time: entries of the array routes ---------------------------
+
+def block_prob_iid(lam, spec) -> float:
+    """Probability of block ``lam`` under n i.i.d. copies with the given spectrum."""
+    return float(_probabilities(np.exp(log_block_probs_iid([lam], spec)), f"block probability {lam}")[0])
+
+
+def log_block_prob_iid_two_level(a: int, b: int, p1: float, p2: float) -> float:
+    """log Tr P_(a,b) rho^{x n} for a two-level spectrum, safe for large n."""
+    return float(log_block_probs_iid([(a, b)], (p1, p2))[0])
+
+
+def block_prob_diagonal(lam, content) -> float:
+    """Diagonal matrix element <e|P_lam|e> for a basis vector of given content."""
+    return float(diagonal_block_probs([lam], np.repeat(np.eye(len(content)), content, axis=0))[0])
+
+
+def block_prob_product(lam, states) -> float:
+    """Tr P_lam (rho_1 x ... x rho_n) for an explicit list of factors."""
+    return float(block_probs_product([lam], states)[0])

@@ -95,6 +95,21 @@ class TestConfigHandling:
     def test_unknown_command(self, capsys):
         assert cli.main(["frobnicate"]) == 1
 
+    def test_block_probability_off_the_unit_interval_exits_3(self, monkeypatch, tmp_path, capsys):
+        # doubled projectors give block probabilities up to 2: a numerical
+        # failure, reported without a traceback
+        from qvlcode import schur_weyl
+        projectors = schur_weyl.young_projectors
+        monkeypatch.setattr(schur_weyl, "young_projectors",
+                            lambda n, d: {lam: 2 * p for lam, p in projectors(n, d).items()})
+        atoms = [{"weight": 0.75, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
+                 {"weight": 0.25, "matrix": [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]}]
+        path = tmp_path / "noncommuting.json"
+        path.write_text(json.dumps({"d": 2, "atoms": atoms}))
+        assert cli.main(["error", "--n", "3", "--schedule", "--source", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not a probability" in err and "Traceback" not in err
+
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
         def boom(config, pool):
             raise cli.NumericalFailure("testing")

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -6,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qvlcode import codec, info, linalg, young
+from qvlcode import cli, codec, info, linalg, young
 from qvlcode.codec import REJECT, CodeParams, build_code, delta_schedule
 from qvlcode.linalg import (
     DimensionBudgetError,
@@ -765,27 +766,41 @@ def test_outcome_records_enumerates_types_once(make, monkeypatch):
     assert calls == [5]
 
 
-def test_dense_traces_against_complex_contraction():
-    code = build_code(CodeParams(n=5, d=2, delta=0.3))
-    source = three_atom_source()
-    traces = codec._dense_traces(code, source)
-    clusters = codec._instrument_matrices(code)
-    for seq in ([0, 0, 1, 2, 2], [1, 2, 0, 1, 0], [2] * 5):
-        rho = tensor(*(source.states[j] for j in seq))
-        want = np.real(np.einsum("kij,ji->k", clusters, rho))
-        np.testing.assert_allclose(traces(seq), want, rtol=0, atol=1e-12)
+def test_dense_chain_against_complex_contraction(tmp_path, capsys):
+    # a non-commuting qutrit at n = 6: the chain holds the block projectors
+    # (about 73 MiB) and no stack of cluster projectors (about 250 MiB more)
+    source = qutrit_source()
+    atoms = [{"weight": w, "matrix": [[[z.real, z.imag] for z in row] for row in m.tolist()]}
+             for w, m in zip(source.weights, source.states)]
+    path = tmp_path / "qutrit.json"
+    path.write_text(json.dumps({"d": 3, "atoms": atoms}))
+    assert cli.main(["error", "--n", "6", "--d", "3", "--schedule", "--source", str(path)]) == 0
+    got = float(capsys.readouterr().out.splitlines()[1].split(",")[2])
+    # the contraction of each cluster projector with the complex product
+    # state, one cluster projector at a time
+    code = build_code(CodeParams(n=6, d=3, delta=delta_schedule(6)[0]))
+    projs = young_projectors(6, 3)
+    kept = 0.0
+    for tau in young.compositions(6, 2):
+        w = young.multinomial(tau) * math.prod(wj**tj for wj, tj in zip(source.weights, tau))
+        rho = tensor(*(source.states[j] for j, tj in enumerate(tau) for _ in range(tj)))
+        for labels in code.blocks.values():
+            tr = float(np.real(np.einsum("ij,ji->", sum(projs[lam] for lam in labels), rho)))
+            kept += w * min(1.0, max(0.0, tr)) ** 1.5
+    assert got == pytest.approx(1.0 - kept / code.c1_count, abs=1e-12)
 
 
 def test_dense_budget_counts_the_cluster_projectors(monkeypatch):
-    # the block projectors fit; the stacked cluster projectors (and their
-    # complex square roots, for the simulation) are counted on top
+    # the chain holds the block projectors only; the simulation holds the
+    # stacked cluster projectors and their complex square roots on top
     code = build_code(CodeParams(n=4, d=2, delta=0.3))
     outcomes = len(code.outcomes)
-    monkeypatch.setattr(linalg, "MAX_BYTES", dense_bytes(4, 2, outcomes - 1))
+    monkeypatch.setattr(linalg, "MAX_BYTES", dense_bytes(4, 2) - 1)
     with pytest.raises(DimensionBudgetError):
         codec.average_error_chain(code, noncommuting_source())
-    monkeypatch.setattr(linalg, "MAX_BYTES", dense_bytes(4, 2, outcomes))
+    monkeypatch.setattr(linalg, "MAX_BYTES", dense_bytes(4, 2))
     assert 0.0 <= codec.average_error_chain(code, noncommuting_source())[0] <= 1.0
+    monkeypatch.setattr(linalg, "MAX_BYTES", dense_bytes(4, 2, 3 * outcomes) - 1)
     with pytest.raises(DimensionBudgetError):
         codec.average_error_definitional(code, noncommuting_source())
     monkeypatch.setattr(linalg, "MAX_BYTES", dense_bytes(4, 2, 3 * outcomes))
@@ -823,8 +838,8 @@ class TestAtomTypeCap:
                 simulate(code, three_atom_source())
 
     @pytest.mark.parametrize("params, make", [
-        (CodeParams(n=3, d=2, delta=0.3), noncommuting_source),  # dense traces
-        (CodeParams(n=3, d=3, delta=0.4), lambda: basis_source(3, (0.5, 0.3, 0.2))),  # Kostka traces
+        (CodeParams(n=3, d=2, delta=0.3), noncommuting_source),  # dense route
+        (CodeParams(n=3, d=3, delta=0.4), lambda: basis_source(3, (0.5, 0.3, 0.2))),  # Kostka route
     ])
     def test_other_routes_fall_back_to_monte_carlo(self, params, make, monkeypatch):
         def reached(*args, **kwargs):

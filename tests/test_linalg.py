@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from qvlcode import linalg
+
 from qvlcode.linalg import (
     DimensionBudgetError,
     Source,
@@ -42,10 +44,21 @@ def test_tensor_mixed_product_identity():
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
-def test_tensor_budget():
+def test_tensor_equals_kron():
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=(2, 3)), rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    c = random_density(2, rng)
+    assert np.array_equal(tensor(a, b, c), np.kron(np.kron(a.astype(complex), b), c))
+
+
+def test_tensor_budget(monkeypatch):
     with pytest.raises(DimensionBudgetError):
         tensor(*[np.eye(2)] * 13)
-    tensor(*[np.eye(2)] * 13, max_dim=10000)  # override allows it
+    # MAX_BYTES is the only budget: 16 x 16 complex entries fill 4096 bytes
+    monkeypatch.setattr(linalg, "MAX_BYTES", 16 * 16 * 16)
+    assert tensor(*[np.eye(2)] * 4).shape == (16, 16)
+    with pytest.raises(DimensionBudgetError):
+        tensor(*[np.eye(2)] * 5)
 
 
 def test_fidelity_identity():

@@ -4,13 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from qvlcode import young
+from qvlcode import linalg, schur_weyl, young
 from qvlcode.linalg import DimensionBudgetError, random_density, random_unitary, tensor
 from qvlcode.schur_weyl import (
     block_prob_diagonal,
     block_prob_iid,
     block_prob_product,
+    block_probs_product,
+    dense_block_probs,
+    diagonal_block_probs,
     log_block_prob_iid_two_level,
+    log_block_probs_iid,
     permutation_operator,
     type_distribution,
     young_projector,
@@ -96,9 +100,11 @@ class TestProjectors:
         p = young_projector((2, 1), 2)
         assert np.max(np.abs(un @ p @ un.conj().T - p)) < 1e-12
 
-    def test_factorial_cap(self):
-        with pytest.raises(DimensionBudgetError):
-            young_projectors(9, 2, max_dim=10**6)
+    def test_factorial_cap(self, monkeypatch):
+        # the n!-term sum stops at n = 8 whatever the byte budget
+        monkeypatch.setattr(linalg, "MAX_BYTES", 2**40)
+        with pytest.raises(DimensionBudgetError, match="n = 9"):
+            young_projectors(9, 2)
 
 
 class TestBlockProbIID:
@@ -204,6 +210,59 @@ class TestOperatorNormIdentity:
             top = np.linalg.eigvalsh(p @ rhon @ p)[-1]
             expected = np.prod(spec ** np.array(lam))
             assert top == pytest.approx(expected, abs=1e-10)
+
+
+@pytest.fixture
+def free_projectors():
+    """Drop the cached dense projectors afterwards (about 100 MB at d = 4, n = 5)."""
+    yield
+    young_projectors.cache_clear()
+    schur_weyl._class_sums.cache_clear()
+
+
+ROUTE_SIZES = [(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 7)] + [(4, n) for n in range(1, 6)]
+
+
+@pytest.mark.usefixtures("free_projectors")
+class TestArrayRoutes:
+    @pytest.mark.parametrize("d, n", ROUTE_SIZES)
+    def test_routes_agree_over_every_label(self, d, n):
+        rng = np.random.default_rng(10 * d + n)
+        labels = np.array(young.young_indices(n, d))
+        spec = rng.dirichlet(np.ones(d))
+        u = random_unitary(d, rng)
+        dense = dense_block_probs(labels, tensor(*[u @ np.diag(spec) @ u.conj().T] * n))
+        np.testing.assert_allclose(np.exp(log_block_probs_iid(labels, spec)), dense, rtol=0, atol=1e-10)
+        assert dense.sum() == pytest.approx(1.0, abs=1e-10)
+        spectra = [rng.dirichlet(np.ones(d)) for _ in range(n)]
+        dense = dense_block_probs(labels, tensor(*(np.diag(q) for q in spectra)))
+        np.testing.assert_allclose(diagonal_block_probs(labels, spectra), dense, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("d, n", [(2, 6), (3, 5), (4, 4)])
+    def test_per_label_names_are_array_entries(self, d, n):
+        rng = np.random.default_rng(d + n)
+        labels = young.young_indices(n, d)
+        spec = rng.dirichlet(np.ones(d))
+        content = tuple(int(c) for c in rng.multinomial(n, np.ones(d) / d))
+        states = [random_density(d, rng) for _ in range(n)]
+        logs = log_block_probs_iid(labels, spec)
+        diagonal = diagonal_block_probs(labels, np.repeat(np.eye(d), content, axis=0))
+        product = block_probs_product(labels, states)
+        for i, lam in enumerate(labels):
+            assert block_prob_iid(lam, spec) == pytest.approx(math.exp(logs[i]), rel=1e-14)
+            assert block_prob_diagonal(lam, content) == diagonal[i]
+            assert block_prob_product(lam, states) == product[i]
+            if d == 2:
+                assert log_block_prob_iid_two_level(*lam, *spec) == logs[i]
+
+    def test_labels_in_any_order(self):
+        labels = np.array(young.young_indices(6, 3))
+        spectra = [np.array([0.5, 0.3, 0.2])] * 6
+        rho = tensor(*(np.diag(q) for q in spectra))
+        for route, arg in ((diagonal_block_probs, spectra), (dense_block_probs, rho)):
+            np.testing.assert_array_equal(route(labels[::-1], arg), route(labels, arg)[::-1])
+        with pytest.raises(KeyError):
+            diagonal_block_probs([(5, 0, 0)], spectra)
 
 
 def test_type_distribution():
