@@ -90,17 +90,15 @@ def _parse_spectrum_set(text: str) -> tuple[tuple[float, ...], ...]:
 
 
 def _parse_n_grid(text: str) -> tuple[int, ...]:
-    if ":" in text:
+    try:
+        if ":" not in text:
+            return tuple(int(v) for v in text.split(","))
         parts = [int(v) for v in text.split(":")]
-        if len(parts) == 2:
-            start, stop = parts
-            step = 1
-        elif len(parts) == 3:
-            start, stop, step = parts
-        else:
-            raise ConfigError(f"bad n-grid {text!r}")
-        return tuple(range(start, stop + 1, step))
-    return tuple(int(v) for v in text.split(","))
+        if len(parts) in (2, 3):
+            return tuple(range(parts[0], parts[1] + 1, *parts[2:]))
+    except ValueError as exc:  # not an integer, or a step of 0
+        raise ConfigError(f"bad n-grid {text!r}") from exc
+    raise ConfigError(f"bad n-grid {text!r}")
 
 
 def load_source_file(path: str) -> Source:
@@ -122,12 +120,30 @@ def load_source_file(path: str) -> Source:
         raise ConfigError(f"bad source file {path}: {exc}") from exc
 
 
+# smallest value each numeric setting may take (NaN fails every comparison)
+MINIMA = {"n": 1, "d": 1, "delta": 0.0, "delta1": 0.0, "samples": 1, "seed": 0}
+# commands whose --spectrum is a spectrum on C^d
+ON_D = ("overflow", "bounds", "error", "distribution", "fixed-length")
+
+
+def _validate(config: ExperimentConfig) -> None:
+    """ConfigError for a setting out of range, before any command runs."""
+    for name, low in MINIMA.items():
+        value = getattr(config, name)
+        if value is not None and not value >= low:
+            raise ConfigError(f"--{name} must be at least {low}, got {value}")
+    if config.delta1 is not None and config.delta is not None and not config.delta1 < config.delta:
+        raise ConfigError("--delta1 must be below --delta")
+    if config.n_grid is not None and not (config.n_grid and min(config.n_grid) >= 1):
+        raise ConfigError("--n-grid must list block lengths of at least 1")
+    if config.command in ON_D and config.spectrum and len(config.spectrum) != config.d:
+        raise ConfigError("spectrum length must equal d")
+
+
 def _resolve_source(config: ExperimentConfig) -> Source:
     if config.source_path:
         return load_source_file(config.source_path)
     if config.spectrum:
-        if len(config.spectrum) != config.d:
-            raise ConfigError("spectrum length must equal d")
         return basis_source(config.d, config.spectrum)
     raise ConfigError("need --spectrum or --source")
 
@@ -398,6 +414,7 @@ def run(config: ExperimentConfig, threads: int = 1) -> str:
     """Execute one experiment and return the rendered output text."""
     if config.command not in COMMANDS:
         raise ConfigError(f"unknown command {config.command!r}")
+    _validate(config)
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         results = COMMANDS[config.command](config, pool)
     return emit(results, config)

@@ -39,7 +39,6 @@ from .linalg import (
     fidelity,
     joint_eigenbasis,
     partial_trace,
-    psd_sqrt,
     require_bytes,
     tensor,
 )
@@ -556,9 +555,10 @@ def _simulated_error(code: VLCode, source: Source, accepted_error) -> float:
     type carries the type's probability.
     """
     n = code.n
-    # the stacked projectors and their complex square roots
-    require_bytes(dense_bytes(n, code.d, 3 * len(code.outcomes)), "the dense instrument simulation")
-    roots = [psd_sqrt(p / code.c1_count) for p in _instrument_matrices(code)]
+    require_bytes(dense_bytes(n, code.d, len(code.outcomes)), "the dense instrument simulation")
+    # P_k is a projector, so sqrt(M_k) = P_k / sqrt(C1)
+    roots = _instrument_matrices(code)
+    roots /= math.sqrt(code.c1_count)
     acc = set(code.accepted)
     total = 0.0
     for tau, w in zip(*_atom_types(source.weights, n)):

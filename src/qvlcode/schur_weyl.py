@@ -4,8 +4,8 @@ The n-fold tensor power splits into blocks labelled by partitions of n
 with at most d parts; each block carries one SU(d) irrep tensored with
 one symmetric-group irrep.  Three routes give the weight Tr P_lam rho of
 every row of an (L, d) label array, and the per-label functions are
-entries of them: ``dense_block_probs`` (projectors by character
-averaging, n <= 8, within ``linalg.MAX_BYTES``); ``log_block_probs_iid``
+entries of them: ``dense_block_probs`` (projectors as eigenspaces of
+two class sums, within ``linalg.MAX_BYTES``); ``log_block_probs_iid``
 (the i.i.d. closed form, lgamma dimensions plus a log-domain
 bialternant, any n); ``diagonal_block_probs`` (Kostka weights against the
 letter-count law, products of commuting factors, any n).  The tests hold
@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import itertools
 import logging
-import math
 from functools import lru_cache
 
 import numpy as np
 
 from . import young
-from .linalg import DimensionBudgetError, NumericalFailure, joint_eigenbasis, require_bytes, tensor
+from .linalg import NumericalFailure, joint_eigenbasis, require_bytes, tensor
 
 logger = logging.getLogger(__name__)
 
@@ -68,59 +67,76 @@ def permutation_operator(sigma, d: int) -> np.ndarray:
     return m
 
 
-@lru_cache(maxsize=8)
-def _class_sums(n: int, d: int) -> dict[tuple[int, ...], np.ndarray]:
-    """Sum of slot-permutation matrices over each conjugacy class of S_n.
-
-    Shared by every block projector of the same (n, d); the n! loop runs
-    once and each permutation is applied as an index map, never as a
-    dense product.
-    """
-    dim = d**n
-    sums: dict[tuple[int, ...], np.ndarray] = {
-        ct: np.zeros((dim, dim)) for ct in young.cycle_types(n)
-    }
-    cols = np.arange(dim)
-    for sigma in itertools.permutations(range(n)):
-        ct = young.cycle_type_of(sigma)
-        np.add.at(sums[ct], (permutation_index_map(sigma, d), cols), 1.0)
-    return sums
-
-
 def dense_bytes(n: int, d: int, extra: int = 0) -> int:
-    """Bytes of the real d^n x d^n matrices a dense route holds: the class
-    sums and block projectors of (n, d), plus ``extra`` more.
+    """Bytes of the real d^n x d^n matrices a dense route holds: the central
+    element Z and the block projectors of (n, d), plus ``extra`` more."""
+    return (1 + len(young.young_indices(n, d)) + extra) * d ** (2 * n) * 8
 
-    Raises DimensionBudgetError above n = 8, where the n!-term character
-    sum is capped.
-    """
-    if n > 8:
-        raise DimensionBudgetError(f"n = {n}: the n!-term character sum is capped at n = 8")
-    return (len(young.cycle_types(n)) + len(young.young_indices(n, d)) + extra) * d ** (2 * n) * 8
+
+def _content_sums(lam) -> tuple[int, int]:
+    """(sum c, sum c^2) over the contents c = j - i of the boxes (i, j) of ``lam``."""
+    contents = [j - i for i, row in enumerate(lam) for j in range(row)]
+    return sum(contents), sum(c * c for c in contents)
 
 
 @lru_cache(maxsize=8)
 def young_projectors(n: int, d: int):
     """All block projectors on (C^d)^{x n} as a dict {label: matrix}.
 
-    P_lam = (dim V_lam / n!) * sum_sigma chi_lam(sigma) Perm(sigma).
-    Feasible for n <= 8 (factorial sum) within MAX_BYTES; matrices are
+    The sums C2 of the transpositions and C3 of the 3-cycles of S_n are
+    central, so they act on block lam as the scalars sum c and
+    sum c^2 - n(n-1)/2 over its contents c (Jucys 1974; Okounkov and
+    Vershik 1996).  With beta = 1 / (2 spread(sum c^2) + 1) the
+    eigenvalues omega_lam of Z = C2 + beta C3 are at least min(beta, 1/2)
+    apart, so P_lam is the spectral projector of Z at omega_lam.  Z keeps
+    the letter content of a basis state, so it is diagonalized one content
+    block at a time.  NumericalFailure if two omega_lam coincide, an
+    eigenvalue lies more than 1e-9 from its omega_lam, or an eigenspace
+    has not the dimension of its block.  Within MAX_BYTES; matrices are
     returned read-only.
     """
     require_bytes(dense_bytes(n, d), f"the block projectors of n = {n}, d = {d}")
-    sums = _class_sums(n, d)
-    fact = math.factorial(n)
-    out = {}
-    for lam in young.young_indices(n, d):
-        p = np.zeros((d**n, d**n))
-        for ct, s in sums.items():
-            chi = young.character(lam, ct)
-            if chi:
-                p += chi * s
-        p *= young.dim_sym_group(lam) / fact
-        p.setflags(write=False)
-        out[lam] = p
-    return out
+    labels = young.young_indices(n, d)
+    sums = [_content_sums(lam) for lam in labels]
+    if len(set(sums)) < len(labels):
+        raise NumericalFailure(f"two blocks of n = {n}, d = {d} share their class-sum eigenvalues")
+    s1, s2 = np.array(sums, dtype=float).T
+    beta = 1.0 / (2 * (s2.max() - s2.min()) + 1)
+    omega = s1 + beta * (s2 - n * (n - 1) / 2)
+    dim = d**n
+    z = np.zeros((dim, dim))
+    cols = np.arange(dim)
+    ident = list(range(n))
+    # a slot permutation's (image, column) pairs are distinct, so += adds each once
+    for i, j in itertools.combinations(range(n), 2):
+        sigma = ident.copy()
+        sigma[i], sigma[j] = j, i
+        z[permutation_index_map(tuple(sigma), d), cols] += 1.0
+    for a, b, c in itertools.combinations(range(n), 3):
+        for images in ((b, c, a), (c, a, b)):
+            sigma = ident.copy()
+            sigma[a], sigma[b], sigma[c] = images
+            z[permutation_index_map(tuple(sigma), d), cols] += beta
+    # basis states with equal letter counts: the key sums (n + 1)^letter over slots
+    key = ((n + 1) ** _slot_index_maps(n, d)).sum(axis=1)
+    order = np.argsort(key, kind="stable")
+    projs = np.zeros((len(labels), dim, dim))
+    found = np.zeros(len(labels), dtype=np.int64)
+    for idx in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        w, v = np.linalg.eigh(z[np.ix_(idx, idx)])
+        which = np.abs(w[:, None] - omega).argmin(axis=1)
+        off = float(np.abs(w - omega[which]).max())
+        if off > 1e-9:
+            raise NumericalFailure(f"an eigenvalue of the class sums is {off:.3e} from its block's")
+        found += np.bincount(which, minlength=len(labels))
+        for k in np.unique(which):
+            vk = v[:, which == k]
+            projs[k][np.ix_(idx, idx)] = vk @ vk.T
+    dims = [young.dim_block(lam, d) for lam in labels]
+    if found.tolist() != dims:
+        raise NumericalFailure(f"eigenspace dimensions {found.tolist()} are not the block dimensions {dims}")
+    projs.setflags(write=False)
+    return dict(zip(labels, projs))
 
 
 def young_projector(lam, d: int) -> np.ndarray:

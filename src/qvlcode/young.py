@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -128,93 +127,6 @@ def _strip_zeros(parts: tuple[int, ...]) -> tuple[int, ...]:
     while k > 0 and parts[k - 1] == 0:
         k -= 1
     return parts[:k]
-
-
-@lru_cache(maxsize=None)
-def character(parts: tuple[int, ...], cycle_type: tuple[int, ...]) -> int:
-    """Symmetric-group character of shape ``parts`` on class ``cycle_type``.
-
-    Murnaghan-Nakayama recursion over border strips, memoized on the
-    (shape, cycle type) pair.  The identity class returns the irrep
-    dimension; the cache is shared process-wide (lru_cache is safe under
-    concurrent readers).
-    """
-    lam = _strip_zeros(_check_young(parts))
-    mu = _strip_zeros(_check_young(cycle_type))
-    if sum(lam) != sum(mu):
-        raise ValueError(f"size mismatch: |{parts}| != |{cycle_type}|")
-    if not lam:
-        return 1
-    k = mu[0]
-    rest = mu[1:]
-    total = 0
-    # Remove a border strip of k cells spanning contiguous rows i..j; the
-    # remaining shape has row r = lam[r+1] - 1 for i <= r < j and row j
-    # keeps whatever of k is left over.
-    for i in range(len(lam)):
-        for j in range(i, len(lam)):
-            new = list(lam)
-            taken = 0
-            for r in range(i, j):
-                taken += lam[r] - (lam[r + 1] - 1)
-            # remainder on row j
-            rem = k - taken
-            if rem <= 0:
-                break
-            if lam[j] - rem < 0:
-                continue
-            for r in range(i, j):
-                new[r] = lam[r + 1] - 1
-            new[j] = lam[j] - rem
-            # validity: still nonincreasing and row i lost at least one cell
-            if new[j] < (lam[j + 1] if j + 1 < len(lam) else 0):
-                continue
-            if i > 0 and new[i] > lam[i - 1]:
-                continue
-            if not all(new[r] >= new[r + 1] for r in range(len(new) - 1)):
-                continue
-            height = j - i
-            total += (-1) ** height * character(
-                tuple(_strip_zeros(tuple(new))), tuple(rest)
-            )
-    return total
-
-
-@lru_cache(maxsize=None)
-def cycle_types(n: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of n (cycle types of S_n), descending parts."""
-    if n == 0:
-        return ((),)
-    return tuple(_strip_zeros(p) for p in young_indices(n, n))
-
-
-@lru_cache(maxsize=None)
-def conjugacy_class_size(cycle_type: tuple[int, ...]) -> int:
-    """Number of permutations in S_n with the given cycle type."""
-    mu = _strip_zeros(tuple(int(c) for c in cycle_type))
-    n = sum(mu)
-    denom = 1
-    for length, count in Counter(mu).items():
-        denom *= length**count * math.factorial(count)
-    return math.factorial(n) // denom
-
-
-def cycle_type_of(perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Cycle type of a permutation given in one-line notation on 0..n-1."""
-    n = len(perm)
-    seen = [False] * n
-    lengths = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
 
 
 # --- Kostka numbers -------------------------------------------------------
@@ -436,18 +348,6 @@ def compositions(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def schur_poly_bialternant2(lam: tuple[int, ...], x: float, y: float) -> float:
-    """d=2 bialternant (x^{a+1} y^b - x^b y^{a+1})/(x - y), limit at x=y.
-
-    Kept as a linear-domain cross-check of ``log_schur_two_rows``.
-    """
-    a, b = (tuple(lam) + (0, 0))[:2]
-    if abs(x - y) < 1e-9 * max(abs(x), abs(y), 1.0):
-        # confluent limit: (a - b + 1) * x^(a+b)
-        return (a - b + 1) * x ** (a + b)
-    return (x ** (a + 1) * y**b - x**b * y ** (a + 1)) / (x - y)
-
-
 def _log_vandermonde(l: np.ndarray) -> np.ndarray:
     i, j = np.triu_indices(l.shape[-1], 1)
     return np.log(l[..., i] - l[..., j]).sum(axis=-1)
@@ -472,16 +372,6 @@ def log_dim_unitary_group(labels):
     delta = np.arange(lam.shape[-1] - 1, -1, -1, dtype=float)
     out = _log_vandermonde(lam + delta) - _log_vandermonde(delta)
     return float(out) if out.ndim == 0 else out
-
-
-def shannon_entropy_of_counts(parts, n: int | None = None) -> float:
-    """H(parts/n) in nats, with 0 log 0 = 0."""
-    parts = [int(p) for p in parts]
-    if n is None:
-        n = sum(parts)
-    if n == 0:
-        return 0.0
-    return -sum((p / n) * math.log(p / n) for p in parts if p > 0)
 
 
 def exact_block_weight(lam: tuple[int, ...], content) -> Fraction:

@@ -1,0 +1,136 @@
+"""Reference implementations the tests hold the program against.
+
+Symmetric-group characters by the Murnaghan-Nakayama rule; the block
+projectors by the n!-term character sum
+P_lam = (dim V_lam / n!) sum_sigma chi_lam(sigma) Perm(sigma), against
+which the class-sum eigenspaces of ``schur_weyl.young_projectors`` are
+checked; the linear-domain two-row bialternant; and the entropy of a
+count vector.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from collections import Counter
+from functools import lru_cache
+
+import numpy as np
+
+from qvlcode import young
+from qvlcode.schur_weyl import permutation_index_map
+
+
+@lru_cache(maxsize=None)
+def character(parts: tuple[int, ...], cycle_type: tuple[int, ...]) -> int:
+    """Symmetric-group character of shape ``parts`` on class ``cycle_type``.
+
+    Murnaghan-Nakayama recursion over border strips, memoized on the
+    (shape, cycle type) pair.  The identity class returns the irrep
+    dimension.
+    """
+    lam = young._strip_zeros(young._check_young(parts))
+    mu = young._strip_zeros(young._check_young(cycle_type))
+    if sum(lam) != sum(mu):
+        raise ValueError(f"size mismatch: |{parts}| != |{cycle_type}|")
+    if not lam:
+        return 1
+    k = mu[0]
+    rest = mu[1:]
+    total = 0
+    # Remove a border strip of k cells spanning contiguous rows i..j; the
+    # remaining shape has row r = lam[r+1] - 1 for i <= r < j and row j
+    # keeps whatever of k is left over.
+    for i in range(len(lam)):
+        for j in range(i, len(lam)):
+            new = list(lam)
+            taken = 0
+            for r in range(i, j):
+                taken += lam[r] - (lam[r + 1] - 1)
+            rem = k - taken
+            if rem <= 0:
+                break
+            if lam[j] - rem < 0:
+                continue
+            for r in range(i, j):
+                new[r] = lam[r + 1] - 1
+            new[j] = lam[j] - rem
+            # validity: still nonincreasing and row i lost at least one cell
+            if new[j] < (lam[j + 1] if j + 1 < len(lam) else 0):
+                continue
+            if i > 0 and new[i] > lam[i - 1]:
+                continue
+            if not all(new[r] >= new[r + 1] for r in range(len(new) - 1)):
+                continue
+            total += (-1) ** (j - i) * character(young._strip_zeros(tuple(new)), rest)
+    return total
+
+
+def cycle_types(n: int) -> tuple[tuple[int, ...], ...]:
+    """All partitions of n (cycle types of S_n), descending parts."""
+    if n == 0:
+        return ((),)
+    return tuple(young._strip_zeros(p) for p in young.young_indices(n, n))
+
+
+def conjugacy_class_size(cycle_type: tuple[int, ...]) -> int:
+    """Number of permutations in S_n with the given cycle type."""
+    mu = young._strip_zeros(tuple(int(c) for c in cycle_type))
+    denom = 1
+    for length, count in Counter(mu).items():
+        denom *= length**count * math.factorial(count)
+    return math.factorial(sum(mu)) // denom
+
+
+def cycle_type_of(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """Cycle type of a permutation given in one-line notation on 0..n-1."""
+    n = len(perm)
+    seen = [False] * n
+    lengths = []
+    for i in range(n):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def character_sum_projectors(n: int, d: int) -> dict[tuple[int, ...], np.ndarray]:
+    """Every block projector of (C^d)^{x n} by the character sum over all n!
+    slot permutations, accumulated per conjugacy class."""
+    dim = d**n
+    sums = {ct: np.zeros((dim, dim)) for ct in cycle_types(n)}
+    cols = np.arange(dim)
+    for sigma in itertools.permutations(range(n)):
+        # a permutation's (image, column) pairs are distinct, so += adds each once
+        sums[cycle_type_of(sigma)][permutation_index_map(sigma, d), cols] += 1.0
+    out = {}
+    for lam in young.young_indices(n, d):
+        p = sum(character(lam, ct) * s for ct, s in sums.items())
+        out[lam] = p * (young.dim_sym_group(lam) / math.factorial(n))
+    return out
+
+
+def schur_poly_bialternant2(lam: tuple[int, ...], x: float, y: float) -> float:
+    """d=2 bialternant (x^{a+1} y^b - x^b y^{a+1})/(x - y), limit at x=y;
+    a linear-domain cross-check of ``young.log_schur_two_rows``."""
+    a, b = (tuple(lam) + (0, 0))[:2]
+    if abs(x - y) < 1e-9 * max(abs(x), abs(y), 1.0):
+        # confluent limit: (a - b + 1) * x^(a+b)
+        return (a - b + 1) * x ** (a + b)
+    return (x ** (a + 1) * y**b - x**b * y ** (a + 1)) / (x - y)
+
+
+def shannon_entropy_of_counts(parts, n: int | None = None) -> float:
+    """H(parts/n) in nats, with 0 log 0 = 0."""
+    parts = [int(p) for p in parts]
+    if n is None:
+        n = sum(parts)
+    if n == 0:
+        return 0.0
+    return -sum((p / n) * math.log(p / n) for p in parts if p > 0)

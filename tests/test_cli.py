@@ -8,7 +8,7 @@ import time
 import pytest
 from scipy import optimize
 
-from qvlcode import bounds, cli, info
+from qvlcode import bounds, cli, info, schur_weyl
 
 
 def run_cli(args, capsys=None):
@@ -47,6 +47,27 @@ class TestDecomposeCheck:
 
     def test_budget_exit_code(self, capsys):
         assert cli.main(["decompose-check", "--n", "13", "--d", "2"]) == 2
+
+    def test_qubit_n10(self, capsys):
+        assert cli.main(["decompose-check", "--n", "10", "--d", "2"]) == 0
+        for line in capsys.readouterr().out.strip().split("\n")[1:]:
+            assert float(line.split(",")[1]) <= 1e-10
+        schur_weyl.young_projectors.cache_clear()
+
+
+def test_noncommuting_qubit_error_at_n9(tmp_path, capsys):
+    # the dense chain past n = 8, against its own Monte Carlo estimate
+    atoms = [{"weight": 0.6, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
+             {"weight": 0.4, "matrix": [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]}]
+    path = tmp_path / "noncommuting.json"
+    path.write_text(json.dumps({"d": 2, "atoms": atoms}))
+    argv = ["error", "--n", "9", "--schedule", "--source", str(path), "--format", "json"]
+    assert cli.main(argv) == 0
+    exact = json.loads(capsys.readouterr().out)["results"][0]["error"]
+    assert cli.main(argv + ["--samples", "2000", "--seed", "3"]) == 0
+    row = json.loads(capsys.readouterr().out)["results"][0]
+    assert abs(row["error"] - exact) <= 4 * row["stderr"]
+    schur_weyl.young_projectors.cache_clear()
 
 
 class TestMemoryBudget:
@@ -87,6 +108,27 @@ class TestMemoryBudget:
 class TestConfigHandling:
     def test_missing_required_flag(self, capsys):
         assert cli.main(["dims"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["overflow", "--n", "0", "--schedule", "--spectrum", "0.7,0.3", "--rate", "0.5"],
+        ["dims", "--n", "3", "--d", "0"],
+        ["overflow", "--n", "4", "--delta", "-1", "--spectrum", "0.7,0.3", "--rate", "0.5"],
+        ["overflow", "--n", "4", "--delta", "nan", "--spectrum", "0.7,0.3", "--rate", "0.5"],
+        ["lemma-l1", "--spectrum", "0.7,0.3", "--n-grid", "0:3"],
+        ["lemma-l1", "--spectrum", "0.7,0.3", "--n-grid", "5:3"],
+        ["lemma-l1", "--spectrum", "0.7,0.3", "--n-grid", "a:3"],
+        ["lemma-l1", "--spectrum", "0.7,0.3", "--n-grid", "1:3:0"],
+        ["error", "--n", "4", "--schedule", "--spectrum", "0.7,0.3", "--samples", "0"],
+        ["error", "--n", "4", "--schedule", "--spectrum", "0.7,0.3", "--samples", "-3"],
+        ["error", "--n", "4", "--schedule", "--spectrum", "0.7,0.3", "--samples", "10", "--seed", "-1"],
+        ["error", "--n", "4", "--delta", "0.2", "--delta1", "0.5", "--spectrum-set", "0.7,0.3",
+         "--spectrum", "0.7,0.3"],
+        ["overflow", "--n", "4", "--d", "3", "--schedule", "--spectrum", "0.7,0.3", "--rate", "0.5"],
+    ])
+    def test_out_of_range_exits_1(self, argv, capsys):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_bad_spectrum(self, capsys):
         assert cli.main(["error", "--n", "4", "--delta", "0.2",

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from qvlcode import cli, codec, info, linalg, young
 from qvlcode.codec import REJECT, CodeParams, build_code, delta_schedule
 from qvlcode.linalg import (
@@ -157,7 +158,7 @@ class TestCodingLength:
         for n, delta in [(30, 0.2), (100, 100 ** -0.25)]:
             code = build_code(CodeParams(n=n, d=2, delta=delta))
             for k in code.outcomes[:: max(1, len(code.outcomes) // 10)]:
-                max_h = max(young.shannon_entropy_of_counts(lam, n) for lam in code.blocks[k])
+                max_h = max(oracles.shannon_entropy_of_counts(lam, n) for lam in code.blocks[k])
                 bound = 2 * math.log(n + 1) + 8 * math.log(n + 2) + n * max_h
                 assert code.coding_length(k) <= bound + 1e-9
 
@@ -768,7 +769,7 @@ def test_outcome_records_enumerates_types_once(make, monkeypatch):
 
 def test_dense_chain_against_complex_contraction(tmp_path, capsys):
     # a non-commuting qutrit at n = 6: the chain holds the block projectors
-    # (about 73 MiB) and no stack of cluster projectors (about 250 MiB more)
+    # (about 34 MiB) and no stack of cluster projectors (about 250 MiB more)
     source = qutrit_source()
     atoms = [{"weight": w, "matrix": [[[z.real, z.imag] for z in row] for row in m.tolist()]}
              for w, m in zip(source.weights, source.states)]
@@ -792,7 +793,8 @@ def test_dense_chain_against_complex_contraction(tmp_path, capsys):
 
 def test_dense_budget_counts_the_cluster_projectors(monkeypatch):
     # the chain holds the block projectors only; the simulation holds the
-    # stacked cluster projectors and their complex square roots on top
+    # stacked cluster projectors on top, which are their own square roots
+    # up to the factor 1 / sqrt(C1)
     code = build_code(CodeParams(n=4, d=2, delta=0.3))
     outcomes = len(code.outcomes)
     monkeypatch.setattr(linalg, "MAX_BYTES", dense_bytes(4, 2) - 1)
@@ -800,10 +802,10 @@ def test_dense_budget_counts_the_cluster_projectors(monkeypatch):
         codec.average_error_chain(code, noncommuting_source())
     monkeypatch.setattr(linalg, "MAX_BYTES", dense_bytes(4, 2))
     assert 0.0 <= codec.average_error_chain(code, noncommuting_source())[0] <= 1.0
-    monkeypatch.setattr(linalg, "MAX_BYTES", dense_bytes(4, 2, 3 * outcomes) - 1)
+    monkeypatch.setattr(linalg, "MAX_BYTES", dense_bytes(4, 2, outcomes) - 1)
     with pytest.raises(DimensionBudgetError):
         codec.average_error_definitional(code, noncommuting_source())
-    monkeypatch.setattr(linalg, "MAX_BYTES", dense_bytes(4, 2, 3 * outcomes))
+    monkeypatch.setattr(linalg, "MAX_BYTES", dense_bytes(4, 2, outcomes))
     assert 0.0 <= codec.average_error_definitional(code, noncommuting_source()) <= 1.0
 
 

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from qvlcode import linalg, schur_weyl, young
-from qvlcode.linalg import DimensionBudgetError, random_density, random_unitary, tensor
+import oracles
+from qvlcode import schur_weyl, young
+from qvlcode.linalg import DimensionBudgetError, NumericalFailure, random_density, random_unitary, tensor
 from qvlcode.schur_weyl import (
     block_prob_diagonal,
     block_prob_iid,
@@ -100,11 +101,43 @@ class TestProjectors:
         p = young_projector((2, 1), 2)
         assert np.max(np.abs(un @ p @ un.conj().T - p)) < 1e-12
 
-    def test_factorial_cap(self, monkeypatch):
-        # the n!-term sum stops at n = 8 whatever the byte budget
-        monkeypatch.setattr(linalg, "MAX_BYTES", 2**40)
-        with pytest.raises(DimensionBudgetError, match="n = 9"):
-            young_projectors(9, 2)
+    @pytest.mark.usefixtures("free_projectors")
+    def test_qubit_blocks_at_n9_and_n10(self):
+        # the character-sum oracle is too slow here: check the projector algebra
+        rng = np.random.default_rng(910)
+        for n in (9, 10):
+            projs = young_projectors(n, 2)
+            assert np.max(np.abs(sum(projs.values()) - np.eye(2**n))) < 1e-10
+            for p in projs.values():
+                assert np.max(np.abs(p @ p - p)) < 1e-10
+            for l1, l2 in itertools.combinations(projs, 2):
+                assert np.max(np.abs(projs[l1] @ projs[l2])) < 1e-10
+            labels = np.array(list(projs))
+            spec = rng.dirichlet(np.ones(2))
+            u = random_unitary(2, rng)
+            dense = dense_block_probs(labels, tensor(*[u @ np.diag(spec) @ u.conj().T] * n))
+            np.testing.assert_allclose(np.exp(log_block_probs_iid(labels, spec)), dense, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("fault, match", [
+        ("shared", "share their class-sum eigenvalues"),
+        ("shifted", "from its block's"),
+        ("dims", "not the block dimensions"),
+    ])
+    def test_eigenspace_checks(self, monkeypatch, fault, match):
+        content_sums, dim_block = schur_weyl._content_sums, young.dim_block
+
+        def shifted(lam):  # every omega_lam one off its eigenvalue
+            s1, s2 = content_sums(lam)
+            return s1 + 1, s2
+
+        if fault == "dims":
+            monkeypatch.setattr(young, "dim_block", lambda lam, d: dim_block(lam, d) + 1)
+        elif fault == "shifted":
+            monkeypatch.setattr(schur_weyl, "_content_sums", shifted)
+        else:
+            monkeypatch.setattr(schur_weyl, "_content_sums", lambda lam: (0, 0))
+        with pytest.raises(NumericalFailure, match=match):
+            young_projectors.__wrapped__(4, 2)
 
 
 class TestBlockProbIID:
@@ -214,10 +247,9 @@ class TestOperatorNormIdentity:
 
 @pytest.fixture
 def free_projectors():
-    """Drop the cached dense projectors afterwards (about 100 MB at d = 4, n = 5)."""
+    """Drop the cached dense projectors afterwards (about 50 MB at d = 4, n = 5)."""
     yield
     young_projectors.cache_clear()
-    schur_weyl._class_sums.cache_clear()
 
 
 ROUTE_SIZES = [(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 7)] + [(4, n) for n in range(1, 6)]
@@ -225,6 +257,14 @@ ROUTE_SIZES = [(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 7)] + [(
 
 @pytest.mark.usefixtures("free_projectors")
 class TestArrayRoutes:
+    @pytest.mark.parametrize("d, n", ROUTE_SIZES)
+    def test_projectors_match_character_sum(self, d, n):
+        projs = young_projectors(n, d)
+        oracle = oracles.character_sum_projectors(n, d)
+        assert list(projs) == list(oracle)
+        for lam, p in projs.items():
+            assert np.max(np.abs(p - oracle[lam])) <= 1e-12, lam
+
     @pytest.mark.parametrize("d, n", ROUTE_SIZES)
     def test_routes_agree_over_every_label(self, d, n):
         rng = np.random.default_rng(10 * d + n)
