@@ -143,15 +143,34 @@ def _max_entropy_in_ball(anchor: np.ndarray, radius: float) -> float:
     return entropy(on_path(optimize.brentq(gap, lo, hi, xtol=1e-13)))
 
 
+def _max_entropy_near_face(support: np.ndarray, slack: float) -> float:
+    """max H(q) over probability vectors q within ``slack`` of one on ``support``.
+
+    The problem is concave and symmetric under permutations that keep the
+    support, so a symmetric maximizer exists: a on the k support entries,
+    b off them.  Its nearest point on the face is the uniform law there,
+    at distance b sqrt(d (d-k) / k), and H grows with b up to b = 1/d.
+    """
+    d, k = len(support), int(support.sum())
+    b = min(1.0 / d, slack * math.sqrt(k / (d * (d - k)))) if k < d else 1.0 / d
+    a = (1.0 - (d - k) * b) / k
+    return entropy(np.repeat([a, b], [k, d - k]))
+
+
 def _min_divergence(rate: float, p: np.ndarray, slack: float,
                     anchor: np.ndarray | None = None, radius: float | None = None) -> float:
     """inf D(q' || p) over q' within ``slack`` of the entropy super-level set.
 
     Feasible pairs: H(q) >= rate, ||q - q'|| <= slack and, with an
     ``anchor``, ||q - anchor|| <= radius; minimized over q'.  d=2 reduces
-    to intervals; higher d solves the joint convex program with SLSQP.
-    +inf only for an empty feasible set; a solver that finds no point of
-    a nonempty one raises NumericalFailure.
+    to intervals.  Higher d solves the joint program in z = (q', q) with
+    SLSQP and closed-form gradients: D has gradient log q' - log p + 1, H
+    has -log q - 1, and the balls -/+2 (q' - q) and -2 (q - anchor).  q'
+    is held at 0 off supp(p), where D would be infinite.  The program is
+    jointly convex (D convex, H concave, both balls convex), so the first
+    start that succeeds returns the minimum; the rest are fallbacks.
+    +inf for a feasible set that the closed-form tests find empty; a
+    solver that succeeds from no start raises NumericalFailure.
     """
     d = len(p)
     if rate > math.log(d):
@@ -176,35 +195,49 @@ def _min_divergence(rate: float, p: np.ndarray, slack: float,
             return 0.0
         edge = lo if p2 < lo else hi
         return binary_divergence(edge, p2)
+    support = p > 0
+    if _max_entropy_near_face(support, slack) < rate:
+        return INF
     if anchor is not None and _max_entropy_in_ball(anchor, radius) < rate:
         return INF
+    log_p = np.log(p[support])
+    zeros = np.zeros(d)
 
     def objective(z):
-        qp = np.clip(z[:d], 1e-14, None)
-        return divergence(qp / qp.sum(), p)
+        qp = z[:d][support]
+        return float(qp @ (np.log(qp) - log_p))
+
+    def gradient(z):
+        grad = np.zeros(2 * d)
+        grad[:d][support] = np.log(z[:d][support]) - log_p + 1.0
+        return grad
+
+    def step(z):
+        return z[:d] - z[d:]
 
     constraints = [
-        {"type": "eq", "fun": lambda z: z[:d].sum() - 1.0},
-        {"type": "eq", "fun": lambda z: z[d:].sum() - 1.0},
-        {"type": "ineq", "fun": lambda z: entropy(np.clip(z[d:], 0, None) / np.clip(z[d:], 0, None).sum()) - rate},
-        {"type": "ineq", "fun": lambda z: slack**2 - ((z[:d] - z[d:]) ** 2).sum()},
+        {"type": "eq", "fun": lambda z: z[:d].sum() - 1.0, "jac": lambda z: np.repeat([1.0, 0.0], d)},
+        {"type": "eq", "fun": lambda z: z[d:].sum() - 1.0, "jac": lambda z: np.repeat([0.0, 1.0], d)},
+        {"type": "ineq", "fun": lambda z: -float(z[d:] @ np.log(z[d:])) - rate,
+         "jac": lambda z: np.concatenate([zeros, -np.log(z[d:]) - 1.0])},
+        {"type": "ineq", "fun": lambda z: slack**2 - float(step(z) @ step(z)),
+         "jac": lambda z: np.concatenate([-2.0 * step(z), 2.0 * step(z)])},
     ]
     starts = [np.ones(d) / d]
     if anchor is not None:
-        constraints.append({"type": "ineq", "fun": lambda z: radius**2 - ((z[d:] - anchor) ** 2).sum()})
+        constraints.append({"type": "ineq", "fun": lambda z: radius**2 - float((z[d:] - anchor) @ (z[d:] - anchor)),
+                            "jac": lambda z: np.concatenate([zeros, -2.0 * (z[d:] - anchor)])})
         starts.insert(0, anchor)
     rng = np.random.default_rng(0)
     starts += [rng.dirichlet(np.ones(d)) for _ in range(10 - len(starts))]
-    best = INF
+    limits = [(1e-12, 1.0) if on else (0.0, 0.0) for on in support] + [(1e-12, 1.0)] * d
     for q0 in starts:
-        res = optimize.minimize(objective, np.concatenate([q0, q0]), method="SLSQP",
-                                bounds=[(1e-12, 1.0)] * (2 * d), constraints=constraints,
+        res = optimize.minimize(objective, np.concatenate([q0, q0]), method="SLSQP", jac=gradient,
+                                bounds=limits, constraints=constraints,
                                 options={"ftol": 1e-12, "maxiter": 500})
         if res.success:
-            best = min(best, max(0.0, float(res.fun)))
-    if math.isinf(best):
-        raise NumericalFailure(f"SLSQP found no minimizer of D(q' || p) at rate {rate!r} from {len(starts)} starts")
-    return best
+            return max(0.0, float(res.fun))
+    raise NumericalFailure(f"SLSQP found no minimizer of D(q' || p) at rate {rate!r} from {len(starts)} starts")
 
 
 def overflow_exponent_floor(n: int, d: int, delta: float, rate: float, p_spec) -> float:

@@ -1,10 +1,10 @@
 """Command-line front end: run one experiment, emit CSV or JSON.
 
 Every result row carries the inputs that produced it, the value, and a
-``method`` tag (exact | closed-form | monte-carlo).  Output is
-byte-stable for a fixed configuration and seed, independent of the
-worker-thread count: threads only split row computation, and rows are
-always reduced in submission order.
+``method`` tag (exact | closed-form | convex-program | monte-carlo).
+Output is byte-stable for a fixed configuration and seed, independent of
+the worker-thread count: threads only split row computation, and rows
+are always reduced in submission order.
 
 Exit codes: 0 success, 1 invalid configuration, 2 dimension budget
 exceeded, 3 numerical failure.
@@ -138,6 +138,21 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("--n-grid must list block lengths of at least 1")
     if config.command in ON_D and config.spectrum and len(config.spectrum) != config.d:
         raise ConfigError("spectrum length must equal d")
+    if config.command == "bounds" and config.d < 2:
+        raise ConfigError("bounds needs --d of at least 2")
+    if config.command == "exponent" and config.spectrum and config.rate is not None \
+            and config.rate > math.log(len(config.spectrum)) + 1e-12:
+        raise ConfigError("--rate must not exceed ln d, the log of the spectrum length")
+    if config.command in ("lemma-l1", "lemma-l2") and config.spectrum:
+        p = sorted(config.spectrum, reverse=True)
+        if len(p) != 2 or not p[0] > p[1]:
+            raise ConfigError(f"{config.command} needs a two-entry spectrum with p1 > p2")
+        if config.command == "lemma-l2" and p[1] == 0:
+            raise ConfigError("lemma-l2 needs p2 > 0: its rate ceiling is infinite at p2 = 0")
+    if config.command == "lemma-l2" and config.n_grid and min(config.n_grid) < 2:
+        raise ConfigError("lemma-l2 needs --n-grid points of at least 2 (the error is 0 at n = 1)")
+    if config.command == "sec6-gap" and not all(t is None or 0.0 < t < 0.5 for t in (config.t1, config.t0)):
+        raise ConfigError("--t1 and --t0 must lie in (0, 1/2)")
 
 
 def _resolve_source(config: ExperimentConfig) -> Source:
@@ -296,14 +311,15 @@ def cmd_bounds(config: ExperimentConfig, pool) -> list[dict]:
                      "value": bounds.restricted_error_ceiling(n, d, delta, delta1),
                      "method": "closed-form"})
     if config.rate is not None and config.spectrum is not None:
+        method = "closed-form" if d == 2 else "convex-program"
         rows.append({"bound": "overflow-exponent",
                      "value": bounds.overflow_exponent_floor(n, d, delta, config.rate, config.spectrum),
-                     "method": "closed-form"})
+                     "method": method})
         if config.spectrum_set is not None and delta1 is not None:
             rows.append({"bound": "overflow-exponent-restricted",
                          "value": bounds.restricted_overflow_exponent_floor(n, d, delta, delta1, config.spectrum_set,
                                                    config.rate, config.spectrum),
-                         "method": "closed-form"})
+                         "method": method})
     return rows
 
 

@@ -4,8 +4,10 @@ Symmetric-group characters by the Murnaghan-Nakayama rule; the block
 projectors by the n!-term character sum
 P_lam = (dim V_lam / n!) sum_sigma chi_lam(sigma) Perm(sigma), against
 which the class-sum eigenspaces of ``schur_weyl.young_projectors`` are
-checked; the linear-domain two-row bialternant; and the entropy of a
-count vector.
+checked; the linear-domain two-row bialternant; the entropy of a count
+vector; and the ten-start finite-difference SLSQP for the overflow
+floor's divergence program, against which ``bounds._min_divergence`` is
+checked.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from qvlcode import young
+from scipy import optimize
+
+from qvlcode import info, young
 from qvlcode.schur_weyl import permutation_index_map
 
 
@@ -134,3 +138,39 @@ def shannon_entropy_of_counts(parts, n: int | None = None) -> float:
     if n == 0:
         return 0.0
     return -sum((p / n) * math.log(p / n) for p in parts if p > 0)
+
+
+def slsqp_min_divergence(rate: float, p, slack: float, anchor=None, radius=None) -> float:
+    """inf D(q' || p) over H(q) >= rate, ||q - q'|| <= slack and, with an
+    ``anchor``, ||q - anchor|| <= radius, for d >= 3 and p of full support:
+    the best of ten SLSQP starts (the anchor, the uniform law, seeded
+    Dirichlet draws) with finite-difference derivatives; +inf when no
+    start succeeds."""
+    p = np.asarray(p, dtype=float)
+    d = len(p)
+
+    def objective(z):
+        qp = np.clip(z[:d], 1e-14, None)
+        return info.divergence(qp / qp.sum(), p)
+
+    constraints = [
+        {"type": "eq", "fun": lambda z: z[:d].sum() - 1.0},
+        {"type": "eq", "fun": lambda z: z[d:].sum() - 1.0},
+        {"type": "ineq", "fun": lambda z: info.entropy(np.clip(z[d:], 0, None) / np.clip(z[d:], 0, None).sum()) - rate},
+        {"type": "ineq", "fun": lambda z: slack**2 - ((z[:d] - z[d:]) ** 2).sum()},
+    ]
+    starts = [np.ones(d) / d]
+    if anchor is not None:
+        anchor = np.asarray(anchor, dtype=float)
+        constraints.append({"type": "ineq", "fun": lambda z: radius**2 - ((z[d:] - anchor) ** 2).sum()})
+        starts.insert(0, anchor)
+    rng = np.random.default_rng(0)
+    starts += [rng.dirichlet(np.ones(d)) for _ in range(10 - len(starts))]
+    best = math.inf
+    for q0 in starts:
+        res = optimize.minimize(objective, np.concatenate([q0, q0]), method="SLSQP",
+                                bounds=[(1e-12, 1.0)] * (2 * d), constraints=constraints,
+                                options={"ftol": 1e-12, "maxiter": 500})
+        if res.success:
+            best = min(best, max(0.0, float(res.fun)))
+    return best

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+import oracles
 from qvlcode import bounds, codec, info
 from qvlcode.linalg import NumericalFailure, basis_source
 from qvlcode.schur_weyl import log_block_prob_iid_two_level
@@ -209,6 +210,60 @@ class TestOverflowFloorSolver:
         monkeypatch.setattr(bounds.optimize, "minimize", failing_minimize)
         assert bounds.restricted_overflow_exponent_floor(
             self.N, self.D, delta, delta1, (tuple(anchor),), self.RATE, self.SPEC) == math.inf
+
+    @pytest.mark.parametrize("anchored", [False, True])
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_min_divergence_against_finite_difference_oracle(self, d, anchored):
+        # the slack and anchor radius of the schedule at n = 40000
+        delta, delta1 = codec.delta_schedule(self.N)
+        rng = np.random.default_rng(10 * d + anchored)
+        values = []
+        while len(values) < 4:
+            p = np.sort(rng.dirichlet(np.full(d, 0.7)))[::-1]
+            h = info.entropy(p)
+            rate = h + rng.uniform(0.6, 0.98) * (math.log(d) - h)
+            anchor = radius = None
+            if anchored:
+                tilted = p ** rng.uniform(0.0, 1.0)
+                anchor, radius = tilted / tilted.sum(), delta1
+                if bounds._max_entropy_in_ball(anchor, radius) < rate:
+                    continue
+            got = bounds._min_divergence(rate, p, 2 * delta, anchor, radius)
+            want = oracles.slsqp_min_divergence(rate, p, 2 * delta, anchor, radius)
+            assert got == pytest.approx(want, abs=1e-9)
+            values.append(got)
+        assert sum(v > 1e-4 for v in values) >= 2  # not only the trivial zero
+
+    def test_zero_entries_hold_q_prime_on_the_support(self):
+        # D(q' || p) is finite only on supp(p); the floor stays below the
+        # exponent, and a rate out of reach from that face is infeasible
+        p = np.array([0.5, 0.3, 0.2, 0.0])
+        rate = 1.07  # between H(p) and ln 3
+        exponent = info.optimal_overflow_exponent(rate, p)
+        assert math.isfinite(exponent)
+        for slack in (1e-3, 0.05):
+            top = bounds._max_entropy_near_face(p > 0, slack)
+            assert 0.0 < bounds._min_divergence(rate, p, slack) <= exponent + 1e-9
+            assert bounds._min_divergence(top - 1e-6, p, slack) < math.inf
+            assert bounds._min_divergence(top + 1e-6, p, slack) == math.inf
+
+    def test_max_entropy_near_face_against_slsqp(self):
+        for support, slack in (([1, 1, 0], 0.05), ([1, 1, 0, 0], 0.1), ([1, 1, 1, 0, 0], 0.02),
+                               ([1, 0, 0], 0.3), ([1, 1, 0], 2.0)):
+            support = np.array(support, dtype=bool)
+            d = len(support)
+            constraints = [{"type": "eq", "fun": lambda z: z[:d].sum() - 1.0},
+                           {"type": "eq", "fun": lambda z: z[d:].sum() - 1.0},
+                           {"type": "ineq", "fun": lambda z: slack**2 - ((z[:d] - z[d:]) ** 2).sum()}]
+            limits = [(0.0, 1.0) if on else (0.0, 0.0) for on in support] + [(1e-15, 1.0)] * d
+            best = -math.inf
+            for z0 in np.random.default_rng(3).dirichlet(np.ones(2 * d), 6):
+                res = optimize.minimize(lambda z: -info.entropy(z[d:] / z[d:].sum()), z0, method="SLSQP",
+                                        bounds=limits, constraints=constraints,
+                                        options={"ftol": 1e-14, "maxiter": 1000})
+                if res.success:
+                    best = max(best, -float(res.fun))
+            assert bounds._max_entropy_near_face(support, slack) == pytest.approx(best, abs=1e-7)
 
     def test_max_entropy_in_ball_against_slsqp(self):
         rng = np.random.default_rng(7)

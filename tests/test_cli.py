@@ -124,6 +124,12 @@ class TestConfigHandling:
         ["error", "--n", "4", "--delta", "0.2", "--delta1", "0.5", "--spectrum-set", "0.7,0.3",
          "--spectrum", "0.7,0.3"],
         ["overflow", "--n", "4", "--d", "3", "--schedule", "--spectrum", "0.7,0.3", "--rate", "0.5"],
+        ["lemma-l1", "--spectrum", "0.5,0.5", "--n-grid", "10"],
+        ["lemma-l2", "--spectrum", "0.6,0.3,0.1", "--n-grid", "10"],
+        ["exponent", "--rate", "5", "--spectrum", "0.7,0.3"],
+        ["sec6-gap", "--t1", "2", "--t0", "0.1", "--dtheta", "0.1"],
+        ["bounds", "--d", "1", "--n", "10", "--schedule"],
+        ["lemma-l2", "--spectrum", "0.7,0.3", "--n-grid", "1:3"],
     ])
     def test_out_of_range_exits_1(self, argv, capsys):
         assert cli.main(argv) == 1
@@ -301,6 +307,35 @@ class TestCommands:
                                    "--format", "json"]))
         names = {r["bound"] for r in doc["results"]}
         assert {"error", "error-overlap2", "error-restricted", "overflow-exponent"} <= names
+
+
+    def test_bounds_method_names_the_route(self):
+        # the d = 2 floors are interval formulas, d >= 3 floors a convex program
+        for d, spectrum, spectrum_set in ((2, "0.7,0.3", "0.6,0.4"), (3, "0.6,0.3,0.1", "0.5,0.3,0.2")):
+            doc = json.loads(run_text(["bounds", "--n", "40000", "--d", str(d), "--schedule", "--rate", "0.68",
+                                       "--spectrum", spectrum, "--spectrum-set", spectrum_set,
+                                       "--format", "json"]))
+            methods = {r["bound"]: r["method"] for r in doc["results"]}
+            floor = "closed-form" if d == 2 else "convex-program"
+            assert methods == {"error": "closed-form", "error-overlap2": "closed-form",
+                               "error-restricted": "closed-form", "overflow-exponent": floor,
+                               "overflow-exponent-restricted": floor}
+
+    def test_bounds_spectrum_with_a_zero_entry(self, capsys):
+        # q' is held on supp(p): a finite floor below the exponent, and an
+        # unreachable rate gives inf rather than a solver failure
+        argv = ["bounds", "--n", "40000", "--d", "3", "--schedule", "--spectrum", "0.7,0.3,0", "--format", "json"]
+        assert cli.main(["exponent", "--rate", "0.65", "--spectrum", "0.7,0.3,0", "--format", "json"]) == 0
+        exponent = json.loads(capsys.readouterr().out)["results"][0]["exponent"]
+        assert exponent == pytest.approx(0.0067767, abs=1e-7)
+        for rate, finite in (("0.65", True), ("1.09", False)):
+            assert cli.main(argv + ["--rate", rate]) == 0
+            values = {r["bound"]: r["value"] for r in json.loads(capsys.readouterr().out)["results"]}
+            floor = values["overflow-exponent"]
+            if finite:
+                assert math.isfinite(floor) and floor <= exponent + 1e-9
+            else:
+                assert floor == math.inf
 
 
 class TestBoundsAtScale:
