@@ -169,8 +169,10 @@ def _min_divergence(rate: float, p: np.ndarray, slack: float,
     is held at 0 off supp(p), where D would be infinite.  The program is
     jointly convex (D convex, H concave, both balls convex), so the first
     start that succeeds returns the minimum; the rest are fallbacks.
-    +inf for a feasible set that the closed-form tests find empty; a
-    solver that succeeds from no start raises NumericalFailure.
+    +inf for a feasible set that the closed-form tests find empty (the
+    entropy reachable near the face or in the ball, and the ball's
+    distance to the face); a solver that succeeds from no start raises
+    NumericalFailure.
     """
     d = len(p)
     if rate > math.log(d):
@@ -198,8 +200,11 @@ def _min_divergence(rate: float, p: np.ndarray, slack: float,
     support = p > 0
     if _max_entropy_near_face(support, slack) < rate:
         return INF
-    if anchor is not None and _max_entropy_in_ball(anchor, radius) < rate:
-        return INF
+    if anchor is not None:
+        off = anchor[~support]  # the face point nearest the anchor spreads this mass evenly on the support
+        face_gap = math.sqrt(off @ off + off.sum() ** 2 / support.sum()) - radius
+        if face_gap > slack or _max_entropy_in_ball(anchor, radius) < rate:
+            return INF
     log_p = np.log(p[support])
     zeros = np.zeros(d)
 

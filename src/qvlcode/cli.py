@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -444,58 +444,39 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="qvlcode", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--n", type=int)
-        p.add_argument("--d", type=int, default=2)
-        p.add_argument("--delta", type=float)
-        p.add_argument("--delta1", type=float)
-        p.add_argument("--rate", type=float)
-        p.add_argument("--schedule", action="store_true",
-                       help="use the radius schedule delta = n^(-1/4)")
-        p.add_argument("--spectrum", type=str,
-                       help="comma-separated descending probabilities")
-        p.add_argument("--spectrum-set", type=str,
-                       help="semicolon-separated spectra for a restricted code")
-        p.add_argument("--source", type=str, help="path to a JSON source file")
-        p.add_argument("--n-grid", type=str, help="start:stop:step or comma list")
-        p.add_argument("--t1", type=float)
-        p.add_argument("--t0", type=float)
-        p.add_argument("--dtheta", type=float)
-        p.add_argument("--criterion", type=str, default="exact",
-                       choices=["exact", "dprime", "prime", "definitional"])
-        p.add_argument("--samples", type=int)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", type=str, default="csv", choices=["csv", "json"])
-        p.add_argument("--output", type=str)
-        p.add_argument("--threads", type=int, default=1)
-    return parser
+    """One parser for every command: the command is a positional, and the
+    options, common to all commands, may come before or after it."""
+    p = _Parser(prog="qvlcode", description=__doc__)
+    p.add_argument("command", choices=list(COMMANDS))
+    p.add_argument("--n", type=int)
+    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--delta", type=float)
+    p.add_argument("--delta1", type=float)
+    p.add_argument("--rate", type=float)
+    p.add_argument("--schedule", action="store_true", help="use the radius schedule delta = n^(-1/4)")
+    p.add_argument("--spectrum", type=str, help="comma-separated descending probabilities")
+    p.add_argument("--spectrum-set", type=str, help="semicolon-separated spectra for a restricted code")
+    p.add_argument("--source", type=str, help="path to a JSON source file")
+    p.add_argument("--n-grid", type=str, help="start:stop:step or comma list")
+    p.add_argument("--t1", type=float)
+    p.add_argument("--t0", type=float)
+    p.add_argument("--dtheta", type=float)
+    p.add_argument("--criterion", type=str, default="exact", choices=["exact", "dprime", "prime", "definitional"])
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", type=str, default="csv", choices=["csv", "json"])
+    p.add_argument("--output", type=str)
+    p.add_argument("--threads", type=int, default=1)
+    return p
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
-        command=args.command,
-        n=args.n,
-        d=args.d,
-        delta=args.delta,
-        delta1=args.delta1,
-        rate=args.rate,
-        schedule=args.schedule,
-        spectrum=_parse_spectrum(args.spectrum) if args.spectrum else None,
-        spectrum_set=_parse_spectrum_set(args.spectrum_set) if args.spectrum_set else None,
-        source_path=args.source,
-        n_grid=_parse_n_grid(args.n_grid) if args.n_grid else None,
-        t1=args.t1,
-        t0=args.t0,
-        dtheta=args.dtheta,
-        criterion=args.criterion,
-        samples=args.samples,
-        seed=args.seed,
-        format=args.format,
-        output=args.output,
-    )
+    raw = vars(args)
+    kwargs = {f.name: raw[f.name] for f in fields(ExperimentConfig) if f.name in raw}
+    for name, parse in (("spectrum", _parse_spectrum), ("spectrum_set", _parse_spectrum_set),
+                        ("n_grid", _parse_n_grid)):
+        kwargs[name] = parse(raw[name]) if raw[name] else None
+    return ExperimentConfig(source_path=args.source, **kwargs)
 
 
 def main(argv=None) -> int:

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.special import gammaln, xlog1py, xlogy
 
-from . import young
+from . import linalg, young
 from .info import lattice_count_bounds, sorted_spectrum, sum_zero_ball
 from .linalg import (
     DimensionBudgetError,
@@ -60,6 +60,10 @@ REJECT = None
 # Bytes per membership and coordinate held while the d >= 3 cluster index
 # is built (the sums, the sort keys and order, and the sorted copy).
 MEMBER_BYTES = 32
+# Complex d^n x d^n matrices one outcome holds at once in the instrument
+# simulation (post states, square roots, eigenvectors): tracemalloc reads
+# about 6 at n = 7 and 8, and LAPACK workspace comes on top.
+SIMULATION_STACKS = 12
 
 
 @dataclass(frozen=True)
@@ -410,8 +414,9 @@ def cluster_expectations(code: VLCode, source: Source, exponents: tuple[float, .
     ``schur_weyl.dense_block_probs`` (within linalg.MAX_BYTES) and are
     summed over each cluster by the incidence matrix.  Above
     MAX_ATOM_TYPES types, or when ``samples`` is given (which also forces
-    the dense route), counter-seeded Monte Carlo over sequences replaces
-    the type sum; its stderr is the standard error of the average error
+    the dense route), counter-seeded Monte Carlo draws replace the type
+    probabilities by the sampled types' counts, each sampled type
+    evaluated once; its stderr is the standard error of the average error
     estimate 1 - sum over accepted outcomes / C1.
     """
     n, m = code.n, source.num_atoms
@@ -427,30 +432,30 @@ def cluster_expectations(code: VLCode, source: Source, exponents: tuple[float, .
         if diag is None:
             return code._incidence @ dense_block_probs(labels, tensor(*(source.states[j] for j in seq)))
         return code._incidence @ diagonal_block_probs(labels, [diag[1][j] for j in seq])
+    sampled = samples is not None or math.comb(n + m - 1, m - 1) > MAX_ATOM_TYPES
+    if sampled:
+        samples = samples or 10**5
+        # draw i from the generator seeded [seed, i]; each draw counts only through its type
+        draws = [np.bincount(np.random.default_rng([seed, i]).choice(m, size=n, p=source.weights), minlength=m)
+                 for i in range(samples)]
+        taus, weights = np.unique(draws, axis=0, return_counts=True)
+    else:
+        taus, weights = _atom_types(source.weights, n)
     totals = np.zeros((len(exponents), len(code.outcomes)))
-    if samples is None and math.comb(n + m - 1, m - 1) <= MAX_ATOM_TYPES:
-        for tau, w in zip(*_atom_types(source.weights, n)):
-            clipped = np.clip(traces(np.repeat(np.arange(m), tau)), 0.0, 1.0)
-            for row, e in zip(totals, exponents):
-                row += w * clipped**e
-        return [dict(zip(code.outcomes, row.tolist())) for row in totals], None
-    if samples is None:
-        samples = 10**5
-    acc = code._accepted_mask
-    kept = [0.0] * len(exponents)
-    sq = [0.0] * len(exponents)
-    for i in range(samples):
-        rng = np.random.default_rng([seed, i])
-        clipped = np.clip(traces(rng.choice(m, size=n, p=source.weights)), 0.0, 1.0)
+    kept = np.zeros((len(exponents), len(taus)))  # a sampled type's accepted sum per exponent
+    for i, (tau, w) in enumerate(zip(taus, weights)):
+        clipped = np.clip(traces(np.repeat(np.arange(m), tau)), 0.0, 1.0)
         for j, e in enumerate(exponents):
             vals = clipped**e
-            totals[j] += vals
-            one = sum(vals[acc].tolist())
-            kept[j] += one
-            sq[j] += one * one
-    stderrs = [math.sqrt(max(0.0, q / samples - (t / samples) ** 2) / samples) / code.c1_count
-               for t, q in zip(kept, sq)]
-    return [dict(zip(code.outcomes, row.tolist())) for row in totals / samples], stderrs
+            totals[j] += w * vals
+            if sampled:
+                kept[j, i] = vals[code._accepted_mask].sum()
+    stderrs = None
+    if sampled:  # the draws' spread about their mean, each sum exactly rounded
+        means = [math.fsum(weights * row) / samples for row in kept]
+        stderrs = [math.sqrt(math.fsum(weights * (row - mean) ** 2)) / samples / code.c1_count
+                   for row, mean in zip(kept, means)]
+    return [dict(zip(code.outcomes, row.tolist())) for row in totals / (samples or 1)], stderrs
 
 
 # --- outcome statistics -----------------------------------------------------
@@ -548,27 +553,35 @@ def _simulated_error(code: VLCode, source: Source, accepted_error) -> float:
     """Average over atom sequences and outcomes of p_k times the error of
     the normalized post-measurement state, by dense instrument simulation.
 
-    ``accepted_error(seq, rho, sigma)`` gives it for accepted outcomes; the
-    reject flag leaves the decoder no copy and is charged the worst case 1.
-    Both criteria are invariant under permuting the copies (the
-    post-measurement state is permuted alike), so one sequence per atom
-    type carries the type's probability.
+    ``accepted_error(seq, rho, sigmas)`` gives it for a stack of accepted
+    outcomes' states at once; the reject flag leaves the decoder no copy
+    and is charged the worst case 1.  Both criteria are invariant under
+    permuting the copies (the post-measurement state is permuted alike),
+    so one sequence per atom type carries the type's probability.  The
+    outcomes of a type go in chunks whose stacks, SIMULATION_STACKS
+    complex matrices per outcome, fit beside the projectors within
+    linalg.MAX_BYTES; a chunk holds at least one outcome.
     """
-    n = code.n
-    require_bytes(dense_bytes(n, code.d, len(code.outcomes)), "the dense instrument simulation")
+    n, dim = code.n, code.d**code.n
+    held = dense_bytes(n, code.d, len(code.outcomes))
+    require_bytes(held, "the dense instrument simulation")
     # P_k is a projector, so sqrt(M_k) = P_k / sqrt(C1)
     roots = _instrument_matrices(code)
     roots /= math.sqrt(code.c1_count)
-    acc = set(code.accepted)
+    chunk = max(1, (linalg.MAX_BYTES - held) // (SIMULATION_STACKS * 16 * dim * dim))
     total = 0.0
     for tau, w in zip(*_atom_types(source.weights, n)):
         seq = np.repeat(np.arange(source.num_atoms), tau)
         rho = tensor(*(source.states[j] for j in seq))
-        for k, root in zip(code.outcomes, roots):
-            post = root @ rho @ root
-            p = float(np.real(np.trace(post)))
-            if p > 1e-15:
-                total += w * p * (accepted_error(seq, rho, post / p) if k in acc else 1.0)
+        for first in range(0, len(roots), chunk):
+            r = roots[first:first + chunk]
+            posts = r @ rho @ r
+            p = np.trace(posts, axis1=1, axis2=2).real
+            live = p > 1e-15
+            acc = live & code._accepted_mask[first:first + chunk]
+            total += w * p[live & ~acc].sum()
+            if acc.any():
+                total += w * (p[acc] @ accepted_error(seq, rho, posts[acc] / p[acc, None, None]))
     return total
 
 
@@ -580,15 +593,15 @@ def average_error_definitional(code: VLCode, source: Source) -> float:
     defining expression, kept independent of the closed chain so the two
     can check each other.
     """
-    return _simulated_error(code, source, lambda seq, rho, sigma: 1.0 - fidelity(rho, sigma))
+    return _simulated_error(code, source, lambda seq, rho, sigmas: 1.0 - fidelity(rho, sigmas))
 
 
 def average_error_prime(code: VLCode, source: Source) -> float:
     """Per-copy error: mean squared Bures distance between each input
     factor and the matching normalized partial trace of the output."""
-    def per_copy(seq, rho, sigma):
-        return sum(1.0 - fidelity(source.states[j], partial_trace(sigma, code.d, i))
-                   for i, j in enumerate(seq)) / code.n
+    def per_copy(seq, rho, sigmas):
+        marginals = np.stack([partial_trace(sigmas, code.d, i) for i in range(code.n)], axis=1)
+        return (1.0 - fidelity(np.array(source.states)[seq], marginals)).mean(axis=1)
 
     return _simulated_error(code, source, per_copy)
 

@@ -48,16 +48,16 @@ def tensor(*factors: np.ndarray) -> np.ndarray:
         rows *= f.shape[0]
         cols *= f.shape[1]
     require_bytes(rows * cols * 16, f"a {rows} x {cols} tensor product")
-    out = np.asarray(factors[0], dtype=complex)
-    for f in factors[1:]:
-        # np.kron's entries by one broadcast product, without its overhead
-        out = (out[:, None, :, None] * f[None, :, None, :]).reshape(out.shape[0] * f.shape[0], -1)
+    out = np.asarray(factors[-1], dtype=complex)
+    for f in reversed(factors[:-1]):
+        # np.kron(f, out) by one broadcast product, the inner loop over the big factor
+        out = (f[:, None, :, None] * out[None, :, None, :]).reshape(f.shape[0] * out.shape[0], -1)
     return out
 
 
 def hermitianize(a: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (A + A*)/2."""
-    return (a + a.conj().T) / 2
+    """Return the Hermitian part (A + A*)/2, of each matrix of a stack."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def validate_density(rho: np.ndarray, tol: float = VALIDATION_TOL) -> np.ndarray:
@@ -92,40 +92,42 @@ def pure_state(vec) -> np.ndarray:
 
 
 def psd_sqrt(m: np.ndarray, tol: float = VALIDATION_TOL) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix via eigendecomposition.
+    """Principal square root of a Hermitian PSD matrix via eigendecomposition,
+    of each matrix of a stack (leading axes broadcast).
 
-    Eigenvalues below -tol (relative to the largest) are rejected; small
+    Each matrix is checked on its own: a Hermitian residual above 1e-10 or
+    an eigenvalue below -1e-10 relative to its largest is rejected; small
     negatives from roundoff are clipped to zero.
     """
     m = np.asarray(m, dtype=complex)
-    herm_res = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if herm_res > 1e-10:
-        raise ValueError(f"psd_sqrt: input not Hermitian (residual {herm_res:.3e})")
+    herm_res = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    if np.any(herm_res > 1e-10):
+        raise ValueError(f"psd_sqrt: input not Hermitian (residual {herm_res.max():.3e})")
     w, v = npl.eigh(hermitianize(m))
-    scale = max(1.0, abs(w[-1]))
-    if w[0] < -1e-10 * scale:
-        raise ValueError(f"psd_sqrt: negative eigenvalue {w[0]:.3e}")
+    top = np.abs(w[..., -1:])
+    if np.any(w[..., :1] < -1e-10 * np.maximum(1.0, top)):
+        raise ValueError(f"psd_sqrt: negative eigenvalue {w[..., 0].min():.3e}")
     # Zero the near-null space: sqrt amplifies eigensolver noise at 0
     # (1e-16 -> 1e-8), which would wreck fidelities of rank-deficient states.
-    w = np.where(w > abs(w[-1]) * 1e-13, w, 0.0)
-    w = np.sqrt(np.clip(w, 0.0, None))
-    return (v * w) @ v.conj().T
+    w = np.sqrt(np.where(w > top * 1e-13, w, 0.0))
+    return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Root fidelity Tr|sqrt(rho) sqrt(sigma)| of two density matrices.
+def fidelity(rho: np.ndarray, sigma: np.ndarray):
+    """Root fidelity Tr|sqrt(rho) sqrt(sigma)| of two density matrices, or
+    of each pair of two stacks (leading axes broadcast).
 
     Computed as the sum of singular values of sqrt(rho) @ sqrt(sigma),
     which avoids one nested matrix square root.  Symmetric in its
     arguments; equals 1 iff the states coincide.  For pure states it
-    reduces to |<psi|phi>|.
+    reduces to |<psi|phi>|.  Two matrices give a float, stacks an array.
     """
-    if rho.shape != sigma.shape:
+    rho, sigma = np.asarray(rho), np.asarray(sigma)
+    if rho.shape[-2:] != sigma.shape[-2:]:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    a = psd_sqrt(rho)
-    b = psd_sqrt(sigma)
-    sv = npl.svd(a @ b, compute_uv=False)
-    return float(min(1.0, sv.sum()))
+    sv = npl.svd(psd_sqrt(rho) @ psd_sqrt(sigma), compute_uv=False)
+    f = np.minimum(1.0, sv.sum(axis=-1))
+    return float(f) if f.ndim == 0 else f
 
 
 def bures(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -134,29 +136,22 @@ def bures(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 
 def partial_trace(state: np.ndarray, d: int, keep: int) -> np.ndarray:
-    """Trace out all tensor slots except ``keep`` from a state on (C^d)^{x n}.
+    """Trace out all tensor slots except ``keep`` from a state on (C^d)^{x n},
+    or from each state of a stack (leading axes kept).
 
     ``n`` is inferred from the matrix size, which must be an exact power
     of d.  Slots are 0-indexed.  The trace of the result equals the
     trace of the input.
     """
-    dim = state.shape[0]
-    n = 0
-    size = 1
-    while size < dim:
-        size *= d
-        n += 1
-    if size != dim or state.shape != (dim, dim):
+    dim = state.shape[-1]
+    n = round(np.log(dim) / np.log(d)) if d > 1 and dim > 0 else 0
+    if d**n != dim or state.shape[-2:] != (dim, dim):
         raise ValueError(f"state dimension {state.shape} is not a power of d={d}")
     if not 0 <= keep < n:
         raise ValueError(f"keep index {keep} out of range for n={n}")
-    t = state.reshape([d] * (2 * n))
-    # Contract row/column indices of every slot except `keep`.
-    for slot in range(n - 1, -1, -1):
-        if slot == keep:
-            continue
-        t = np.trace(t, axis1=slot, axis2=t.ndim // 2 + slot)
-    return t
+    # rows and columns split as (slots before, slot keep, slots after)
+    split = (d**keep, d, d ** (n - keep - 1))
+    return np.einsum("...aibajb->...ij", state.reshape(state.shape[:-2] + split + split))
 
 
 def trace_norm(a: np.ndarray) -> float:

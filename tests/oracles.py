@@ -5,9 +5,10 @@ projectors by the n!-term character sum
 P_lam = (dim V_lam / n!) sum_sigma chi_lam(sigma) Perm(sigma), against
 which the class-sum eigenspaces of ``schur_weyl.young_projectors`` are
 checked; the linear-domain two-row bialternant; the entropy of a count
-vector; and the ten-start finite-difference SLSQP for the overflow
+vector; the ten-start finite-difference SLSQP for the overflow
 floor's divergence program, against which ``bounds._min_divergence`` is
-checked.
+checked; and the per-sample Monte Carlo loop, against which the
+type-tallied sampling route of ``codec.cluster_expectations`` is checked.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import numpy as np
 from scipy import optimize
 
 from qvlcode import info, young
-from qvlcode.schur_weyl import permutation_index_map
+from qvlcode.linalg import tensor
+from qvlcode.schur_weyl import dense_block_probs, permutation_index_map
 
 
 @lru_cache(maxsize=None)
@@ -174,3 +176,29 @@ def slsqp_min_divergence(rate: float, p, slack: float, anchor=None, radius=None)
         if res.success:
             best = min(best, max(0.0, float(res.fun)))
     return best
+
+
+def monte_carlo_expectations(code, source, exponents, samples: int, seed: int):
+    """Cluster expectations of a non-commuting source by the per-sample loop:
+    draw i from ``default_rng([seed, i])``, one tensor product and one set of
+    dense block probabilities per draw.  Returns (one dict per exponent, one
+    stderr per exponent), the stderr from the running sums of each draw's
+    accepted sum and of its square."""
+    n, m = code.n, source.num_atoms
+    acc = code._accepted_mask
+    totals = np.zeros((len(exponents), len(code.outcomes)))
+    kept = [0.0] * len(exponents)
+    sq = [0.0] * len(exponents)
+    for i in range(samples):
+        seq = np.random.default_rng([seed, i]).choice(m, size=n, p=source.weights)
+        rho = tensor(*(source.states[j] for j in seq))
+        clipped = np.clip(code._incidence @ dense_block_probs(code._label_array, rho), 0.0, 1.0)
+        for j, e in enumerate(exponents):
+            vals = clipped**e
+            totals[j] += vals
+            one = sum(vals[acc].tolist())
+            kept[j] += one
+            sq[j] += one * one
+    stderrs = [math.sqrt(max(0.0, q / samples - (t / samples) ** 2) / samples) / code.c1_count
+               for t, q in zip(kept, sq)]
+    return [dict(zip(code.outcomes, row.tolist())) for row in totals / samples], stderrs

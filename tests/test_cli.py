@@ -143,6 +143,9 @@ class TestConfigHandling:
     def test_unknown_command(self, capsys):
         assert cli.main(["frobnicate"]) == 1
 
+    def test_options_before_the_command(self):
+        assert run_text(["--n", "4", "--format", "json", "dims"]) == run_text(["dims", "--n", "4", "--format", "json"])
+
     def test_block_probability_off_the_unit_interval_exits_3(self, monkeypatch, tmp_path, capsys):
         # doubled projectors give block probabilities up to 2: a numerical
         # failure, reported without a traceback
@@ -336,6 +339,16 @@ class TestCommands:
                 assert math.isfinite(floor) and floor <= exponent + 1e-9
             else:
                 assert floor == math.inf
+
+    def test_bounds_anchor_ball_apart_from_the_support_face(self, capsys, monkeypatch):
+        # the anchor's ball and the face's slack neighbourhood each reach the
+        # rate but do not meet: inf by the closed form, with no solver call
+        monkeypatch.setattr(bounds.optimize, "minimize", lambda *args, **kwargs: pytest.fail("solver called"))
+        argv = ["bounds", "--n", "40000", "--d", "3", "--delta", "0.005", "--delta1", "0.004", "--rate", "0.6",
+                "--spectrum", "0.5,0.5,0", "--spectrum-set", "0.2,0.3,0.5", "--format", "json"]
+        assert cli.main(argv) == 0
+        values = {r["bound"]: r["value"] for r in json.loads(capsys.readouterr().out)["results"]}
+        assert values["overflow-exponent-restricted"] == math.inf
 
 
 class TestBoundsAtScale:

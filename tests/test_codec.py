@@ -654,6 +654,58 @@ class TestAtomTypeRoutes:
         assert abs(mc - exact) <= 4 * mc_stderr
 
 
+# --- Monte Carlo by sampled atom type, and the simulations by chunk of outcomes -
+
+MONTE_CARLO_CASES = {
+    "two-atom-n5": (CodeParams(n=5, d=2, delta=0.3), noncommuting_source, 300),
+    "three-atom-n5-restricted": (CodeParams(n=5, d=2, delta=0.3, delta1=0.29, spectrum_set=((1.0, 0.0),)),
+                                 three_atom_source, 300),
+    "two-atom-n9": (CodeParams(n=9, d=2, delta=delta_schedule(9)[0]), noncommuting_source, 60),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MONTE_CARLO_CASES))
+def test_monte_carlo_by_type_against_per_sample_loop(name, monkeypatch):
+    params, make, samples = MONTE_CARLO_CASES[name]
+    code, source = build_code(params), make()
+    exponents = (1.0, 1.5, 2.0)
+    want, want_stderrs = oracles.monte_carlo_expectations(code, source, exponents, samples, seed=7)
+    calls = []
+    probs = codec.dense_block_probs
+    monkeypatch.setattr(codec, "dense_block_probs", lambda labels, rho: calls.append(1) or probs(labels, rho))
+    got, stderrs = codec.cluster_expectations(code, source, exponents, samples=samples, seed=7)
+    # one evaluation per sampled atom type, of which there are at most C(n + m - 1, m - 1)
+    assert len(calls) <= math.comb(code.n + source.num_atoms - 1, source.num_atoms - 1) < samples
+    for g, w in zip(got, want):
+        for k in w:
+            assert g[k] == pytest.approx(w[k], abs=1e-12), k
+    assert stderrs == pytest.approx(want_stderrs, abs=1e-12)
+
+
+SIMULATION_CASES = {
+    "two-atom-n5": (CodeParams(n=5, d=2, delta=0.3), noncommuting_source),
+    "three-atom-n5-restricted": (CodeParams(n=5, d=2, delta=0.3, delta1=0.29, spectrum_set=((1.0, 0.0),)),
+                                 three_atom_source),
+}
+
+
+@pytest.mark.parametrize("simulate", [codec.average_error_definitional, codec.average_error_prime])
+@pytest.mark.parametrize("name", sorted(SIMULATION_CASES))
+def test_simulation_in_one_outcome_chunks_equals_one_chunk(name, simulate, monkeypatch):
+    params, make = SIMULATION_CASES[name]
+    code, source = build_code(params), make()
+    stacks = []
+    fid = codec.fidelity
+    monkeypatch.setattr(codec, "fidelity", lambda a, b: stacks.append(len(b)) or fid(a, b))
+    whole = simulate(code, source)
+    assert max(stacks) > 1  # every accepted outcome of a type in one stack
+    stacks.clear()
+    # no room beside the projectors: one outcome per chunk
+    monkeypatch.setattr(linalg, "MAX_BYTES", dense_bytes(code.n, code.d, len(code.outcomes)))
+    assert simulate(code, source) == pytest.approx(whole, abs=1e-12)
+    assert set(stacks) == {1}
+
+
 # --- the array route for d >= 3 against the routes it replaced ---------------
 
 def set_clusters(params):

@@ -45,10 +45,18 @@ def test_tensor_mixed_product_identity():
 
 
 def test_tensor_equals_kron():
+    # the product is built from the last factor outward, so it may differ
+    # from np.kron chained in order in the last bits only
     rng = np.random.default_rng(3)
-    a, b = rng.normal(size=(2, 3)), rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-    c = random_density(2, rng)
-    assert np.array_equal(tensor(a, b, c), np.kron(np.kron(a.astype(complex), b), c))
+    for shapes in ([(2, 2)] * 9, [(3, 3)] * 5, [(2, 3), (3, 2), (2, 2), (1, 4)]):
+        factors = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
+        factors[0] = factors[0].real  # a real factor among complex ones
+        want = np.ones((1, 1), dtype=complex)
+        for f in factors:
+            want = np.kron(want, f)
+        got = tensor(*factors)
+        assert got.shape == want.shape and got.dtype == complex
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), shapes
 
 
 def test_tensor_budget(monkeypatch):
@@ -196,3 +204,82 @@ def test_joint_eigenbasis_commuting():
 
 def test_joint_eigenbasis_noncommuting():
     assert joint_eigenbasis([pure_state([1, 0]), pure_state([1, 1])]) is None
+
+
+# --- stacks: leading axes broadcast, each matrix checked on its own -----------
+
+def _state_stack(d: int, count: int) -> np.ndarray:
+    """Random states of mixed rank: pure, rank 2, full rank, and the zero-padded
+    embedding of a smaller state (exactly rank-deficient)."""
+    rng = np.random.default_rng(d)
+    out = []
+    for i in range(count):
+        if i % 4 == 0:
+            out.append(random_density(d, rng, pure=True))
+        elif i % 4 == 1:
+            v = rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2))
+            m = v @ v.conj().T
+            out.append(m / np.trace(m).real)
+        elif i % 4 == 2:
+            out.append(random_density(d, rng))
+        else:
+            m = np.zeros((d, d), dtype=complex)
+            m[:d - 1, :d - 1] = random_density(d - 1, rng)
+            out.append(m)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_psd_sqrt_stack_equals_loop(d):
+    stack = _state_stack(d, 8)
+    got = psd_sqrt(stack)
+    assert got.shape == stack.shape
+    for g, m in zip(got, stack):
+        assert np.max(np.abs(g - psd_sqrt(m))) <= 1e-13
+    # two leading axes
+    assert np.allclose(psd_sqrt(stack.reshape(2, 4, d, d)), got.reshape(2, 4, d, d), atol=1e-13, rtol=0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_fidelity_stack_equals_loop(d):
+    rhos, sigmas = _state_stack(d, 8), _state_stack(d, 12)[4:]
+    pairs = fidelity(rhos, sigmas)
+    assert isinstance(pairs, np.ndarray) and pairs.shape == (8,)
+    one_many = fidelity(rhos[0], sigmas)
+    for i in range(8):
+        assert pairs[i] == pytest.approx(fidelity(rhos[i], sigmas[i]), abs=1e-13)
+        assert one_many[i] == pytest.approx(fidelity(rhos[0], sigmas[i]), abs=1e-13)
+    assert np.allclose(fidelity(rhos, rhos), 1.0, atol=1e-12, rtol=0)
+    value = fidelity(rhos[1], sigmas[1])
+    assert type(value) is float
+
+
+def test_stack_with_one_bad_member_raises():
+    stack = _state_stack(3, 6)
+    skew = stack.copy()
+    skew[4, 0, 1] += 1e-6  # one member not Hermitian
+    negative = stack.copy()
+    negative[2] = np.diag([1.2, 0.0, -0.2]).astype(complex)  # one member with a negative eigenvalue
+    for bad in (skew, negative):
+        with pytest.raises(ValueError):
+            psd_sqrt(bad)
+        with pytest.raises(ValueError):
+            fidelity(stack[0], bad)
+
+
+def test_stack_negativity_is_relative_to_each_member():
+    # -1e-9 is roundoff beside an eigenvalue of 1e3 but not beside 1
+    big = np.diag([1e3, -1e-9]).astype(complex)
+    assert np.allclose(psd_sqrt(np.array([big, np.eye(2)])), [np.diag([1e3**0.5, 0.0]), np.eye(2)])
+    with pytest.raises(ValueError):
+        psd_sqrt(np.array([big, np.diag([1.0, -1e-9]).astype(complex)]))
+
+
+def test_partial_trace_stack_equals_loop():
+    rng = np.random.default_rng(11)
+    stack = np.array([tensor(*(random_density(2, rng) for _ in range(4))) for _ in range(3)])
+    for keep in range(4):
+        got = partial_trace(stack, 2, keep)
+        assert got.shape == (3, 2, 2)
+        for g, s in zip(got, stack):
+            assert np.allclose(g, partial_trace(s, 2, keep), atol=1e-14, rtol=0)
