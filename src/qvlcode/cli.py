@@ -244,8 +244,8 @@ def cmd_distribution(config: ExperimentConfig, pool) -> list[dict]:
     _require(config, "n")
     code = _build_code(config)
     source = _resolve_source(config)
-    records = codec.outcome_records(code, source, samples=config.samples, seed=config.seed)
-    method = "monte-carlo" if config.samples else "closed-form"
+    records, stderr = codec.outcome_records(code, source, samples=config.samples, seed=config.seed)
+    method = "monte-carlo" if stderr is not None else "closed-form"
     return [{
         "outcome": _fmt_outcome(rec.k),
         "probability": rec.probability,
@@ -385,7 +385,7 @@ def cmd_fixed_length(config: ExperimentConfig, pool) -> list[dict]:
         "error_variable": rep.error_variable,
         "overflow": rep.overflow,
         "inequality_slack": rep.slack,
-        "method": "monte-carlo" if config.samples else "closed-form",
+        "method": "monte-carlo" if rep.stderr is not None else "closed-form",
     }]
 
 

@@ -10,13 +10,13 @@ the covered blocks; the decoder embeds that subspace back.
 
 Everything observable about the code reduces to block probabilities,
 which ``schur_weyl`` computes over label arrays (dense, i.i.d. closed
-form, Kostka); this module only sums them over clusters: one log-sum-exp
-per cluster for outcome statistics, one sparse outcomes x labels
-incidence for error expectations.  Commuting d = 2 sources take an O(n)
-closed form per atom type, and seeded Monte Carlo is the fallback.  The
-instrument commutes with permutations of the copies, so every
-expectation over the source is a sum over atom types (``_atom_types``),
-one sequence per type.
+form, letter-count law); this module only reduces them over clusters,
+by one function for log-domain values (outcome statistics, lengths) and
+linear ones (error expectations): window runs for d = 2, the membership
+index for d >= 3.  The instrument commutes with permutations of the
+copies, so every expectation over the source is a sum over atom types
+(``_atom_types``), one sequence per type, evaluated a batch of types at
+a time; seeded Monte Carlo over the types is the fallback.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.special import gammaln, xlog1py, xlogy
+from scipy.special import gammaln, xlogy
 
 from . import linalg, young
 from .info import lattice_count_bounds, sorted_spectrum, sum_zero_ball
@@ -131,9 +130,11 @@ class VLCode:
             self.c1_count = len(offsets)
             t = self.window_halfwidth = offsets[0][0]
             self.outcomes = tuple((k0, n - k0) for k0 in range(n + t, (n + 1) // 2 - t - 1, -1))
+            self._terms = n // 2 + 6 * t + 2  # the padded windows of ``_cluster_reduce``
         else:
             self._index, self._starts, outcomes, self.c1_count = self._members()
             self.outcomes = tuple(map(tuple, outcomes.tolist()))
+            self._terms = len(self._index)
         self.blocks = _Clusters(self)
         if params.restricted:
             limit = params.delta1 * (1 + 1e-9) + 1e-12
@@ -179,32 +180,25 @@ class VLCode:
     def labels(self) -> tuple[tuple[int, ...], ...]:
         return young.young_indices(self.n, self.d)
 
-    def window(self, k) -> tuple[int, int]:
-        """Range [lo, hi] of the larger parts a of the labels (a, n - a)
-        covered by outcome k of a d = 2 code."""
-        n, t = self.n, self.window_halfwidth
-        if len(k) != 2 or k[0] + k[1] != n or not (n + 1) // 2 - t <= k[0] <= n + t:
-            raise KeyError(f"unknown outcome {tuple(k)}")
-        return max(k[0] - t, (n + 1) // 2), min(k[0] + t, n)
-
     @cached_property
     def _position(self) -> dict[tuple[int, ...], int]:
         return {k: i for i, k in enumerate(self.outcomes)}
 
-    def _cluster_logsumexp(self, block_logs: np.ndarray) -> np.ndarray:
-        """Per-outcome log-sum-exp of ``block_logs`` over each cluster, in
-        ``outcomes`` order.  For d = 2 entry i is for the label
-        (ceil(n/2) + i, .), padded by 2t on both sides so every window has
-        the full width 2t + 1; otherwise entry i is for ``labels[i]``."""
+    def _cluster_reduce(self, values: np.ndarray, ufunc) -> np.ndarray:
+        """Reduce the last axis of ``values`` over each cluster by ``ufunc``
+        (np.add, or np.logaddexp for log-domain values), in ``outcomes``
+        order.  For d = 2 entry i is for the label (ceil(n/2) + i, .), and
+        the windows of width 2t + 1 that meet the labels are the clusters;
+        otherwise entry i is for ``labels[i]``."""
         if self.d == 2:
-            pad = np.full(2 * self.window_halfwidth, NEG_INF)
-            width = 2 * self.window_halfwidth + 1
-            return _window_logsumexp(np.concatenate([pad, block_logs, pad]), width)[::-1]
-        return _grouped_logsumexp(block_logs[self._index], self._starts)
+            return _window_reduce(values, 2 * self.window_halfwidth + 1, ufunc)[..., ::-1]
+        if ufunc is np.add:
+            return np.add.reduceat(values[..., self._index], self._starts[:-1], axis=-1)
+        return _grouped_logsumexp(values[self._index], self._starts)
 
     @property
     def _label_array(self) -> np.ndarray:
-        """The labels as an (L, d) array in ``_cluster_logsumexp`` order:
+        """The labels as an (L, d) array in ``_cluster_reduce`` order:
         (a, n - a) for a rising from ceil(n/2) when d = 2, else ``labels``."""
         if self.d == 2:
             a = np.arange((self.n + 1) // 2, self.n + 1)
@@ -212,20 +206,11 @@ class VLCode:
         return np.array(self.labels)
 
     @cached_property
-    def _incidence(self) -> csr_array:
-        """Outcomes x labels 0/1 matrix (rows in ``outcomes`` order, columns
-        in ``_label_array`` order) that sums per-label values over clusters."""
-        column = {lam: j for j, lam in enumerate(map(tuple, self._label_array.tolist()))}
-        clusters = list(self.blocks.values())
-        index = [column[lam] for labels in clusters for lam in labels]
-        starts = np.cumsum([0] + [len(labels) for labels in clusters])
-        return csr_array((np.ones(len(index)), index, starts), shape=(len(clusters), len(column)))
-
-    @cached_property
     def _log_dims(self) -> np.ndarray:
         """ln(subspace dimension) per outcome in ``outcomes`` order, in lgamma."""
         labels = self._label_array
-        return self._cluster_logsumexp(young.log_dim_sym_group(labels) + young.log_dim_unitary_group(labels))
+        return self._cluster_reduce(young.log_dim_sym_group(labels) + young.log_dim_unitary_group(labels),
+                                    np.logaddexp)
 
     def subspace_dim(self, k) -> int:
         """Total dimension of the blocks covered by outcome k (exact integer)."""
@@ -258,10 +243,10 @@ class _Clusters(Mapping):
 
     def __getitem__(self, k) -> tuple[tuple[int, ...], ...]:
         code = self._code
-        if code.d == 2:
-            lo, hi = code.window(k)
-            return tuple((a, code.n - a) for a in range(hi, lo - 1, -1))
         i = code._position[tuple(k)]
+        if code.d == 2:
+            n, k0, t = code.n, code.outcomes[i][0], code.window_halfwidth
+            return tuple((a, n - a) for a in range(min(k0 + t, n), max(k0 - t, (n + 1) // 2) - 1, -1))
         return tuple(code.labels[j] for j in code._index[code._starts[i]:code._starts[i + 1]].tolist())
 
     def __iter__(self):
@@ -277,19 +262,26 @@ def build_code(params: CodeParams) -> VLCode:
 
 # --- log-domain sums --------------------------------------------------------
 
-def _window_logsumexp(v: np.ndarray, width: int) -> np.ndarray:
-    """Log-sum-exp of every run of ``width`` consecutive entries of v.
+def _window_reduce(v: np.ndarray, width: int, ufunc) -> np.ndarray:
+    """``ufunc``-reduction (np.add on nonnegative terms, or np.logaddexp)
+    of every run of ``width`` consecutive positions that meets the last
+    axis of v, positions off v counting as ``ufunc.identity``: the
+    len + width - 1 runs, first the one that ends at v's first entry.
 
-    Van Herk / Gil-Werman: cut v into blocks of ``width``; a run is a block
-    suffix joined to the next block's prefix, so O(len(v)) in all.
+    Van Herk / Gil-Werman: cut the padded axis into blocks of ``width``; a
+    run is a block suffix joined to the next block's prefix, so O(len) in
+    all and no difference of prefix sums.  The suffixes are the prefixes
+    of the reversed axis, read backwards.
     """
-    blocks = np.concatenate([v, np.full(-len(v) % width, NEG_INF)]).reshape(-1, width)
-    prefix = np.logaddexp.accumulate(blocks, axis=1).ravel()
-    suffix = np.logaddexp.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-    start = np.arange(len(v) - width + 1)
-    out = np.logaddexp(suffix[start], prefix[start + width - 1])
-    whole = start % width == 0  # the run is one whole block
-    out[whole] = suffix[start[whole]]
+    lead, size = v.shape[:-1], v.shape[-1]
+    runs = size + width - 1
+    padded = np.full(lead + (-(-(runs + width - 1) // width) * width,), ufunc.identity, dtype=float)
+    padded[..., width - 1:runs] = v
+    prefix = ufunc.accumulate(padded.reshape(lead + (-1, width)), axis=-1).reshape(lead + (-1,))
+    suffix = ufunc.accumulate(padded[..., ::-1].reshape(lead + (-1, width)), axis=-1)
+    suffix = suffix.reshape(lead + (-1,))[..., ::-1]
+    out = ufunc(suffix[..., :runs], prefix[..., width - 1:runs + width - 1])
+    out[..., ::width] = suffix[..., :runs:width]  # the runs that are one whole block
     return out
 
 
@@ -305,10 +297,9 @@ def _grouped_logsumexp(v: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 # Skipped: atom types of total weight below this (no expectation moves by more)
 NEGLIGIBLE_WEIGHT = 1e-17
-# Dropped from the convolutions: binomial letter-count probabilities below this
-NEGLIGIBLE_PMF = 1e-30
-# Above this many atom types the expectations fall back to Monte Carlo
+# Above this many atom types the expectations fall back to this many Monte Carlo draws
 MAX_ATOM_TYPES = 10**6
+FALLBACK_SAMPLES = 10**5
 
 
 def _atom_types(weights, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -332,71 +323,10 @@ def _atom_types(weights, n: int) -> tuple[np.ndarray, np.ndarray]:
     return taus[keep], np.exp(log_w[keep])
 
 
-def _two_level_expectations(code: VLCode, diag, exponents) -> np.ndarray:
-    """E[(Tr P_k rho_1 x ... x rho_n)^e] per exponent e and outcome, commuting d = 2 source.
-
-    A basis vector with c zeros puts weight dimV(a) [a >= h] / C(n, c) on
-    block (a, n - a), h = max(c, n - c), and a window [lo, hi] of blocks
-    telescopes to (C(n, n - max(lo, h)) - C(n, n - hi - 1)) / C(n, c).  So
-    for a letter-count law pmf the outcome's trace is
-    C(n, lo) S(lo) + P(hi) - P(lo) - C(n, hi + 1) S(hi), with P and S the
-    prefix sums over h of pmf and pmf / C(n, c); S is kept in the log
-    domain.  One O(n) pass per atom type.
-    """
-    n = code.n
-    amin = (n + 1) // 2
-    weights, diags = diag
-    qs = [float(q[0]) for q in diags]
-    h = np.arange(amin, n + 1)
-    log_comb = gammaln(n + 1.0) - gammaln(h + 1.0) - gammaln(n - h + 1.0)
-    lo, hi = (np.array([code.window(k) for k in code.outcomes]) - amin).T
-    log_comb_lo = log_comb[lo]
-    log_comb_above = np.append(log_comb[1:], NEG_INF)[hi]
-    taus, probs = _atom_types(weights, n)
-    binomials = {}
-
-    def binomial(j: int, tj: int):
-        if (j, tj) not in binomials:
-            c = np.arange(tj + 1)
-            pmf = np.exp(gammaln(tj + 1.0) - gammaln(c + 1.0) - gammaln(tj - c + 1.0)
-                         + xlogy(c, qs[j]) + xlog1py(tj - c, -qs[j]))
-            big = np.flatnonzero(pmf >= NEGLIGIBLE_PMF)
-            binomials[j, tj] = big[0], pmf[big[0]:big[-1] + 1]
-        return binomials[j, tj]
-
-    total = np.zeros((len(exponents), len(lo)))
-    batch = max(1, (1 << 20) // (n + 1 + len(lo)))  # about 8 MB per array
-    for first in range(0, len(taus), batch):
-        rows = taus[first:first + batch]
-        pmf = np.zeros((len(rows), n + 1))
-        for r, tau in enumerate(rows):
-            start, vals = 0, np.ones(1)
-            for j, tj in enumerate(tau):
-                if tj:
-                    offset, part = binomial(j, int(tj))
-                    start += offset
-                    vals = np.convolve(vals, part)
-            pmf[r, start:start + len(vals)] = vals
-        by_h = pmf[:, amin:] + pmf[:, n - amin::-1]  # c = h and c = n - h
-        if n % 2 == 0:
-            by_h[:, 0] /= 2  # h = n/2 is a single c
-        cum = np.cumsum(by_h, axis=1)
-        with np.errstate(divide="ignore"):
-            log_s = np.logaddexp.accumulate(np.log(by_h) - log_comb, axis=1)
-        v = (np.exp(log_comb_lo + log_s[:, lo]) + cum[:, hi] - cum[:, lo]
-             - np.exp(log_comb_above + log_s[:, hi]))
-        v = np.clip(v, 0.0, 1.0)
-        for row, e in zip(total, exponents):
-            row += probs[first:first + batch] @ v**e
-    return total
-
-
 def _commuting_diag(source: Source):
+    """The atoms' joint diagonals clipped at 0, or None if the atoms do not commute."""
     joint = joint_eigenbasis(source.states)
-    if joint is None:
-        return None
-    _, diags = joint
-    return source.weights, [np.clip(q, 0.0, None) for q in diags]
+    return None if joint is None else np.clip(joint[1], 0.0, None)
 
 
 def cluster_expectations(code: VLCode, source: Source, exponents: tuple[float, ...],
@@ -405,51 +335,52 @@ def cluster_expectations(code: VLCode, source: Source, exponents: tuple[float, .
     each exponent e in ``exponents``.
 
     Returns (one dict outcome -> expectation per exponent, one stderr per
-    exponent or None).  Each sequence's traces are computed once for all
-    exponents.  For d = 2 a commuting source takes the O(n)-per-type
-    closed form, which raises DimensionBudgetError above MAX_ATOM_TYPES
-    types.  Otherwise one sequence per atom type is weighed with the
-    type's probability; its block probabilities come from
-    ``schur_weyl.diagonal_block_probs`` (commuting atoms, any n) or
-    ``schur_weyl.dense_block_probs`` (within linalg.MAX_BYTES) and are
-    summed over each cluster by the incidence matrix.  Above
-    MAX_ATOM_TYPES types, or when ``samples`` is given (which also forces
-    the dense route), counter-seeded Monte Carlo draws replace the type
+    exponent or None).  One sequence per atom type is weighed with the
+    type's probability, and each type's traces are computed once for all
+    exponents, a batch of types at a time: block probabilities from
+    ``schur_weyl.diagonal_block_probs`` (commuting atoms, any n and d) or
+    ``schur_weyl.dense_block_probs`` (within linalg.MAX_BYTES), summed
+    over each cluster by ``VLCode._cluster_reduce``.  Above MAX_ATOM_TYPES
+    types, or when ``samples`` is given (which also forces the dense
+    route), counter-seeded Monte Carlo draws replace the type
     probabilities by the sampled types' counts, each sampled type
     evaluated once; its stderr is the standard error of the average error
     estimate 1 - sum over accepted outcomes / C1.
     """
     n, m = code.n, source.num_atoms
     diag = None if samples is not None else _commuting_diag(source)
-    if diag is not None and code.d == 2:
-        totals = _two_level_expectations(code, diag, exponents)
-        return [dict(zip(code.outcomes, row.tolist())) for row in totals], None
     labels = code._label_array
     if diag is None:  # before any tensor product is built
         require_bytes(dense_bytes(n, code.d), f"the block projectors of n = {n}, d = {code.d}")
 
-    def traces(seq) -> np.ndarray:
+    laws = {}  # each atom's letter-count law per count, shared by the batches
+
+    def block_probs(taus) -> np.ndarray:
         if diag is None:
-            return code._incidence @ dense_block_probs(labels, tensor(*(source.states[j] for j in seq)))
-        return code._incidence @ diagonal_block_probs(labels, [diag[1][j] for j in seq])
+            seqs = (np.repeat(np.arange(m), tau) for tau in taus)
+            return np.array([dense_block_probs(labels, tensor(*(source.states[j] for j in seq))) for seq in seqs])
+        return diagonal_block_probs(labels, diag, taus, laws)
     sampled = samples is not None or math.comb(n + m - 1, m - 1) > MAX_ATOM_TYPES
     if sampled:
-        samples = samples or 10**5
+        samples = samples or FALLBACK_SAMPLES
         # draw i from the generator seeded [seed, i]; each draw counts only through its type
         draws = [np.bincount(np.random.default_rng([seed, i]).choice(m, size=n, p=source.weights), minlength=m)
                  for i in range(samples)]
         taus, weights = np.unique(draws, axis=0, return_counts=True)
     else:
         taus, weights = _atom_types(source.weights, n)
+    # about 8 MB per array: a type's letter-count law, its cluster terms, its traces
+    batch = max(1, (1 << 20) // ((n + 1) ** (code.d - 1) + code._terms + len(code.outcomes)))
     totals = np.zeros((len(exponents), len(code.outcomes)))
     kept = np.zeros((len(exponents), len(taus)))  # a sampled type's accepted sum per exponent
-    for i, (tau, w) in enumerate(zip(taus, weights)):
-        clipped = np.clip(traces(np.repeat(np.arange(m), tau)), 0.0, 1.0)
+    for first in range(0, len(taus), batch):
+        rows = slice(first, first + batch)
+        clipped = np.clip(code._cluster_reduce(block_probs(taus[rows]), np.add), 0.0, 1.0)
         for j, e in enumerate(exponents):
             vals = clipped**e
-            totals[j] += w * vals
+            totals[j] += weights[rows] @ vals
             if sampled:
-                kept[j, i] = vals[code._accepted_mask].sum()
+                kept[j, rows] = vals[:, code._accepted_mask].sum(axis=1)
     stderrs = None
     if sampled:  # the draws' spread about their mean, each sum exactly rounded
         means = [math.fsum(weights * row) / samples for row in kept]
@@ -463,7 +394,8 @@ def cluster_expectations(code: VLCode, source: Source, exponents: tuple[float, .
 def _log_outcome_probs(code: VLCode, spec) -> np.ndarray:
     """log P(outcome k) in ``outcomes`` order for an i.i.d. spectrum: one
     log-sum-exp of the i.i.d. block probabilities per cluster."""
-    return code._cluster_logsumexp(log_block_probs_iid(code._label_array, spec)) - math.log(code.c1_count)
+    logs = code._cluster_reduce(log_block_probs_iid(code._label_array, spec), np.logaddexp)
+    return logs - math.log(code.c1_count)
 
 
 def _with_reject(code: VLCode, per_outcome: np.ndarray, reduce) -> dict:
@@ -488,7 +420,7 @@ def outcome_distribution(code: VLCode, state) -> dict:
     mixture.  A list of factors takes ``schur_weyl.block_probs_product``.
     """
     if isinstance(state, (list, tuple)) and np.asarray(state[0]).ndim == 2:
-        probs = code._incidence @ block_probs_product(code._label_array, state) / code.c1_count
+        probs = code._cluster_reduce(block_probs_product(code._label_array, state), np.add) / code.c1_count
         return _with_reject(code, probs, np.sum)
     spec = sorted_spectrum(state.average_state()) if isinstance(state, Source) else state
     return {k: math.exp(v) for k, v in log_outcome_distribution(code, spec).items()}
@@ -617,9 +549,10 @@ class OutcomeRecord:
 
 
 def outcome_records(code: VLCode, source: Source,
-                    samples: int | None = None, seed: int = 0) -> list[OutcomeRecord]:
-    """Per-outcome probability, length, and error contribution for a source."""
-    (exp1, exp32), _ = cluster_expectations(code, source, (1.0, 1.5), samples=samples, seed=seed)
+                    samples: int | None = None, seed: int = 0) -> tuple[list[OutcomeRecord], float | None]:
+    """Per-outcome probability, length, and error contribution for a source,
+    and the Monte Carlo stderr of the contributions' sum (else None)."""
+    (exp1, exp32), stderrs = cluster_expectations(code, source, (1.0, 1.5), samples=samples, seed=seed)
     acc = set(code.accepted)
     records = []
     reject_prob = 0.0
@@ -632,7 +565,7 @@ def outcome_records(code: VLCode, source: Source,
             reject_prob += p
     if code.params.restricted:
         records.append(OutcomeRecord(REJECT, reject_prob, code.coding_length(REJECT), reject_prob))
-    return records
+    return records, None if stderrs is None else stderrs[1]
 
 
 @dataclass(frozen=True)
@@ -642,6 +575,7 @@ class FixedLengthReport:
     error_variable: float
     overflow: float
     kept_outcomes: int
+    stderr: float | None = None  # of error_variable, on the Monte Carlo route
 
     @property
     def slack(self) -> float:
@@ -659,7 +593,7 @@ def to_fixed_length(code: VLCode, rate: float, source: Source,
     both errors and the overflow probability; the error increase never
     exceeds the overflow.
     """
-    records = outcome_records(code, source, samples=samples, seed=seed)
+    records, stderr = outcome_records(code, source, samples=samples, seed=seed)
     n = code.n
     err_fixed = err_vl = overflow = 0.0
     kept = 0
@@ -674,4 +608,4 @@ def to_fixed_length(code: VLCode, rate: float, source: Source,
             err_fixed += rec.error_contribution
             if rec.k is not REJECT:
                 kept += 1
-    return FixedLengthReport(rate, err_fixed, err_vl, overflow, kept)
+    return FixedLengthReport(rate, err_fixed, err_vl, overflow, kept, stderr)

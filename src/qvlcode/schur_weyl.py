@@ -7,10 +7,11 @@ every row of an (L, d) label array, and the per-label functions are
 entries of them: ``dense_block_probs`` (projectors as eigenspaces of
 two class sums, within ``linalg.MAX_BYTES``); ``log_block_probs_iid``
 (the i.i.d. closed form, lgamma dimensions plus a log-domain
-bialternant, any n); ``diagonal_block_probs`` (Kostka weights against the
-letter-count law, products of commuting factors, any n).  The tests hold
-them to 1e-10 of each other; a value off [0, 1] by more than 1e-9 raises
-NumericalFailure.
+bialternant, any n); ``diagonal_block_probs`` (products of commuting
+factors, any n and d, for a batch of atom types at once: the array
+letter-count law, read off by the two-row closed form for d = 2 and by
+Kostka weights otherwise).  The tests hold them to 1e-10 of each other;
+a value off [0, 1] by more than 1e-9 raises NumericalFailure.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import logging
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import gammaln
 
 from . import young
 from .linalg import NumericalFailure, joint_eigenbasis, require_bytes, tensor
@@ -176,23 +178,44 @@ def log_block_probs_iid(labels, spec) -> np.ndarray:
     return young.log_dim_sym_group(labels) + young.log_schur(labels, spec)
 
 
-def type_distribution(spectra: list[np.ndarray]) -> dict[tuple[int, ...], float]:
-    """Distribution of the letter-count vector of n independent digit draws.
+# Dropped from an atom's letter-count law: its tails below this probability
+NEGLIGIBLE_PMF = 1e-30
 
-    ``spectra[i]`` is the probability vector of slot i.  Dynamic program
-    over slots; the state space is the set of partial count vectors.
-    """
-    d = len(spectra[0])
-    dist: dict[tuple[int, ...], float] = {(0,) * d: 1.0}
-    for q in spectra:
-        nxt: dict[tuple[int, ...], float] = {}
-        for counts, prob in dist.items():
-            for i in range(d):
-                if q[i] != 0.0:
-                    key = counts[:i] + (counts[i] + 1,) + counts[i + 1 :]
-                    nxt[key] = nxt.get(key, 0.0) + prob * q[i]
-        dist = nxt
-    return dist
+
+def _count_vectors(total: int, k: int) -> np.ndarray:
+    """Every vector of k counts summing to ``total``, the columns of a (k, .) array."""
+    head = np.indices((total + 1,) * (k - 1)).reshape(k - 1, (total + 1) ** (k - 1))
+    last = total - head.sum(axis=0)
+    return np.concatenate([head, last[None]])[:, last >= 0]
+
+
+def _atom_law(q: np.ndarray, count: int, strides: np.ndarray) -> tuple[int, np.ndarray]:
+    """Law of the letter counts c of ``count`` draws from q, on the index
+    strides @ c, strides = (n + 1)^(d - 2), ..., n + 1, 1, 0: (first index,
+    values), the tails below NEGLIGIBLE_PMF cut.  Counts sum to at most n,
+    so the index of a sum of count vectors is the sum of their indices.
+    Only the letters of positive probability are counted."""
+    live = np.flatnonzero(q > 0)
+    c = _count_vectors(count, len(live))
+    index = strides[live] @ c
+    law = np.zeros(index.max() + 1)
+    law[index] = np.exp(gammaln(count + 1.0) - gammaln(c + 1.0).sum(axis=0) + np.log(q[live]) @ c)
+    big = np.flatnonzero(law >= NEGLIGIBLE_PMF)
+    return int(big[0]), law[big[0]:big[-1] + 1]
+
+
+@lru_cache(maxsize=8)
+def _content_groups(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_atom_law`` indices of the count vectors of n, ordered by the
+    position of their sorted content in ``young.young_indices(n, d)``, and
+    the first of each position; read-only."""
+    c = _count_vectors(n, d)
+    pos = np.array(_rows(np.sort(c, axis=0)[::-1].T, n, d))
+    order = np.argsort(pos, kind="stable")
+    out = ((n + 1) ** np.arange(d - 2, -1, -1) @ c[:-1])[order], np.flatnonzero(np.diff(pos[order], prepend=-1))
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -205,15 +228,57 @@ def _diagonal_weights(n: int, d: int) -> np.ndarray:
     return out
 
 
-def diagonal_block_probs(labels, spectra) -> np.ndarray:
-    """Tr P_lam (diag(spectra[0]) x ... x diag(spectra[n-1])) for each row
-    of an (L, d) label array, at any n: the letter-count law of the slots,
-    summed by sorted content, against the Kostka block weights."""
-    n, d = len(spectra), len(spectra[0])
-    types = type_distribution(spectra)
-    contents = _rows([sorted(c, reverse=True) for c in types], n, d)
-    law = np.bincount(contents, list(types.values()), len(young.young_indices(n, d)))
-    return _probabilities(_diagonal_weights(n, d)[_rows(labels, n, d)] @ law, "a diagonal block probability")
+def diagonal_block_probs(labels, spectra, counts=None, laws: dict | None = None) -> np.ndarray:
+    """Tr P_lam (diag(spectra[0])^{x counts[0]} x ... x diag(spectra[m-1])^{x counts[m-1]})
+    for each row of an (L, d) label array and each row of a (..., m) array
+    of atom counts summing to n (default: each spectrum once), as a (..., L)
+    array, at any n.
+
+    The state depends on the slots only through the law of its letter
+    counts: one multinomial law per (atom, count), convolved over the
+    atoms on the letter-count index of ``_atom_law``.  Two rows take the
+    closed form: Kostka numbers of two rows are 0/1, so with h = max(c, n - c)
+    over the counts c of the first letter,
+    Tr P_(a, n - a) = dim S_n(a) sum over h <= a of law(h) / C(n, h).
+    More rows weigh the law, summed by sorted content, against the Kostka
+    matrix of ``_diagonal_weights``.  ``laws`` keeps the atoms' laws for
+    later calls, keyed by (n, spectrum, count).
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    spectra = np.asarray(spectra, dtype=float)
+    counts = np.ones(len(spectra), dtype=np.int64) if counts is None else np.asarray(counts, dtype=np.int64)
+    types = counts.reshape(-1, len(spectra))
+    n, d = int(types[0].sum()), spectra.shape[1]
+    law = np.zeros((len(types), (n + 1) ** (d - 1)))
+    laws = {} if laws is None else laws
+    keys, strides = [q.tobytes() for q in spectra], np.append((n + 1) ** np.arange(d - 2, -1, -1), 0)
+    for row, tau in zip(law, types.tolist()):
+        start, vals = 0, np.ones(1)
+        for j, tj in enumerate(tau):
+            if tj:
+                key = (n, keys[j], tj)
+                if key not in laws:
+                    laws[key] = _atom_law(spectra[j], tj, strides)
+                offset, part = laws[key]
+                start += offset
+                vals = np.convolve(vals, part)
+        row[start:start + len(vals)] = vals
+    if d == 2:
+        amin = (n + 1) // 2
+        if (labels.sum(axis=1) != n).any() or (labels[:, 0] < amin).any():
+            raise KeyError(f"labels off the partitions of n = {n} into two parts")
+        h = np.arange(amin, n + 1)
+        by_h = law[:, amin:] + law[:, n - amin::-1]  # c = h and c = n - h
+        if n % 2 == 0:
+            by_h[:, 0] /= 2  # h = n/2 is a single c
+        log_comb = gammaln(n + 1.0) - gammaln(h + 1.0) - gammaln(n - h + 1.0)
+        with np.errstate(divide="ignore"):
+            log_s = np.logaddexp.accumulate(np.log(by_h) - log_comb, axis=1)
+        probs = np.exp(young.log_dim_sym_group(labels) + log_s[:, labels[:, 0] - amin])
+    else:
+        cells, starts = _content_groups(n, d)
+        probs = np.add.reduceat(law[:, cells], starts, axis=1) @ _diagonal_weights(n, d)[_rows(labels, n, d)].T
+    return _probabilities(probs.reshape(counts.shape[:-1] + (len(labels),)), "a diagonal block probability")
 
 
 def dense_block_probs(labels, rho) -> np.ndarray:
@@ -253,7 +318,7 @@ def log_block_prob_iid_two_level(a: int, b: int, p1: float, p2: float) -> float:
 
 def block_prob_diagonal(lam, content) -> float:
     """Diagonal matrix element <e|P_lam|e> for a basis vector of given content."""
-    return float(diagonal_block_probs([lam], np.repeat(np.eye(len(content)), content, axis=0))[0])
+    return float(diagonal_block_probs([lam], np.eye(len(content)), content)[0])
 
 
 def block_prob_product(lam, states) -> float:

@@ -4,11 +4,14 @@ Symmetric-group characters by the Murnaghan-Nakayama rule; the block
 projectors by the n!-term character sum
 P_lam = (dim V_lam / n!) sum_sigma chi_lam(sigma) Perm(sigma), against
 which the class-sum eigenspaces of ``schur_weyl.young_projectors`` are
-checked; the linear-domain two-row bialternant; the entropy of a count
-vector; the ten-start finite-difference SLSQP for the overflow
-floor's divergence program, against which ``bounds._min_divergence`` is
-checked; and the per-sample Monte Carlo loop, against which the
-type-tallied sampling route of ``codec.cluster_expectations`` is checked.
+checked; the linear-domain two-row bialternant; the letter-count law of
+independent slots by a dict DP over partial count vectors, against which
+the array law of ``schur_weyl.diagonal_block_probs`` is checked; the
+entropy of a count vector; the ten-start finite-difference SLSQP for the
+overflow floor's divergence program, against which
+``bounds._min_divergence`` is checked; and the per-sample Monte Carlo
+loop, against which the type-tallied sampling route of
+``codec.cluster_expectations`` is checked.
 """
 
 from __future__ import annotations
@@ -132,6 +135,25 @@ def schur_poly_bialternant2(lam: tuple[int, ...], x: float, y: float) -> float:
     return (x ** (a + 1) * y**b - x**b * y ** (a + 1)) / (x - y)
 
 
+def type_distribution(spectra: list[np.ndarray]) -> dict[tuple[int, ...], float]:
+    """Distribution of the letter-count vector of n independent digit draws.
+
+    ``spectra[i]`` is the probability vector of slot i.  Dynamic program
+    over slots; the state space is the set of partial count vectors.
+    """
+    d = len(spectra[0])
+    dist: dict[tuple[int, ...], float] = {(0,) * d: 1.0}
+    for q in spectra:
+        nxt: dict[tuple[int, ...], float] = {}
+        for counts, prob in dist.items():
+            for i in range(d):
+                if q[i] != 0.0:
+                    key = counts[:i] + (counts[i] + 1,) + counts[i + 1 :]
+                    nxt[key] = nxt.get(key, 0.0) + prob * q[i]
+        dist = nxt
+    return dist
+
+
 def shannon_entropy_of_counts(parts, n: int | None = None) -> float:
     """H(parts/n) in nats, with 0 log 0 = 0."""
     parts = [int(p) for p in parts]
@@ -181,18 +203,23 @@ def slsqp_min_divergence(rate: float, p, slack: float, anchor=None, radius=None)
 def monte_carlo_expectations(code, source, exponents, samples: int, seed: int):
     """Cluster expectations of a non-commuting source by the per-sample loop:
     draw i from ``default_rng([seed, i])``, one tensor product and one set of
-    dense block probabilities per draw.  Returns (one dict per exponent, one
-    stderr per exponent), the stderr from the running sums of each draw's
-    accepted sum and of its square."""
+    dense block probabilities per draw, summed over each cluster of
+    ``code.blocks``.  Returns (one dict per exponent, one stderr per
+    exponent), the stderr from the running sums of each draw's accepted sum
+    and of its square."""
     n, m = code.n, source.num_atoms
     acc = code._accepted_mask
+    labels = young.young_indices(n, code.d)
+    column = {lam: j for j, lam in enumerate(labels)}
+    clusters = [[column[lam] for lam in code.blocks[k]] for k in code.outcomes]
     totals = np.zeros((len(exponents), len(code.outcomes)))
     kept = [0.0] * len(exponents)
     sq = [0.0] * len(exponents)
     for i in range(samples):
         seq = np.random.default_rng([seed, i]).choice(m, size=n, p=source.weights)
         rho = tensor(*(source.states[j] for j in seq))
-        clipped = np.clip(code._incidence @ dense_block_probs(code._label_array, rho), 0.0, 1.0)
+        probs = dense_block_probs(labels, rho)
+        clipped = np.clip([probs[c].sum() for c in clusters], 0.0, 1.0)
         for j, e in enumerate(exponents):
             vals = clipped**e
             totals[j] += vals

@@ -93,16 +93,28 @@ class TestMemoryBudget:
 
 
     def test_atom_type_cap_exit_2(self, tmp_path, capsys, monkeypatch):
-        # a 3-atom commuting qubit source at n = 20 has 231 atom types
+        # a 3-atom commuting qubit source at n = 4 has 15 atom types; the
+        # instrument simulation has no Monte Carlo fallback
         from qvlcode import codec
-        monkeypatch.setattr(codec, "MAX_ATOM_TYPES", 100)
+        monkeypatch.setattr(codec, "MAX_ATOM_TYPES", 10)
         atoms = [{"weight": w, "matrix": [[[q, 0], [0, 0]], [[0, 0], [1 - q, 0]]]}
                  for w, q in ((0.3, 0.2), (0.3, 0.5), (0.4, 0.9))]
         path = tmp_path / "atoms3.json"
         path.write_text(json.dumps({"d": 2, "atoms": atoms}))
-        assert cli.main(["error", "--n", "20", "--schedule", "--source", str(path)]) == 2
+        argv = ["error", "--n", "4", "--schedule", "--source", str(path), "--criterion", "definitional"]
+        assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "atom types" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [["distribution"], ["fixed-length", "--rate", "0.5"], ["error"]])
+    def test_monte_carlo_fallback_is_labelled(self, command, monkeypatch):
+        # past the atom-type cap every row comes from Monte Carlo draws
+        from qvlcode import codec
+        monkeypatch.setattr(codec, "MAX_ATOM_TYPES", 1)
+        monkeypatch.setattr(codec, "FALLBACK_SAMPLES", 200)
+        argv = command + ["--n", "3", "--d", "3", "--schedule", "--spectrum", "0.5,0.3,0.2", "--format", "json"]
+        rows = json.loads(run_text(argv))["results"]
+        assert {row["method"] for row in rows} == {"monte-carlo"}
 
 
 class TestConfigHandling:

@@ -24,7 +24,7 @@ from qvlcode.linalg import (
     tensor,
     trace_norm,
 )
-from qvlcode.schur_weyl import dense_bytes, type_distribution, young_projectors
+from qvlcode.schur_weyl import dense_bytes, young_projectors
 
 RNG = np.random.default_rng(2024)
 
@@ -308,7 +308,8 @@ class TestOutcomeRecords:
     def test_records_consistent(self):
         code = build_code(CodeParams(n=5, d=2, delta=0.3))
         src = mixed_commuting_source()
-        records = codec.outcome_records(code, src)
+        records, stderr = codec.outcome_records(code, src)
+        assert stderr is None
         assert sum(r.probability for r in records) == pytest.approx(1.0, abs=1e-9)
         err = sum(r.error_contribution for r in records)
         assert err == pytest.approx(codec.average_error_exact(code, src), abs=1e-12)
@@ -430,7 +431,7 @@ def general_expectations(code, weights, zero_probs, exponent):
         if w == 0.0:
             continue
         spectra = [np.array([q, 1.0 - q]) for q, tj in zip(zero_probs, tau) for _ in range(tj)]
-        types = type_distribution(spectra)
+        types = oracles.type_distribution(spectra)
         block = {lam: sum(p * weight[lam, c] for c, p in types.items()) for lam in code.labels}
         for k in code.outcomes:
             out[k] += w * min(1.0, max(0.0, sum(block[lam] for lam in code.blocks[k]))) ** exponent
@@ -489,13 +490,21 @@ def test_window_logsumexp_matches_loop():
         m = max(window)
         return m if m == -math.inf else m + math.log(sum(math.exp(x - m) for x in window))
 
+    def runs(v, width):
+        # every run of the width that meets v, v padded by width - 1 off-entries on each side
+        return [v[max(0, i):i + width] for i in range(1 - width, len(v))]
+
     rng = np.random.default_rng(17)
     for length in (1, 2, 7, 30):
         v = rng.normal(scale=50.0, size=length)
         v[rng.random(length) < 0.3] = -np.inf
-        for width in range(1, length + 1):
-            want = [loop(v[i:i + width].tolist()) for i in range(length - width + 1)]
-            np.testing.assert_allclose(codec._window_logsumexp(v, width), want, rtol=1e-13, atol=1e-12)
+        for width in range(1, length + 3):
+            want = [loop(run.tolist()) for run in runs(v, width)]
+            np.testing.assert_allclose(codec._window_reduce(v, width, np.logaddexp), want, rtol=1e-13, atol=1e-12)
+            # nonnegative terms summed linearly, a batch of rows along the last axis
+            rows = np.exp(np.stack([v, v[::-1] - 3.0]) / 50.0)
+            want = [[math.fsum(run) for run in runs(row, width)] for row in rows]
+            np.testing.assert_allclose(codec._window_reduce(rows, width, np.add), want, rtol=1e-13, atol=0)
 
 
 def test_distribution_normalized_at_large_n():
@@ -573,7 +582,7 @@ def multinomial_kostka_expectations(code, source, exponent):
         if w == 0.0:
             continue
         spectra = [np.clip(q, 0.0, None) for q, tj in zip(diags, tau) for _ in range(tj)]
-        types = type_distribution(spectra)
+        types = oracles.type_distribution(spectra)
         block = {lam: sum(p * young.exact_block_weight(lam, c) for c, p in types.items()) for lam in code.labels}
         for k in code.outcomes:
             out[k] += w * min(1.0, max(0.0, float(sum(block[lam] for lam in code.blocks[k])))) ** exponent
@@ -873,16 +882,6 @@ class _MonteCarloReached(Exception):
 
 
 class TestAtomTypeCap:
-    def test_qubit_closed_form_raises_before_building_types(self, monkeypatch):
-        # C(22, 2) = 231 types of a 3-atom source at n = 20, over a cap of 100
-        monkeypatch.setattr(codec, "MAX_ATOM_TYPES", 100)
-        monkeypatch.setattr(young, "compositions", lambda *args: pytest.fail("types were built"))
-        code = build_code(CodeParams(n=20, d=2, delta=delta_schedule(20)[0]))
-        with pytest.raises(DimensionBudgetError, match="231 atom types"):
-            codec.average_error_exact(code, commuting_three_atom_qubit_source())
-        with pytest.raises(DimensionBudgetError):
-            codec.outcome_records(code, commuting_three_atom_qubit_source())
-
     def test_simulation_raises_before_building_types(self, monkeypatch):
         monkeypatch.setattr(codec, "MAX_ATOM_TYPES", 10)  # C(6, 2) = 15 types at n = 4
         monkeypatch.setattr(young, "compositions", lambda *args: pytest.fail("types were built"))
@@ -894,12 +893,35 @@ class TestAtomTypeCap:
     @pytest.mark.parametrize("params, make", [
         (CodeParams(n=3, d=2, delta=0.3), noncommuting_source),  # dense route
         (CodeParams(n=3, d=3, delta=0.4), lambda: basis_source(3, (0.5, 0.3, 0.2))),  # Kostka route
+        # C(22, 2) = 231 types of a commuting 3-atom qubit source at n = 20: the two-row closed form
+        (CodeParams(n=20, d=2, delta=delta_schedule(20)[0]), commuting_three_atom_qubit_source),
     ])
     def test_other_routes_fall_back_to_monte_carlo(self, params, make, monkeypatch):
         def reached(*args, **kwargs):
             raise _MonteCarloReached
 
         monkeypatch.setattr(codec, "MAX_ATOM_TYPES", 1)
+        monkeypatch.setattr(young, "compositions", lambda *args: pytest.fail("types were built"))
         monkeypatch.setattr(codec.np.random, "default_rng", reached)
         with pytest.raises(_MonteCarloReached):
             codec.cluster_expectations(build_code(params), make(), (1.5,))
+
+
+# --- the letter-count route far above the oracles' n ----------------------------
+
+@pytest.mark.parametrize("n, make", [
+    (1100, lambda: basis_source(2, (0.7, 0.3))),
+    (300, commuting_three_atom_qubit_source),
+    (24, commuting_qutrit_source),
+])
+def test_linear_expectations_are_the_average_state_distribution(n, make):
+    # the instrument is linear, so at exponent 1 the expectation over the
+    # source is the outcome probability of the i.i.d. average state
+    source = make()
+    code = build_code(CodeParams(n=n, d=source.d, delta=delta_schedule(n)[0]))
+    (got,), stderr = codec.cluster_expectations(code, source, (1.0,))
+    assert stderr is None
+    want = codec.outcome_distribution(code, source)
+    assert list(want) == list(got)
+    for k in want:
+        assert got[k] / code.c1_count == pytest.approx(want[k], abs=1e-12), k

@@ -17,7 +17,6 @@ from qvlcode.schur_weyl import (
     log_block_prob_iid_two_level,
     log_block_probs_iid,
     permutation_operator,
-    type_distribution,
     young_projector,
     young_projectors,
 )
@@ -295,6 +294,28 @@ class TestArrayRoutes:
             if d == 2:
                 assert log_block_prob_iid_two_level(*lam, *spec) == logs[i]
 
+    @pytest.mark.parametrize("d, n", [(2, 7), (3, 5), (4, 4)])
+    def test_letter_count_law_against_dict_dp_and_dense(self, d, n):
+        # per-slot spectra, and a batch of every type of three atoms
+        rng = np.random.default_rng(100 * d + n)
+        labels = young.young_indices(n, d)
+
+        def check(got, spectra):
+            law = oracles.type_distribution(spectra)
+            want = [math.fsum(p * float(young.exact_block_weight(lam, c)) for c, p in law.items()) for lam in labels]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+            dense = dense_block_probs(labels, tensor(*map(np.diag, spectra)))
+            np.testing.assert_allclose(got, dense, rtol=0, atol=1e-10)
+
+        spectra = [rng.dirichlet(np.ones(d)) for _ in range(n)]
+        check(diagonal_block_probs(labels, spectra), spectra)
+        atoms = np.array([rng.dirichlet(np.ones(d)) for _ in range(2)] + [np.eye(d)[0]])
+        types = np.array(young.compositions(n, 3))
+        batch = diagonal_block_probs(labels, atoms, types)
+        assert batch.shape == (len(types), len(labels))
+        for tau, row in zip(types, batch):
+            check(row, np.repeat(atoms, tau, axis=0))
+
     def test_labels_in_any_order(self):
         labels = np.array(young.young_indices(6, 3))
         spectra = [np.array([0.5, 0.3, 0.2])] * 6
@@ -303,10 +324,12 @@ class TestArrayRoutes:
             np.testing.assert_array_equal(route(labels[::-1], arg), route(labels, arg)[::-1])
         with pytest.raises(KeyError):
             diagonal_block_probs([(5, 0, 0)], spectra)
+        with pytest.raises(KeyError):
+            diagonal_block_probs([(2, 4)], [np.array([0.5, 0.5])] * 6)
 
 
 def test_type_distribution():
-    dist = type_distribution([np.array([0.7, 0.3])] * 3)
+    dist = oracles.type_distribution([np.array([0.7, 0.3])] * 3)
     assert dist[(3, 0)] == pytest.approx(0.7**3)
     assert dist[(2, 1)] == pytest.approx(3 * 0.7**2 * 0.3)
     assert sum(dist.values()) == pytest.approx(1.0)
