@@ -121,9 +121,10 @@ def load_source_file(path: str) -> Source:
 
 
 # smallest value each numeric setting may take (NaN fails every comparison)
-MINIMA = {"n": 1, "d": 1, "delta": 0.0, "delta1": 0.0, "samples": 1, "seed": 0}
+MINIMA = {"n": 1, "d": 1, "delta": 0.0, "delta1": 0.0, "samples": 2, "seed": 0}
 # commands whose --spectrum is a spectrum on C^d
 ON_D = ("overflow", "bounds", "error", "distribution", "fixed-length")
+SIMULATED = {"definitional": "average_error_definitional", "prime": "average_error_prime"}  # criteria by simulation
 
 
 def _validate(config: ExperimentConfig) -> None:
@@ -136,6 +137,8 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("--delta1 must be below --delta")
     if config.n_grid is not None and not (config.n_grid and min(config.n_grid) >= 1):
         raise ConfigError("--n-grid must list block lengths of at least 1")
+    if config.command == "error" and config.criterion in SIMULATED and config.samples is not None:
+        raise ConfigError(f"--samples has no Monte Carlo route for --criterion {config.criterion}")
     if config.command in ON_D and config.spectrum and len(config.spectrum) != config.d:
         raise ConfigError("spectrum length must equal d")
     if config.command == "bounds" and config.d < 2:
@@ -260,17 +263,10 @@ def cmd_error(config: ExperimentConfig, pool) -> list[dict]:
     code = _build_code(config)
     source = _resolve_source(config)
     exponent = {"exact": 1.5, "dprime": 2.0}.get(config.criterion)
-    stderr = None
-    if config.criterion == "prime":
-        value = codec.average_error_prime(code, source)
-        method = "exact"
-    elif config.criterion == "definitional":
-        value = codec.average_error_definitional(code, source)
-        method = "exact"
+    if config.criterion in SIMULATED:  # the instrument simulations: no Monte Carlo route
+        value, stderr = getattr(codec, SIMULATED[config.criterion])(code, source), None
     elif exponent is not None:
-        value, stderr = codec.average_error_chain(
-            code, source, exponent, samples=config.samples, seed=config.seed)
-        method = "monte-carlo" if stderr is not None else "exact"
+        value, stderr = codec.average_error_chain(code, source, exponent, samples=config.samples, seed=config.seed)
     else:
         raise ConfigError(f"unknown criterion {config.criterion!r}")
     return [{
@@ -278,7 +274,7 @@ def cmd_error(config: ExperimentConfig, pool) -> list[dict]:
         "criterion": config.criterion,
         "error": value,
         "stderr": stderr,
-        "method": method,
+        "method": "monte-carlo" if stderr is not None else "exact",
     }]
 
 

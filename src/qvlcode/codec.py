@@ -341,11 +341,11 @@ def cluster_expectations(code: VLCode, source: Source, exponents: tuple[float, .
     ``schur_weyl.diagonal_block_probs`` (commuting atoms, any n and d) or
     ``schur_weyl.dense_block_probs`` (within linalg.MAX_BYTES), summed
     over each cluster by ``VLCode._cluster_reduce``.  Above MAX_ATOM_TYPES
-    types, or when ``samples`` is given (which also forces the dense
-    route), counter-seeded Monte Carlo draws replace the type
-    probabilities by the sampled types' counts, each sampled type
-    evaluated once; its stderr is the standard error of the average error
-    estimate 1 - sum over accepted outcomes / C1.
+    types, or for ``samples`` (at least 2; forces the dense route), the
+    counts of the types of one seeded multinomial draw replace the type
+    probabilities, each sampled type evaluated once; stderr is the standard
+    error of the estimate 1 - sum over accepted outcomes / C1, by the
+    sample variance (divisor samples - 1).
     """
     n, m = code.n, source.num_atoms
     diag = None if samples is not None else _commuting_diag(source)
@@ -353,24 +353,25 @@ def cluster_expectations(code: VLCode, source: Source, exponents: tuple[float, .
     if diag is None:  # before any tensor product is built
         require_bytes(dense_bytes(n, code.d), f"the block projectors of n = {n}, d = {code.d}")
 
-    laws = {}  # each atom's letter-count law per count, shared by the batches
-
     def block_probs(taus) -> np.ndarray:
         if diag is None:
             seqs = (np.repeat(np.arange(m), tau) for tau in taus)
             return np.array([dense_block_probs(labels, tensor(*(source.states[j] for j in seq))) for seq in seqs])
-        return diagonal_block_probs(labels, diag, taus, laws)
+        return diagonal_block_probs(labels, diag, taus)
     sampled = samples is not None or math.comb(n + m - 1, m - 1) > MAX_ATOM_TYPES
     if sampled:
         samples = samples or FALLBACK_SAMPLES
-        # draw i from the generator seeded [seed, i]; each draw counts only through its type
-        draws = [np.bincount(np.random.default_rng([seed, i]).choice(m, size=n, p=source.weights), minlength=m)
-                 for i in range(samples)]
+        if samples < 2:
+            raise ValueError(f"a Monte Carlo standard error needs at least 2 samples, got {samples}")
+        draws = np.random.default_rng(seed).multinomial(n, source.weights, size=samples)  # atom-count vectors
         taus, weights = np.unique(draws, axis=0, return_counts=True)
     else:
         taus, weights = _atom_types(source.weights, n)
     # about 8 MB per array: a type's letter-count law, its cluster terms, its traces
     batch = max(1, (1 << 20) // ((n + 1) ** (code.d - 1) + code._terms + len(code.outcomes)))
+    # types by blocks of nearby counts: a batch meets few counts of an atom, so evaluates few of its laws
+    order = np.lexsort((taus // math.ceil(batch ** (1 / max(m - 1, 1)))).T[::-1])
+    taus, weights = taus[order], weights[order]
     totals = np.zeros((len(exponents), len(code.outcomes)))
     kept = np.zeros((len(exponents), len(taus)))  # a sampled type's accepted sum per exponent
     for first in range(0, len(taus), batch):
@@ -382,10 +383,9 @@ def cluster_expectations(code: VLCode, source: Source, exponents: tuple[float, .
             if sampled:
                 kept[j, rows] = vals[:, code._accepted_mask].sum(axis=1)
     stderrs = None
-    if sampled:  # the draws' spread about their mean, each sum exactly rounded
-        means = [math.fsum(weights * row) / samples for row in kept]
-        stderrs = [math.sqrt(math.fsum(weights * (row - mean) ** 2)) / samples / code.c1_count
-                   for row, mean in zip(kept, means)]
+    if sampled:  # the sample variance of the draws' accepted sums, each sum exactly rounded
+        spreads = [row - math.fsum(weights * row) / samples for row in kept]
+        stderrs = [math.sqrt(math.fsum(weights * s**2) / (samples - 1) / samples) / code.c1_count for s in spreads]
     return [dict(zip(code.outcomes, row.tolist())) for row in totals / (samples or 1)], stderrs
 
 

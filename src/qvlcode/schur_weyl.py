@@ -8,9 +8,9 @@ entries of them: ``dense_block_probs`` (projectors as eigenspaces of
 two class sums, within ``linalg.MAX_BYTES``); ``log_block_probs_iid``
 (the i.i.d. closed form, lgamma dimensions plus a log-domain
 bialternant, any n); ``diagonal_block_probs`` (products of commuting
-factors, any n and d, for a batch of atom types at once: the array
-letter-count law, read off by the two-row closed form for d = 2 and by
-Kostka weights otherwise).  The tests hold them to 1e-10 of each other;
+factors, any n and d, for a batch of atom types at once: each atom's
+letter-count laws in one array pass, convolved per type, read off by the
+two-row closed form for d = 2 and by Kostka weights otherwise).  The tests hold them to 1e-10 of each other;
 a value off [0, 1] by more than 1e-9 raises NumericalFailure.
 """
 
@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import itertools
 import logging
-from functools import lru_cache
+import math
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.special import gammaln
@@ -182,34 +183,40 @@ def log_block_probs_iid(labels, spec) -> np.ndarray:
 NEGLIGIBLE_PMF = 1e-30
 
 
-def _count_vectors(total: int, k: int) -> np.ndarray:
-    """Every vector of k counts summing to ``total``, the columns of a (k, .) array."""
-    head = np.indices((total + 1,) * (k - 1)).reshape(k - 1, (total + 1) ** (k - 1))
-    last = total - head.sum(axis=0)
-    return np.concatenate([head, last[None]])[:, last >= 0]
-
-
-def _atom_law(q: np.ndarray, count: int, strides: np.ndarray) -> tuple[int, np.ndarray]:
-    """Law of the letter counts c of ``count`` draws from q, on the index
-    strides @ c, strides = (n + 1)^(d - 2), ..., n + 1, 1, 0: (first index,
-    values), the tails below NEGLIGIBLE_PMF cut.  Counts sum to at most n,
-    so the index of a sum of count vectors is the sum of their indices.
-    Only the letters of positive probability are counted."""
+def _atom_laws(q: np.ndarray, counts: np.ndarray, strides: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Laws of the letter counts c of each of the sorted distinct ``counts``
+    of draws from q on the index strides @ c, strides = (n + 1)^(d - 2), ...,
+    n + 1, 1, 0, where count vectors add as their indices: (first index of
+    each law, values), tails below NEGLIGIBLE_PMF cut.  One broadcast log
+    pmf over the live letters (q > 0), all but the last within Hoeffding's
+    sqrt(count ln(2 / NEGLIGIBLE_PMF) / 2) of their means, beyond which a
+    letter count is less likely than the cut."""
     live = np.flatnonzero(q > 0)
-    c = _count_vectors(count, len(live))
-    index = strides[live] @ c
-    law = np.zeros(index.max() + 1)
-    law[index] = np.exp(gammaln(count + 1.0) - gammaln(c + 1.0).sum(axis=0) + np.log(q[live]) @ c)
-    big = np.flatnonzero(law >= NEGLIGIBLE_PMF)
-    return int(big[0]), law[big[0]:big[-1] + 1]
+    free, s = len(live) - 1, strides[live]
+    reach = np.sqrt(counts * math.log(2 / NEGLIGIBLE_PMF) / 2)
+    width = min(int(counts[-1]), 2 * math.ceil(reach[-1])) + 1
+    low = np.maximum(np.ceil(np.outer(q[live[:-1]], counts) - reach), 0).astype(np.int64)
+    grid = np.indices((width,) * free).reshape(free, width**free)
+    step = (s[:-1] - s[-1]) @ grid  # rising: the count vectors are base-(n + 1) digits
+    require_bytes(len(counts) * (2 * (free + 2) * width**free + step[-1] + 1) * 8, "the letter-count laws")
+    c = low[:, :, None] + grid[:, None, :]
+    c = np.concatenate([c, (counts[:, None] - c.sum(axis=0))[None]])
+    log_fact = gammaln(np.arange(counts[-1] + 1) + 1.0)  # off its ends only where c < 0
+    logp = log_fact[counts, None] - log_fact.take(c, mode="clip").sum(axis=0) + np.tensordot(np.log(q[live]), c, 1)
+    logp[(c < 0).any(axis=0)] = -np.inf
+    rows = np.zeros((len(counts), step[-1] + 1))
+    rows[:, step] = np.exp(logp)
+    big = rows >= NEGLIGIBLE_PMF
+    lo, hi = big.argmax(axis=1), big.shape[1] - big[:, ::-1].argmax(axis=1)
+    return s @ c[:, :, 0] + lo, [row[a:b] for row, a, b in zip(rows, lo.tolist(), hi.tolist())]
 
 
 @lru_cache(maxsize=8)
 def _content_groups(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``_atom_law`` indices of the count vectors of n, ordered by the
+    """The ``_atom_laws`` indices of the count vectors of n, ordered by the
     position of their sorted content in ``young.young_indices(n, d)``, and
     the first of each position; read-only."""
-    c = _count_vectors(n, d)
+    c = np.array(young.compositions(n, d)).T
     pos = np.array(_rows(np.sort(c, axis=0)[::-1].T, n, d))
     order = np.argsort(pos, kind="stable")
     out = ((n + 1) ** np.arange(d - 2, -1, -1) @ c[:-1])[order], np.flatnonzero(np.diff(pos[order], prepend=-1))
@@ -228,40 +235,37 @@ def _diagonal_weights(n: int, d: int) -> np.ndarray:
     return out
 
 
-def diagonal_block_probs(labels, spectra, counts=None, laws: dict | None = None) -> np.ndarray:
+def diagonal_block_probs(labels, spectra, counts=None) -> np.ndarray:
     """Tr P_lam (diag(spectra[0])^{x counts[0]} x ... x diag(spectra[m-1])^{x counts[m-1]})
     for each row of an (L, d) label array and each row of a (..., m) array
     of atom counts summing to n (default: each spectrum once), as a (..., L)
     array, at any n.
 
     The state depends on the slots only through the law of its letter
-    counts: one multinomial law per (atom, count), convolved over the
-    atoms on the letter-count index of ``_atom_law``.  Two rows take the
-    closed form: Kostka numbers of two rows are 0/1, so with h = max(c, n - c)
+    counts: the laws of each atom's distinct counts in the batch, from one
+    ``_atom_laws`` pass, convolved over each type's atoms on their index.
+    Two rows take the closed form: Kostka numbers of two rows are 0/1, so
+    with h = max(c, n - c)
     over the counts c of the first letter,
     Tr P_(a, n - a) = dim S_n(a) sum over h <= a of law(h) / C(n, h).
     More rows weigh the law, summed by sorted content, against the Kostka
-    matrix of ``_diagonal_weights``.  ``laws`` keeps the atoms' laws for
-    later calls, keyed by (n, spectrum, count).
+    matrix of ``_diagonal_weights``.
     """
     labels = np.asarray(labels, dtype=np.int64)
     spectra = np.asarray(spectra, dtype=float)
     counts = np.ones(len(spectra), dtype=np.int64) if counts is None else np.asarray(counts, dtype=np.int64)
     types = counts.reshape(-1, len(spectra))
     n, d = int(types[0].sum()), spectra.shape[1]
+    strides = np.append((n + 1) ** np.arange(d - 2, -1, -1), 0)
+    starts, factors = np.zeros(len(types), dtype=np.int64), []
+    for q, column in zip(spectra, types.T):
+        distinct, inverse = np.unique(column, return_inverse=True)
+        first, rows = _atom_laws(q, distinct, strides)
+        starts += first[inverse]
+        factors.append([rows[i] for i in inverse.tolist()])
     law = np.zeros((len(types), (n + 1) ** (d - 1)))
-    laws = {} if laws is None else laws
-    keys, strides = [q.tobytes() for q in spectra], np.append((n + 1) ** np.arange(d - 2, -1, -1), 0)
-    for row, tau in zip(law, types.tolist()):
-        start, vals = 0, np.ones(1)
-        for j, tj in enumerate(tau):
-            if tj:
-                key = (n, keys[j], tj)
-                if key not in laws:
-                    laws[key] = _atom_law(spectra[j], tj, strides)
-                offset, part = laws[key]
-                start += offset
-                vals = np.convolve(vals, part)
+    for row, start, parts in zip(law, starts.tolist(), zip(*factors)):
+        vals = reduce(np.convolve, parts)
         row[start:start + len(vals)] = vals
     if d == 2:
         amin = (n + 1) // 2

@@ -202,11 +202,12 @@ def slsqp_min_divergence(rate: float, p, slack: float, anchor=None, radius=None)
 
 def monte_carlo_expectations(code, source, exponents, samples: int, seed: int):
     """Cluster expectations of a non-commuting source by the per-sample loop:
-    draw i from ``default_rng([seed, i])``, one tensor product and one set of
-    dense block probabilities per draw, summed over each cluster of
-    ``code.blocks``.  Returns (one dict per exponent, one stderr per
-    exponent), the stderr from the running sums of each draw's accepted sum
-    and of its square."""
+    the atom-count vectors of ``default_rng(seed).multinomial``, one
+    sequence, tensor product and set of dense block probabilities per draw,
+    summed over each cluster of ``code.blocks``.  Returns (one dict per
+    exponent, one stderr per exponent), the stderr from the running sums of
+    each draw's accepted sum and of its square, by the sample variance
+    (divisor samples - 1)."""
     n, m = code.n, source.num_atoms
     acc = code._accepted_mask
     labels = young.young_indices(n, code.d)
@@ -215,8 +216,8 @@ def monte_carlo_expectations(code, source, exponents, samples: int, seed: int):
     totals = np.zeros((len(exponents), len(code.outcomes)))
     kept = [0.0] * len(exponents)
     sq = [0.0] * len(exponents)
-    for i in range(samples):
-        seq = np.random.default_rng([seed, i]).choice(m, size=n, p=source.weights)
+    for tau in np.random.default_rng(seed).multinomial(n, source.weights, size=samples):
+        seq = np.repeat(np.arange(m), tau)
         rho = tensor(*(source.states[j] for j in seq))
         probs = dense_block_probs(labels, rho)
         clipped = np.clip([probs[c].sum() for c in clusters], 0.0, 1.0)
@@ -226,6 +227,6 @@ def monte_carlo_expectations(code, source, exponents, samples: int, seed: int):
             one = sum(vals[acc].tolist())
             kept[j] += one
             sq[j] += one * one
-    stderrs = [math.sqrt(max(0.0, q / samples - (t / samples) ** 2) / samples) / code.c1_count
+    stderrs = [math.sqrt(max(0.0, q - t * t / samples) / (samples - 1) / samples) / code.c1_count
                for t, q in zip(kept, sq)]
     return [dict(zip(code.outcomes, row.tolist())) for row in totals / samples], stderrs

@@ -142,6 +142,10 @@ class TestConfigHandling:
         ["sec6-gap", "--t1", "2", "--t0", "0.1", "--dtheta", "0.1"],
         ["bounds", "--d", "1", "--n", "10", "--schedule"],
         ["lemma-l2", "--spectrum", "0.7,0.3", "--n-grid", "1:3"],
+        ["error", "--n", "5", "--schedule", "--spectrum", "0.9,0.1", "--samples", "1"],
+        ["error", "--n", "4", "--schedule", "--spectrum", "0.7,0.3", "--criterion", "definitional",
+         "--samples", "10"],
+        ["error", "--n", "4", "--schedule", "--spectrum", "0.7,0.3", "--criterion", "prime", "--samples", "10"],
     ])
     def test_out_of_range_exits_1(self, argv, capsys):
         assert cli.main(argv) == 1

@@ -303,6 +303,12 @@ class TestErrorFunctionals:
         c = codec.average_error_chain(code, src, 1.5, samples=100, seed=4)
         assert a != c
 
+    def test_monte_carlo_needs_two_samples(self):
+        # one draw has no sample variance: no standard error to report
+        code = build_code(CodeParams(n=5, d=2, delta=0.3))
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            codec.average_error_chain(code, noncommuting_source(), 1.5, samples=1)
+
 
 class TestOutcomeRecords:
     def test_records_consistent(self):

@@ -328,6 +328,49 @@ class TestArrayRoutes:
             diagonal_block_probs([(2, 4)], [np.array([0.5, 0.5])] * 6)
 
 
+LAW_SPECTRA = {
+    2: [(0.3, 0.7), (0.08, 0.92), (1.0, 0.0), (0.0, 1.0)],
+    3: [(0.2, 0.3, 0.5), (0.45, 0.0, 0.55), (0.0, 1.0, 0.0)],
+    4: [(0.1, 0.2, 0.3, 0.4), (0.25, 0.0, 0.35, 0.4), (0.0, 0.0, 0.0, 1.0)],
+}
+
+
+@pytest.mark.parametrize("d, n", [(2, 90), (3, 24), (4, 12)])
+def test_atom_laws_against_scipy_pmfs(d, n):
+    # every count 0..n in one batch, against scipy's pmfs vector by vector:
+    # above the cut to 1e-12 relative, below it the value or 0
+    from scipy import stats
+    cut = schur_weyl.NEGLIGIBLE_PMF
+    strides = np.append((n + 1) ** np.arange(d - 2, -1, -1), 0)
+    counts = np.arange(n + 1)
+    for q in map(np.array, LAW_SPECTRA[d]):
+        first, rows = schur_weyl._atom_laws(q, counts, strides)
+        assert len(first) == len(rows) == n + 1
+        for c, start, row in zip(counts.tolist(), first.tolist(), rows):
+            vectors = np.array(list(young.compositions(c, d)))
+            if d == 2:
+                pmf = stats.binom.pmf(vectors[:, 0], c, q[0])
+            else:
+                pmf = stats.multinomial.pmf(vectors, c, q)
+            at = vectors @ strides - start
+            inside = (at >= 0) & (at < len(row))
+            assert inside[pmf >= cut].all(), (q, c)
+            got = row[at[inside]]
+            big = pmf[inside] >= cut
+            np.testing.assert_allclose(got[big], pmf[inside][big], rtol=1e-12, atol=0)
+            small = got[~big]
+            assert ((small == 0) | np.isclose(small, pmf[inside][~big], rtol=1e-12, atol=0)).all()
+            assert np.count_nonzero(row) <= np.count_nonzero(got)  # nothing off the count vectors
+            assert row[0] >= cut and row[-1] >= cut
+            assert abs(math.fsum(row) - 1.0) <= c * (cut + 4e-15), (q, c)  # the cut, and rounding
+            if np.count_nonzero(q) == 1:
+                assert row.tolist() == [1.0] and start == c * strides[np.flatnonzero(q)[0]]
+        # the window of a count does not depend on the other counts of its batch
+        for c in (0, 1, n // 3, n):
+            alone_first, (alone,) = schur_weyl._atom_laws(q, np.array([c]), strides)
+            assert alone_first[0] == first[c] and np.array_equal(alone, rows[c])
+
+
 def test_type_distribution():
     dist = oracles.type_distribution([np.array([0.7, 0.3])] * 3)
     assert dist[(3, 0)] == pytest.approx(0.7**3)
