@@ -3,7 +3,8 @@
 Every evaluator works in the log domain so that prefactors like
 (n+d)^(4d) against exp(-n * rate) survive block lengths in the tens of
 thousands.  Each function returns the bound value; ``BoundReport``
-packages an (LHS, RHS) pair for regression sweeps.
+packages an (LHS, RHS) pair for regression sweeps.  The floor on the
+overflow exponent at d >= 3 is a convex program (``_interior_point``).
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
-from scipy.special import wrightomega
 
 from .info import (
     INF,
@@ -24,6 +23,8 @@ from .info import (
     entropy,
     entropy_contour_point,
     lattice_count_bounds,
+    optimal_overflow_exponent,
+    root,
 )
 from .linalg import NumericalFailure
 
@@ -86,7 +87,7 @@ def error_ceiling(n: int, d: int, delta: float, exponent: float = 1.5) -> float:
     def slope(s: float) -> float:
         return 2 * exponent * curv * s * (delta - s) - (d - 1) * math.expm1(min(curv * s * s - log_poly, 700.0))
 
-    s = optimize.brentq(slope, math.sqrt(log_poly / curv), delta, xtol=1e-15 * delta)
+    s = root(slope, math.sqrt(log_poly / curv), delta, 1e-15 * delta)
     return _error_bound_bracket(n, d, delta, delta - s, exponent)
 
 
@@ -106,73 +107,138 @@ def restricted_error_ceiling(n: int, d: int, delta: float, delta1: float,
     return _error_bound_bracket(n, d, delta, delta1, exponent)
 
 
-def _max_entropy_in_ball(anchor: np.ndarray, radius: float) -> float:
-    """max H(q) over probability vectors q within ``radius`` of ``anchor``.
+def _wright_omega(z) -> np.ndarray:
+    """Wright omega, w + ln w = z, entrywise: Newton on Python floats from z - ln z above 1, else from e^z on
+    w = e^z e^(-w) (precise as w -> 0); concave residuals, so the iterates rise; a step < 1e-10 w ends them."""
+    out = []
+    for x in np.asarray(z, dtype=float).tolist():
+        big, ex = x > 1.0, math.exp(min(x, 1.0))
+        w, new = 0.0, x - math.log(x) if big else ex
+        while abs(new - w) > 1e-10 * new:
+            w = new
+            new = (w * (1.0 + x - math.log(w)) if big else w * w + ex * math.exp(-w)) / (1.0 + w)
+        out.append(new)
+    return np.array(out)
 
-    ln d when the uniform law lies in the ball (to 1e-9, where H is ln d
-    to O(1e-18)).  Otherwise the maximizer sits on the sphere, on the
-    Lagrange path log q + lam q = lam anchor + mu, solved by
-    q = wrightomega(lam anchor + mu + ln lam) / lam: mu makes q sum to 1,
-    and lam puts q at distance ``radius``.  Along the path q runs from
-    the uniform law (lam -> 0) to the anchor (lam -> inf), each point the
+
+def _max_entropy_in_ball(anchor: np.ndarray, radius: float) -> tuple[float, np.ndarray]:
+    """max H(q) over probability vectors q within ``radius`` of ``anchor``, and a maximizer.
+
+    ln d when the uniform law lies in the ball (to 1e-9, where H is ln d to O(1e-18)).  Otherwise the
+    maximizer sits on the sphere, on the Lagrange path log q + lam q = lam anchor + mu, solved by q =
+    omega(lam anchor + c) / lam, c = mu + ln lam: c makes q sum to 1, and lam puts q at distance ``radius``.
+    Along the path q runs from the uniform law (lam -> 0) to the anchor (lam -> inf), each point the
     maximizer for its own distance.
     """
     d = len(anchor)
     if np.linalg.norm(anchor - 1.0 / d) <= radius + 1e-9:
-        return math.log(d)
+        return math.log(d), np.full(d, 1.0 / d)
 
     def on_path(log_lam: float) -> np.ndarray:
-        lam = math.exp(log_lam)
-        # c = mu + ln lam; every q_i is at most (at least) 1/d at the lower
-        # (upper) end of this bracket
-        base = lam / d + math.log(lam / d)
-        c = optimize.brentq(lambda c: wrightomega(lam * anchor + c).sum() - lam,
-                            base - lam * anchor.max(), base - lam * anchor.min(), xtol=1e-14)
-        return wrightomega(lam * anchor + c) / lam
+        # Newton steps on c descend to the root: sum omega(lam anchor + c) - lam is convex, increasing,
+        # and at least 0 at c = ln(lam/d) (Jensen)
+        lam, c = math.exp(log_lam), log_lam - math.log(d)
+        w = _wright_omega(lam * anchor + c)
+        while (excess := w.sum() - lam) > 1e-14 * lam:
+            c -= excess / (w / (1.0 + w)).sum()
+            w = _wright_omega(lam * anchor + c)
+        return w / lam
 
-    def gap(log_lam: float) -> float:
-        return float(np.linalg.norm(on_path(log_lam) - anchor)) - radius
-
+    gap = lambda log_lam: float(np.linalg.norm(on_path(log_lam) - anchor)) - radius
     lo = hi = 0.0
     while gap(lo) <= 0:
         lo -= 4.0
     while gap(hi) > 0:
         if hi > 40:  # a ball below the path's resolution: the larger ball's maximum bounds it
-            return entropy(on_path(hi))
+            return entropy(q := on_path(hi)), q
         lo, hi = hi, hi + 4.0
-    return entropy(on_path(optimize.brentq(gap, lo, hi, xtol=1e-13)))
+    return entropy(q := on_path(root(gap, lo, hi, 1e-13))), q
 
 
-def _max_entropy_near_face(support: np.ndarray, slack: float) -> float:
-    """max H(q) over probability vectors q within ``slack`` of one on ``support``.
+def _max_entropy_near_face(support: np.ndarray, slack: float) -> tuple[float, np.ndarray]:
+    """max H(q) over probability vectors q within ``slack`` of one on ``support``, and a maximizer.
 
-    The problem is concave and symmetric under permutations that keep the
-    support, so a symmetric maximizer exists: a on the k support entries,
-    b off them.  Its nearest point on the face is the uniform law there,
-    at distance b sqrt(d (d-k) / k), and H grows with b up to b = 1/d.
+    The problem is concave and symmetric under permutations that keep the support, so a symmetric
+    maximizer exists: a on the k support entries, b off them.  Its nearest point on the face is the
+    uniform law there, at distance b sqrt(d (d-k) / k), and H grows with b up to b = 1/d.
     """
     d, k = len(support), int(support.sum())
     b = min(1.0 / d, slack * math.sqrt(k / (d * (d - k)))) if k < d else 1.0 / d
-    a = (1.0 - (d - k) * b) / k
-    return entropy(np.repeat([a, b], [k, d - k]))
+    q = np.where(support, (1.0 - (d - k) * b) / k, b)
+    return entropy(q), q
+
+
+MAX_ITERATIONS = 100  # interior-point steps; about 20 suffice
+
+
+def _interior_point(rate: float, p: np.ndarray, slack: float, anchor: np.ndarray, radius: float, z) -> float:
+    """min D(q' || p) over z = (q' on supp p, q) from a strictly feasible z, by the primal-dual
+    interior-point method (Boyd & Vandenberghe, Convex Optimization, 2004, sec. 11.7; mu = 10).
+
+    g <= 0: rate - H(q), ||q' - q||^2 - slack^2, ||q - anchor||^2 - radius^2; sum q' = sum q = 1.  Each step
+    solves the KKT system with the multipliers' step eliminated (size k + d + 2, k = |supp p|); the line
+    search keeps them positive and z strictly feasible, then cuts the residual norm.  Stops at residuals
+    <= 1e-10 and surrogate gap <= 1e-13, or <= 1e-10 after a step the search had to cut (rounding floors
+    the gap above 1e-13 by a nearly active constraint with a large multiplier)."""
+    support = np.flatnonzero(p > 0)
+    k, size, log_p = len(support), len(support) + len(p), np.log(p[support])
+    moves = np.hstack([np.eye(len(p))[:, support], -np.eye(len(p))])  # z -> q' - q
+    ball = 2.0 * moves.T @ moves  # the Hessian of ||q' - q||^2
+    kkt = np.zeros((size + 2, size + 2))
+    kkt[size, :k] = kkt[:k, size] = kkt[size + 1, k:size] = kkt[k:size, size + 1] = 1.0
+    eq = kkt[size:, :size]
+
+    def evaluate(z):
+        """(gradient of D, g, Jacobian of g), or None off the domain or the strict inequalities."""
+        if min(z.tolist()) <= 0:
+            return None
+        q, step, log_q = z[k:], moves @ z, np.log(z[k:])
+        g = [rate + q @ log_q, step @ step - slack**2, (q - anchor) @ (q - anchor) - radius**2]
+        if max(g) >= 0:
+            return None
+        dg = np.zeros((3, size))
+        dg[0, k:], dg[1], dg[2, k:] = log_q + 1.0, 2.0 * step @ moves, 2.0 * (q - anchor)
+        return np.concatenate([np.log(z[:k]) - log_p + 1.0, np.zeros(len(p))]), np.array(g), dg
+
+    if (parts := evaluate(z)) is None:
+        raise NumericalFailure(f"no strictly feasible start for D(q' || p) at rate {rate!r}")
+    lam, nu, cut = -1.0 / parts[1], np.zeros(2), False
+    for _ in range(MAX_ITERATIONS):
+        grad, g, dg = parts
+        gap = -g @ lam
+        r_dual, r_cent, r_pri = grad + lam @ dg + nu @ eq, -lam * g - gap / 30.0, eq @ z - 1.0  # t = mu m / gap
+        if max(r_dual @ r_dual, r_pri @ r_pri) <= 1e-20 and gap <= (1e-10 if cut else 1e-13):
+            return max(0.0, float(z[:k] @ (np.log(z[:k]) - log_p)))
+        # the Hessian of the Lagrangian plus sum lam_i / -g_i grad g_i grad g_i^T, from the eliminated multipliers
+        kkt[:size, :size] = lam[1] * ball + dg.T @ (dg * (lam / -g)[:, None])
+        kkt.flat[:size * (size + 3):size + 3] += np.concatenate([1.0 / z[:k], lam[0] / z[k:] + 2.0 * lam[2]])
+        sol = np.linalg.solve(kkt, -np.concatenate([r_dual + (r_cent / g) @ dg, r_pri]))
+        dz, dnu = sol[:size], sol[size:]
+        dlam = (r_cent - lam * (dg @ dz)) / g
+        s = first = 0.99 * min([1.0] + [-a / b for a, b in zip(lam.tolist(), dlam.tolist()) if b < 0])
+        norm2 = r_dual @ r_dual + r_cent @ r_cent
+        while True:
+            parts = evaluate(z + s * dz)
+            if parts is not None:
+                res_dual = parts[0] + (lam + s * dlam) @ parts[2] + (nu + s * dnu) @ eq
+                res_cent = -(lam + s * dlam) * parts[1] - gap / 30.0
+                if res_dual @ res_dual + res_cent @ res_cent <= (1 - 0.01 * s) ** 2 * norm2 or s < 1e-10:
+                    break
+            s *= 0.5
+        z, lam, nu, cut = z + s * dz, lam + s * dlam, nu + s * dnu, s < first
+    raise NumericalFailure(f"no minimizer of D(q' || p) at rate {rate!r} in {MAX_ITERATIONS} interior-point steps")
 
 
 def _min_divergence(rate: float, p: np.ndarray, slack: float,
                     anchor: np.ndarray | None = None, radius: float | None = None) -> float:
     """inf D(q' || p) over q' within ``slack`` of the entropy super-level set.
 
-    Feasible pairs: H(q) >= rate, ||q - q'|| <= slack and, with an
-    ``anchor``, ||q - anchor|| <= radius; minimized over q'.  d=2 reduces
-    to intervals.  Higher d solves the joint program in z = (q', q) with
-    SLSQP and closed-form gradients: D has gradient log q' - log p + 1, H
-    has -log q - 1, and the balls -/+2 (q' - q) and -2 (q - anchor).  q'
-    is held at 0 off supp(p), where D would be infinite.  The program is
-    jointly convex (D convex, H concave, both balls convex), so the first
-    start that succeeds returns the minimum; the rest are fallbacks.
-    +inf for a feasible set that the closed-form tests find empty (the
-    entropy reachable near the face or in the ball, and the ball's
-    distance to the face); a solver that succeeds from no start raises
-    NumericalFailure.
+    Feasible pairs: H(q) >= rate, ||q - q'|| <= slack and, with an ``anchor``, ||q - anchor|| <= radius;
+    minimized over q'.  d=2 reduces to intervals.  Higher d solves the convex joint program (D convex, H
+    concave) by ``_interior_point`` in z = (q', q), q' held at 0 off supp(p) where D is infinite, from a
+    strictly feasible start built from the closed forms.  0 without an anchor when p is within ``slack``
+    of the level set; +inf for a feasible set that the closed-form tests find empty (the entropy reachable
+    near the face or in the ball, and its distance to the face).
     """
     d = len(p)
     if rate > math.log(d):
@@ -185,64 +251,39 @@ def _min_divergence(rate: float, p: np.ndarray, slack: float,
         # a further slack/sqrt(2) each way
         lo_q, hi_q = t, 1.0 - t
         if anchor is not None:
-            a2 = min(anchor)
-            lo_q = max(lo_q, a2 - radius / math.sqrt(2))
-            hi_q = min(hi_q, a2 + radius / math.sqrt(2))
+            lo_q, hi_q = max(t, min(anchor) - radius / math.sqrt(2)), min(1.0 - t, min(anchor) + radius / math.sqrt(2))
             if lo_q > hi_q:
                 return INF
-        lo = max(0.0, lo_q - slack / math.sqrt(2))
-        hi = min(1.0, hi_q + slack / math.sqrt(2))
+        lo, hi = max(0.0, lo_q - slack / math.sqrt(2)), min(1.0, hi_q + slack / math.sqrt(2))
         p2 = min(p)
         if lo <= p2 <= hi:
             return 0.0
-        edge = lo if p2 < lo else hi
-        return binary_divergence(edge, p2)
+        return binary_divergence(lo if p2 < lo else hi, p2)
     support = p > 0
-    if _max_entropy_near_face(support, slack) < rate:
+    # distance to the face supp(p), whose nearest point spreads the mass off it evenly on it
+    face = lambda x: math.sqrt(x[~support] @ x[~support] + x[~support].sum() ** 2 / support.sum())
+    top, far = _max_entropy_near_face(support, slack)
+    if top < rate:
         return INF
-    if anchor is not None:
-        off = anchor[~support]  # the face point nearest the anchor spreads this mass evenly on the support
-        face_gap = math.sqrt(off @ off + off.sum() ** 2 / support.sum()) - radius
-        if face_gap > slack or _max_entropy_in_ball(anchor, radius) < rate:
+    if anchor is None:
+        if slack == 0:  # q' = q: the exponent itself
+            return optimal_overflow_exponent(rate, p)
+        if _max_entropy_in_ball(p, slack)[0] >= rate:
+            return 0.0  # p itself is a feasible q'
+        near, anchor, radius = support / support.sum(), np.full(d, 1.0 / d), 2.0  # a ball holding every q stands in
+    else:
+        if face(anchor) - radius > slack or (ball := _max_entropy_in_ball(anchor, radius))[0] < rate:
             return INF
-    log_p = np.log(p[support])
-    zeros = np.zeros(d)
-
-    def objective(z):
-        qp = z[:d][support]
-        return float(qp @ (np.log(qp) - log_p))
-
-    def gradient(z):
-        grad = np.zeros(2 * d)
-        grad[:d][support] = np.log(z[:d][support]) - log_p + 1.0
-        return grad
-
-    def step(z):
-        return z[:d] - z[d:]
-
-    constraints = [
-        {"type": "eq", "fun": lambda z: z[:d].sum() - 1.0, "jac": lambda z: np.repeat([1.0, 0.0], d)},
-        {"type": "eq", "fun": lambda z: z[d:].sum() - 1.0, "jac": lambda z: np.repeat([0.0, 1.0], d)},
-        {"type": "ineq", "fun": lambda z: -float(z[d:] @ np.log(z[d:])) - rate,
-         "jac": lambda z: np.concatenate([zeros, -np.log(z[d:]) - 1.0])},
-        {"type": "ineq", "fun": lambda z: slack**2 - float(step(z) @ step(z)),
-         "jac": lambda z: np.concatenate([-2.0 * step(z), 2.0 * step(z)])},
-    ]
-    starts = [np.ones(d) / d]
-    if anchor is not None:
-        constraints.append({"type": "ineq", "fun": lambda z: radius**2 - float((z[d:] - anchor) @ (z[d:] - anchor)),
-                            "jac": lambda z: np.concatenate([zeros, -2.0 * (z[d:] - anchor)])})
-        starts.insert(0, anchor)
-    rng = np.random.default_rng(0)
-    starts += [rng.dirichlet(np.ones(d)) for _ in range(10 - len(starts))]
-    limits = [(1e-12, 1.0) if on else (0.0, 0.0) for on in support] + [(1e-12, 1.0)] * d
-    for q0 in starts:
-        res = optimize.minimize(objective, np.concatenate([q0, q0]), method="SLSQP", jac=gradient,
-                                bounds=limits, constraints=constraints,
-                                options={"ftol": 1e-12, "maxiter": 500})
-        if res.success:
-            return max(0.0, float(res.fun))
-    raise NumericalFailure(f"SLSQP found no minimizer of D(q' || p) at rate {rate!r} from {len(starts)} starts")
+        top, far = ball
+        # towards the face, halfway between coming within slack of it and reaching it or the sphere
+        towards = np.where(support, anchor[~support].sum() / support.sum(), -anchor) / max(face(anchor), 1e-300)
+        near = anchor + (max(0.0, face(anchor) - slack) + min(face(anchor), radius)) / 2 * towards
+    # q from near towards far, halfway between where H (concave) and the face distance (convex) pass on chords
+    lo = 0.0 if (h := entropy(near)) >= rate else (rate - h) / (top - h)
+    hi = 1.0 if face(far) <= slack else (slack - face(near)) / (face(far) - face(near))
+    q = near + (lo + hi) / 2 * (far - near)
+    qp = q[support] + q[~support].sum() / support.sum()
+    return _interior_point(rate, p, slack, anchor, radius, np.concatenate([qp, q]))
 
 
 def overflow_exponent_floor(n: int, d: int, delta: float, rate: float, p_spec) -> float:
@@ -253,10 +294,7 @@ def overflow_exponent_floor(n: int, d: int, delta: float, rate: float, p_spec) -
     """
     p = np.asarray(sorted(p_spec, reverse=True), dtype=float)
     reduced = rate - (4 * d / n) * math.log(n + d)
-    inner = _min_divergence(reduced, p, 2 * delta)
-    if math.isinf(inner):
-        return INF
-    return -(5 * d / n) * math.log(n + d) + inner
+    return -(5 * d / n) * math.log(n + d) + _min_divergence(reduced, p, 2 * delta)  # inf stays inf
 
 
 def restricted_overflow_exponent_floor(n: int, d: int, delta: float, delta1: float,
@@ -267,12 +305,8 @@ def restricted_overflow_exponent_floor(n: int, d: int, delta: float, delta1: flo
     reduced = rate - (4 * d / n) * math.log(n + d)
     if reduced <= 0:
         return -(5 * d / n) * math.log(n + d)
-    best = INF
-    for s in spectrum_set:
-        s = np.asarray(sorted(s, reverse=True), dtype=float)
-        best = min(best, _min_divergence(reduced, p, 2 * delta, s, delta1))
-    if math.isinf(best):
-        return INF
+    best = min((_min_divergence(reduced, p, 2 * delta, np.asarray(sorted(s, reverse=True), dtype=float), delta1)
+                for s in spectrum_set), default=INF)
     return -(5 * d / n) * math.log(n + d) + best
 
 
@@ -332,7 +366,7 @@ def min_divergence_outside_boxes(boxes, p_spec, d: int) -> float:
                 top = 1.0 / p[-1] if p[-1] > 0 else float(np.max(hi[p > 0] / p[p > 0]))
                 if excess(top) < 0:
                     continue
-                t = optimize.brentq(excess, 0.0, top, xtol=1e-300)
+                t = root(excess, 0.0, top, 1e-300)
                 best = min(best, divergence(np.clip(t * p, lo, hi), p))
     return best
 

@@ -16,12 +16,15 @@ import argparse
 import csv
 import io
 import json
+import locale  # noqa: F401  at start, not in the first operation (argparse's gettext loads it)
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
+import numpy.ma  # noqa: F401  likewise (np.unique)
+import numpy.random  # noqa: F401  likewise (Monte Carlo)
 
 from . import __version__, bounds, codec, info, young
 from .linalg import DimensionBudgetError, NumericalFailure, Source, basis_source
@@ -137,6 +140,8 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("--delta1 must be below --delta")
     if config.n_grid is not None and not (config.n_grid and min(config.n_grid) >= 1):
         raise ConfigError("--n-grid must list block lengths of at least 1")
+    if config.samples is not None and config.command not in ("error", "distribution", "fixed-length"):
+        raise ConfigError(f"--samples has no Monte Carlo route for {config.command}")
     if config.command == "error" and config.criterion in SIMULATED and config.samples is not None:
         raise ConfigError(f"--samples has no Monte Carlo route for --criterion {config.criterion}")
     if config.command in ON_D and config.spectrum and len(config.spectrum) != config.d:

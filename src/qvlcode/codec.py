@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from . import linalg, young
 from .info import lattice_count_bounds, sorted_spectrum, sum_zero_ball
@@ -207,7 +206,7 @@ class VLCode:
 
     @cached_property
     def _log_dims(self) -> np.ndarray:
-        """ln(subspace dimension) per outcome in ``outcomes`` order, in lgamma."""
+        """ln(subspace dimension) per outcome in ``outcomes`` order, from log-factorials."""
         labels = self._label_array
         return self._cluster_reduce(young.log_dim_sym_group(labels) + young.log_dim_unitary_group(labels),
                                     np.logaddexp)
@@ -221,7 +220,7 @@ class VLCode:
 
         The reject flag carries no quantum subspace, so only the symbol
         count contributes for it.  The dimension is summed in the log
-        domain from lgamma dimensions (``subspace_dim`` is its exact twin).
+        domain from log-factorial dimensions (``subspace_dim`` is its exact twin).
         """
         if k is REJECT:
             if not self.params.restricted:
@@ -318,7 +317,9 @@ def _atom_types(weights, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionBudgetError(f"{count} atom types of {len(weights)} atoms at n = {n} exceed the "
                                    f"limit of {MAX_ATOM_TYPES} (MAX_ATOM_TYPES)")
     taus = np.array(young.compositions(n, len(weights)))
-    log_w = gammaln(n + 1.0) - gammaln(taus + 1.0).sum(axis=1) + xlogy(taus, np.asarray(weights)).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # tau_j ln w_j is 0 where tau_j = 0
+        log_tau_w = np.where(taus > 0, taus * np.log(np.asarray(weights, dtype=float)), 0.0)
+    log_w = young.log_factorial(n) - young.log_factorial(taus).sum(axis=1) + log_tau_w.sum(axis=1)
     keep = log_w >= math.log(NEGLIGIBLE_WEIGHT / len(taus))
     return taus[keep], np.exp(log_w[keep])
 

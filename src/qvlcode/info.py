@@ -1,4 +1,4 @@
-"""Classical information quantities, lattice constants, and rate exponents.
+"""Classical information quantities, lattice constants, rate exponents, and Brent's root finder.
 
 All logarithms are natural (nats).  The norm on probability vectors and
 on the integer lattice is the Euclidean one throughout; lattice-count
@@ -12,11 +12,46 @@ import math
 
 import numpy as np
 import numpy.linalg as npl
-from scipy import optimize
 
-from .linalg import hermitianize
+from .linalg import NumericalFailure, hermitianize
 
 INF = float("inf")
+
+
+def root(f, lo: float, hi: float, xtol: float, maxiter: int = 100) -> float:
+    """A root of f in [lo, hi], where f changes sign, within xtol + 4 eps |x|, by Brent's method (Brent,
+    1973): step for step SciPy's C ``brentq``, so its roots, on Python floats.  NumericalFailure past maxiter."""
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError(f"f({lo!r}) and f({hi!r}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre < 0) != (fcur < 0):  # the bracket is [xpre, xcur]
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + 8.881784197001252e-16 * abs(xcur)) / 2  # rtol = 4 eps
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            spre, scur = (scur, stry) if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta) else (sbis, sbis)
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise NumericalFailure(f"no root in [{lo!r}, {hi!r}] within {maxiter} steps")
 
 
 def entropy(q) -> float:
@@ -194,7 +229,7 @@ def entropy_contour_point(R: float) -> float:
         return 0.5
     if R == 0.0:
         return 0.0
-    return float(optimize.brentq(lambda t: binary_entropy(t) - R, 1e-300, 0.5, xtol=1e-15))
+    return root(lambda t: binary_entropy(t) - R, 1e-300, 0.5, 1e-15)
 
 
 def optimal_overflow_exponent(R: float, p_spec) -> float:
@@ -221,7 +256,7 @@ def optimal_overflow_exponent(R: float, p_spec) -> float:
         return q / q.sum()
 
     target = min(R, entropy(tilt(0.0)))  # ln |supp p|, as rounded
-    s = optimize.brentq(lambda s: entropy(tilt(s)) - target, 0.0, 1.0, xtol=1e-15)
+    s = root(lambda s: entropy(tilt(s)) - target, 0.0, 1.0, 1e-15)
     return divergence(tilt(s), p)
 
 

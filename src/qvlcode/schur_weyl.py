@@ -6,7 +6,7 @@ one symmetric-group irrep.  Three routes give the weight Tr P_lam rho of
 every row of an (L, d) label array, and the per-label functions are
 entries of them: ``dense_block_probs`` (projectors as eigenspaces of
 two class sums, within ``linalg.MAX_BYTES``); ``log_block_probs_iid``
-(the i.i.d. closed form, lgamma dimensions plus a log-domain
+(the i.i.d. closed form, log-factorial dimensions plus a log-domain
 bialternant, any n); ``diagonal_block_probs`` (products of commuting
 factors, any n and d, for a batch of atom types at once: each atom's
 letter-count laws in one array pass, convolved per type, read off by the
@@ -22,7 +22,6 @@ import math
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import young
 from .linalg import NumericalFailure, joint_eigenbasis, require_bytes, tensor
@@ -169,7 +168,7 @@ def _rows(labels, n: int, d: int) -> list[int]:
 
 def log_block_probs_iid(labels, spec) -> np.ndarray:
     """log Tr P_lam rho^{x n} for each row of an (L, w) label array: the
-    lgamma dimension of the S_n irrep plus log s_lam(spectrum), by
+    log-factorial dimension of the S_n irrep plus log s_lam(spectrum), by
     ``young.log_schur_two_rows`` for two rows over a two-level spectrum
     and by ``young.log_schur`` otherwise.  Any n; not clipped."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -201,7 +200,7 @@ def _atom_laws(q: np.ndarray, counts: np.ndarray, strides: np.ndarray) -> tuple[
     require_bytes(len(counts) * (2 * (free + 2) * width**free + step[-1] + 1) * 8, "the letter-count laws")
     c = low[:, :, None] + grid[:, None, :]
     c = np.concatenate([c, (counts[:, None] - c.sum(axis=0))[None]])
-    log_fact = gammaln(np.arange(counts[-1] + 1) + 1.0)  # off its ends only where c < 0
+    log_fact = young.log_factorial(np.arange(counts[-1] + 1))  # off its ends only where c < 0
     logp = log_fact[counts, None] - log_fact.take(c, mode="clip").sum(axis=0) + np.tensordot(np.log(q[live]), c, 1)
     logp[(c < 0).any(axis=0)] = -np.inf
     rows = np.zeros((len(counts), step[-1] + 1))
@@ -275,7 +274,7 @@ def diagonal_block_probs(labels, spectra, counts=None) -> np.ndarray:
         by_h = law[:, amin:] + law[:, n - amin::-1]  # c = h and c = n - h
         if n % 2 == 0:
             by_h[:, 0] /= 2  # h = n/2 is a single c
-        log_comb = gammaln(n + 1.0) - gammaln(h + 1.0) - gammaln(n - h + 1.0)
+        log_comb = young.log_factorial(n) - young.log_factorial(h) - young.log_factorial(n - h)
         with np.errstate(divide="ignore"):
             log_s = np.logaddexp.accumulate(np.log(by_h) - log_comb, axis=1)
         probs = np.exp(young.log_dim_sym_group(labels) + log_s[:, labels[:, 0] - amin])

@@ -3,8 +3,8 @@
 A block label is a partition of n into at most d parts, stored as a
 tuple of d nonincreasing nonnegative integers (trailing zeros kept).
 Dimension counts are exact big integers (``dim_*``), and their logarithms
-come from lgamma and product formulas (``log_dim_*``), one label or an
-array of labels at a time.  Schur values come from the log-domain
+come from log-factorials and product formulas (``log_dim_*``), one label
+or an array of labels at a time.  Schur values come from the log-domain
 bialternant (``log_schur``, and ``log_schur_two_rows`` for two rows), in
 O(d! d^2) per label at any n.  Kostka numbers give the exact rational
 block weights of commuting products (``exact_block_weight``).
@@ -18,7 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 NEG_INF = float("-inf")
 
@@ -348,6 +347,33 @@ def compositions(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _stirling(x):
+    """ln Gamma(x), x >= 13: Stirling's series (x - 1/2) ln x - x + ln sqrt(2 pi) + S(1/x^2)/x, with the
+    minimax S of Cephes' lgam (Moshier), as SciPy's gammaln: its bits wherever np.log rounds as C's log."""
+    p, s = 1.0 / (x * x), 0.0
+    for c in (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+              -2.77777777730099687205e-3, 8.33333333333331927722e-2):
+        s = s * p + c
+    return (x - 0.5) * np.log(x) - x + 0.91893853320467274178 + s / x
+
+
+_LOG_FACTORIALS = np.concatenate([[math.log(math.factorial(k)) for k in range(12)], _stirling(np.arange(13.0, 257.0))])
+
+
+def log_factorial(k):
+    """ln k! for a nonnegative integer k or an array of them (any dtype): a table below 256, above it
+    ``_stirling`` on those entries only; within 3 ulps of the exact value."""
+    k = np.asarray(k)
+    if k.ndim == 0:
+        return float(_LOG_FACTORIALS[int(k)] if k < 256 else _stirling(k + 1.0))
+    flat, out = k.reshape(-1), np.empty(k.size)
+    for i in range(0, k.size, 1 << 15):  # in pieces that stay in cache through the series' passes
+        c, o = flat[i:i + (1 << 15)], out[i:i + (1 << 15)]
+        o[:] = _LOG_FACTORIALS.take(np.minimum(c, 255).astype(np.intp))
+        o[c >= 256] = _stirling(c[c >= 256] + 1.0)
+    return out.reshape(k.shape)
+
+
 def _log_vandermonde(l: np.ndarray) -> np.ndarray:
     i, j = np.triu_indices(l.shape[-1], 1)
     return np.log(l[..., i] - l[..., j]).sum(axis=-1)
@@ -356,12 +382,12 @@ def _log_vandermonde(l: np.ndarray) -> np.ndarray:
 def log_dim_sym_group(labels):
     """log dim of the S_n irrep, for one label or an (L, d) array of labels.
 
-    Frobenius' hook length formula in lgamma, with l = lam + delta:
+    Frobenius' hook length formula in log-factorials, with l = lam + delta:
     ln n! - sum ln l_i! + sum over i<j of ln(l_i - l_j).
     """
     lam = np.asarray(labels, dtype=float)
     l = lam + np.arange(lam.shape[-1] - 1, -1, -1)
-    out = gammaln(lam.sum(axis=-1) + 1) - gammaln(l + 1).sum(axis=-1) + _log_vandermonde(l)
+    out = log_factorial(lam.sum(axis=-1)) - log_factorial(l).sum(axis=-1) + _log_vandermonde(l)
     return float(out) if out.ndim == 0 else out
 
 

@@ -166,15 +166,15 @@ def shannon_entropy_of_counts(parts, n: int | None = None) -> float:
 
 def slsqp_min_divergence(rate: float, p, slack: float, anchor=None, radius=None) -> float:
     """inf D(q' || p) over H(q) >= rate, ||q - q'|| <= slack and, with an
-    ``anchor``, ||q - anchor|| <= radius, for d >= 3 and p of full support:
-    the best of ten SLSQP starts (the anchor, the uniform law, seeded
-    Dirichlet draws) with finite-difference derivatives; +inf when no
-    start succeeds."""
+    ``anchor``, ||q - anchor|| <= radius, for d >= 3, q' held at 0 off
+    the support of p: the best of ten SLSQP starts (the anchor, the uniform
+    law, seeded Dirichlet draws) with finite-difference derivatives; +inf
+    when no start succeeds."""
     p = np.asarray(p, dtype=float)
     d = len(p)
 
     def objective(z):
-        qp = np.clip(z[:d], 1e-14, None)
+        qp = np.where(p > 0, np.clip(z[:d], 1e-14, None), 0.0)
         return info.divergence(qp / qp.sum(), p)
 
     constraints = [
@@ -193,7 +193,8 @@ def slsqp_min_divergence(rate: float, p, slack: float, anchor=None, radius=None)
     best = math.inf
     for q0 in starts:
         res = optimize.minimize(objective, np.concatenate([q0, q0]), method="SLSQP",
-                                bounds=[(1e-12, 1.0)] * (2 * d), constraints=constraints,
+                                bounds=[(1e-12, 1.0) if v > 0 else (0.0, 0.0) for v in p] + [(1e-12, 1.0)] * d,
+                                constraints=constraints,
                                 options={"ftol": 1e-12, "maxiter": 500})
         if res.success:
             best = min(best, max(0.0, float(res.fun)))

@@ -1,8 +1,11 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import optimize
+from scipy.special import wrightomega
 
 import oracles
 from qvlcode import bounds, codec, info
@@ -171,8 +174,8 @@ class TestOverflowBound:
         assert wide == pytest.approx(plain, abs=1e-5)
 
 
-def failing_minimize(*args, **kwargs):
-    return optimize.OptimizeResult(x=args[1], fun=0.0, success=False, message="forced failure")
+def solver_not_called(*args, **kwargs):
+    pytest.fail("solver called")
 
 
 def slsqp_max_entropy_in_ball(anchor, radius, starts=12):
@@ -196,7 +199,7 @@ class TestOverflowFloorSolver:
 
     def test_solver_failure_raises(self, monkeypatch):
         delta, delta1 = codec.delta_schedule(self.N)
-        monkeypatch.setattr(bounds.optimize, "minimize", failing_minimize)
+        monkeypatch.setattr(bounds, "MAX_ITERATIONS", 1)  # the interior point cannot converge in one step
         with pytest.raises(NumericalFailure):
             bounds.overflow_exponent_floor(self.N, self.D, delta, self.RATE, self.SPEC)
         with pytest.raises(NumericalFailure):
@@ -206,15 +209,17 @@ class TestOverflowFloorSolver:
     def test_infeasible_anchor_is_decided_without_solver(self, monkeypatch):
         delta, delta1 = codec.delta_schedule(self.N)
         anchor = np.array([0.8, 0.15, 0.05])
-        assert bounds._max_entropy_in_ball(anchor, delta1) < self.RATE
-        monkeypatch.setattr(bounds.optimize, "minimize", failing_minimize)
+        assert bounds._max_entropy_in_ball(anchor, delta1)[0] < self.RATE
+        monkeypatch.setattr(bounds, "_interior_point", solver_not_called)
         assert bounds.restricted_overflow_exponent_floor(
             self.N, self.D, delta, delta1, (tuple(anchor),), self.RATE, self.SPEC) == math.inf
 
     @pytest.mark.parametrize("anchored", [False, True])
     @pytest.mark.parametrize("d", [3, 4, 5])
-    def test_min_divergence_against_finite_difference_oracle(self, d, anchored):
-        # the slack and anchor radius of the schedule at n = 40000
+    def test_min_divergence_against_finite_difference_oracle(self, d, anchored, monkeypatch):
+        # the slack and anchor radius of the schedule at n = 40000; the
+        # interior point converges in at most 22 steps on these
+        monkeypatch.setattr(bounds, "MAX_ITERATIONS", 30)
         delta, delta1 = codec.delta_schedule(self.N)
         rng = np.random.default_rng(10 * d + anchored)
         values = []
@@ -226,7 +231,7 @@ class TestOverflowFloorSolver:
             if anchored:
                 tilted = p ** rng.uniform(0.0, 1.0)
                 anchor, radius = tilted / tilted.sum(), delta1
-                if bounds._max_entropy_in_ball(anchor, radius) < rate:
+                if bounds._max_entropy_in_ball(anchor, radius)[0] < rate:
                     continue
             got = bounds._min_divergence(rate, p, 2 * delta, anchor, radius)
             want = oracles.slsqp_min_divergence(rate, p, 2 * delta, anchor, radius)
@@ -234,18 +239,52 @@ class TestOverflowFloorSolver:
             values.append(got)
         assert sum(v > 1e-4 for v in values) >= 2  # not only the trivial zero
 
-    def test_zero_entries_hold_q_prime_on_the_support(self):
+    def test_zero_entries_with_an_anchor_against_finite_difference_oracle(self, monkeypatch):
+        # the interior point's start moves from the anchor towards the face
+        # first: half of these anchors lie beyond the slack of the face
+        monkeypatch.setattr(bounds, "MAX_ITERATIONS", 30)
+        delta, delta1 = codec.delta_schedule(self.N)
+        rng = np.random.default_rng(5)
+        far_anchors, values = 0, []
+        while len(values) < 8:
+            d = 3 + len(values) % 2
+            p = np.append(np.sort(rng.dirichlet(np.ones(d - 1)))[::-1], 0.0)
+            h = info.entropy(p)
+            rate = h + rng.uniform(0.1, 0.9) * (math.log(d) - h)
+            anchor = np.sort(rng.dirichlet(np.ones(d)))[::-1]
+            got = bounds._min_divergence(rate, p, 2 * delta, anchor, delta1)
+            if math.isinf(got):
+                continue
+            assert got == pytest.approx(oracles.slsqp_min_divergence(rate, p, 2 * delta, anchor, delta1), abs=1e-9)
+            far_anchors += math.hypot(anchor[-1], anchor[-1] / np.sqrt(d - 1)) > 2 * delta
+            values.append(got)
+        assert far_anchors >= 2 and sum(v > 1e-4 for v in values) >= 2
+
+    def test_zero_entries_hold_q_prime_on_the_support(self, monkeypatch):
         # D(q' || p) is finite only on supp(p); the floor stays below the
-        # exponent, and a rate out of reach from that face is infeasible
+        # exponent, and a rate out of reach from that face is infeasible.
+        # Just below that rate the start's entropy margin is 5e-7, and the
+        # interior point ends at its rounding floor, within 30 steps
+        monkeypatch.setattr(bounds, "MAX_ITERATIONS", 30)
         p = np.array([0.5, 0.3, 0.2, 0.0])
         rate = 1.07  # between H(p) and ln 3
         exponent = info.optimal_overflow_exponent(rate, p)
         assert math.isfinite(exponent)
         for slack in (1e-3, 0.05):
-            top = bounds._max_entropy_near_face(p > 0, slack)
-            assert 0.0 < bounds._min_divergence(rate, p, slack) <= exponent + 1e-9
+            top = bounds._max_entropy_near_face(p > 0, slack)[0]
+            if slack == 1e-3:
+                assert 0.0 < bounds._min_divergence(rate, p, slack) <= exponent + 1e-9
+            else:  # H reaches 1.163 > rate within 0.05 of p: p itself is a feasible q'
+                assert bounds._min_divergence(rate, p, slack) == 0.0
             assert bounds._min_divergence(top - 1e-6, p, slack) < math.inf
             assert bounds._min_divergence(top + 1e-6, p, slack) == math.inf
+
+    def test_zero_slack_is_the_optimal_exponent(self):
+        # q' = q: the tilted family's exponent, which a positive slack can only lower
+        for p, rate in ((np.array([0.6, 0.3, 0.1]), 1.0), (np.array([0.6, 0.4, 0.0]), 0.68)):
+            exact = info.optimal_overflow_exponent(rate, p)
+            assert bounds._min_divergence(rate, p, 0.0) == exact > 0.0
+            assert 0.0 < bounds._min_divergence(rate, p, 1e-3) < exact
 
     def test_max_entropy_near_face_against_slsqp(self):
         for support, slack in (([1, 1, 0], 0.05), ([1, 1, 0, 0], 0.1), ([1, 1, 1, 0, 0], 0.02),
@@ -263,7 +302,7 @@ class TestOverflowFloorSolver:
                                         options={"ftol": 1e-14, "maxiter": 1000})
                 if res.success:
                     best = max(best, -float(res.fun))
-            assert bounds._max_entropy_near_face(support, slack) == pytest.approx(best, abs=1e-7)
+            assert bounds._max_entropy_near_face(support, slack)[0] == pytest.approx(best, abs=1e-7)
 
     def test_max_entropy_in_ball_against_slsqp(self):
         rng = np.random.default_rng(7)
@@ -271,14 +310,29 @@ class TestOverflowFloorSolver:
             d = 3 + i % 3
             anchor = rng.dirichlet(np.ones(d))
             radius = float(np.linalg.norm(anchor - 1.0 / d)) * rng.uniform(0.05, 0.95)
-            got = bounds._max_entropy_in_ball(anchor, radius)
+            got, q = bounds._max_entropy_in_ball(anchor, radius)
+            assert info.entropy(q) == got and np.linalg.norm(q - anchor) == pytest.approx(radius, abs=1e-12)
             assert got == pytest.approx(slsqp_max_entropy_in_ball(anchor, radius), abs=1e-9)
+
+    def test_wright_omega_against_scipy_and_mpmath(self):
+        # SciPy's values are off by up to 2.7e-15 on (-35, -4); against
+        # 100-bit mpmath the Newton steps are within 1e-15
+        z = np.concatenate([-np.geomspace(700, 1e-9, 3000), np.linspace(-5, 5, 3001), np.geomspace(1e-9, 1e6, 3000)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = bounds._wright_omega(z)
+        np.testing.assert_allclose(w, wrightomega(z), rtol=4e-15, atol=0)
+        with mpmath.workprec(100):
+            for x, v in zip(z[::23].tolist(), w[::23].tolist()):
+                exact = float(mpmath.lambertw(mpmath.exp(x)).real)
+                assert abs(v - exact) <= 1e-15 * exact
+        assert bounds._wright_omega([-800.0, 1.0]).tolist() == [0.0, 1.0]
 
     def test_max_entropy_in_ball_limits(self):
         anchor = np.array([0.5, 0.3, 0.2])
-        assert bounds._max_entropy_in_ball(anchor, 1.0) == math.log(3)
-        assert bounds._max_entropy_in_ball(anchor, 0.0) == pytest.approx(info.entropy(anchor), abs=1e-12)
-        assert bounds._max_entropy_in_ball(np.array([0.6, 0.4, 0.0]), 0.01) > info.entropy([0.6, 0.4])
+        assert bounds._max_entropy_in_ball(anchor, 1.0)[0] == math.log(3)
+        assert bounds._max_entropy_in_ball(anchor, 0.0)[0] == pytest.approx(info.entropy(anchor), abs=1e-12)
+        assert bounds._max_entropy_in_ball(np.array([0.6, 0.4, 0.0]), 0.01)[0] > info.entropy([0.6, 0.4])
 
 
 class TestTailBounds:

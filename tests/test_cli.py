@@ -6,7 +6,6 @@ import sys
 import time
 
 import pytest
-from scipy import optimize
 
 from qvlcode import bounds, cli, info, schur_weyl
 
@@ -146,6 +145,14 @@ class TestConfigHandling:
         ["error", "--n", "4", "--schedule", "--spectrum", "0.7,0.3", "--criterion", "definitional",
          "--samples", "10"],
         ["error", "--n", "4", "--schedule", "--spectrum", "0.7,0.3", "--criterion", "prime", "--samples", "10"],
+        ["overflow", "--n", "20", "--schedule", "--spectrum", "0.7,0.3", "--rate", "0.5", "--samples", "7"],
+        ["dims", "--n", "3", "--samples", "7"],
+        ["decompose-check", "--n", "3", "--samples", "7"],
+        ["bounds", "--n", "100", "--schedule", "--rate", "0.5", "--spectrum", "0.7,0.3", "--samples", "7"],
+        ["exponent", "--rate", "0.65", "--spectrum", "0.7,0.3", "--samples", "7"],
+        ["lemma-l1", "--spectrum", "0.7,0.3", "--n-grid", "10", "--samples", "7"],
+        ["lemma-l2", "--spectrum", "0.7,0.3", "--n-grid", "10", "--samples", "7"],
+        ["sec6-gap", "--t1", "0.2", "--t0", "0.1", "--dtheta", "0.1", "--samples", "7"],
     ])
     def test_out_of_range_exits_1(self, argv, capsys):
         assert cli.main(argv) == 1
@@ -185,10 +192,7 @@ class TestConfigHandling:
         assert cli.main(["dims", "--n", "3"]) == 3
 
     def test_bounds_solver_failure_exit_code(self, monkeypatch, capsys):
-        def failing_minimize(*args, **kwargs):
-            return optimize.OptimizeResult(x=args[1], fun=0.0, success=False, message="forced failure")
-
-        monkeypatch.setattr(bounds.optimize, "minimize", failing_minimize)
+        monkeypatch.setattr(bounds, "MAX_ITERATIONS", 1)  # the interior point cannot converge in one step
         assert cli.main(["bounds", "--n", "40000", "--d", "3", "--schedule", "--rate", "1.05",
                          "--spectrum", "0.6,0.3,0.1"]) == 3
         err = capsys.readouterr().err
@@ -359,7 +363,7 @@ class TestCommands:
     def test_bounds_anchor_ball_apart_from_the_support_face(self, capsys, monkeypatch):
         # the anchor's ball and the face's slack neighbourhood each reach the
         # rate but do not meet: inf by the closed form, with no solver call
-        monkeypatch.setattr(bounds.optimize, "minimize", lambda *args, **kwargs: pytest.fail("solver called"))
+        monkeypatch.setattr(bounds, "_interior_point", lambda *args, **kwargs: pytest.fail("solver called"))
         argv = ["bounds", "--n", "40000", "--d", "3", "--delta", "0.005", "--delta1", "0.004", "--rate", "0.6",
                 "--spectrum", "0.5,0.5,0", "--spectrum-set", "0.2,0.3,0.5", "--format", "json"]
         assert cli.main(argv) == 0
@@ -453,3 +457,34 @@ def test_qubit_error_does_not_import_scipy_stats():
               "assert 'scipy.stats' not in sys.modules and 'mpmath' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def run_fresh(script: str) -> None:
+    """Run ``script`` in a new interpreter that imports this package."""
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", f"import sys\nsys.path.insert(0, {package_root!r})\n" + script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_starts_without_scipy():
+    run_fresh("import qvlcode.cli\nassert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], sys.modules\n")
+
+
+def test_operations_import_nothing_after_start(tmp_path):
+    # each command runs in the process that imported qvlcode.cli, as in a
+    # forked worker; none leaves a module to import on its first call
+    atoms = [{"weight": 0.6, "matrix": [[[0.7, 0], [0.2, 0]], [[0.2, 0], [0.3, 0]]]},
+             {"weight": 0.4, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}]
+    path = tmp_path / "noncommuting.json"
+    path.write_text(json.dumps({"d": 2, "atoms": atoms}))
+    argvs = [["error", "--n", "5", "--schedule", "--source", str(path)],
+             ["error", "--n", "5", "--schedule", "--source", str(path), "--samples", "20", "--seed", "3"],
+             ["exponent", "--rate", "0.9", "--spectrum", "0.6,0.3,0.1"],
+             ["bounds", "--n", "40000", "--d", "3", "--schedule", "--rate", "1.05", "--spectrum", "0.6,0.3,0.1",
+              "--spectrum-set", "0.5,0.3,0.2"]]
+    run_fresh("from qvlcode import cli\n"
+              "loaded = set(sys.modules)\n"
+              f"for argv in {argvs!r}:\n"
+              "    assert cli.main(argv) == 0\n"
+              "    assert set(sys.modules) == loaded, (argv, sorted(set(sys.modules) - loaded))\n")

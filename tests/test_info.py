@@ -369,3 +369,63 @@ def test_contour_point_inverts_entropy():
     for rate in (0.1, 0.4, 0.6, math.log(2)):
         t = info.entropy_contour_point(rate)
         assert info.binary_entropy(t) == pytest.approx(rate, abs=1e-12)
+
+
+def _root_cases():
+    """(f, lo, hi, xtol) for each function the package hands to ``info.root``,
+    rebuilt here: the entropy contour, the tilted family's entropy, the
+    error ceiling's slope, a box face's excess mass, the start's entropy
+    on a segment, and the maximum-entropy path's distance (with SciPy's
+    Wright omega and root)."""
+    from scipy.special import wrightomega
+
+    cases = [(lambda t, r=r: info.binary_entropy(t) - r, 1e-300, 0.5, 1e-15) for r in (1e-9, 0.3, 0.69)]
+    p = np.array([0.6, 0.3, 0.08, 0.02])
+    for rate in (0.95, 1.2, 1.38):
+        def tilted(s, rate=rate):
+            q = p**s
+            return info.entropy(q / q.sum()) - rate
+        cases.append((tilted, 0.0, 1.0, 1e-15))
+    for n, d, delta, exponent in ((40000, 3, 40000**-0.25, 1.5), (10**6, 2, 0.03, 2.0), (5000, 5, 0.4, 1.5)):
+        log_poly, curv = 4 * d * math.log(n + d), float(n)
+        def slope(s, exponent=exponent, curv=curv, log_poly=log_poly, delta=delta, d=d):
+            return 2 * exponent * curv * s * (delta - s) - (d - 1) * math.expm1(min(curv * s * s - log_poly, 700.0))
+        cases.append((slope, math.sqrt(log_poly / curv), delta, 1e-15 * delta))
+    lo, hi = np.array([0.0, 0.2, 0.0]), np.array([0.5, 0.3, np.inf])
+    cases.append((lambda t: float(np.clip(t * np.array([0.6, 0.3, 0.1]), lo, hi).sum()) - 1.0, 0.0, 10.0, 1e-300))
+    near, far = np.array([0.7, 0.2, 0.1, 0.0]), np.full(4, 0.25)
+    cases.append((lambda theta: info.entropy(near + theta * (far - near)) - 1.3, 0.5, 1.0, 1e-12))
+    anchor, radius = np.array([0.6, 0.3, 0.1]), 0.1
+
+    def gap(log_lam):
+        lam = math.exp(log_lam)
+        base = lam / 3 + math.log(lam / 3)
+        c = optimize.brentq(lambda c: wrightomega(lam * anchor + c).sum() - lam,
+                            base - lam * anchor.max(), base - lam * anchor.min(), xtol=1e-14)
+        return float(np.linalg.norm(wrightomega(lam * anchor + c) / lam - anchor)) - radius
+    cases.append((gap, 0.0, 8.0, 1e-13))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(len(_root_cases())))
+def test_root_is_brentq(case):
+    # the same steps as SciPy's brentq, so the same root, to the bit
+    f, lo, hi, xtol = _root_cases()[case]
+    assert info.root(f, lo, hi, xtol) == optimize.brentq(f, lo, hi, xtol=xtol)
+
+
+def test_root_on_overflowing_values_warns_nothing():
+    # secant steps between values near the float maximum overflow to inf on
+    # Python floats without a warning, and still bisect to the sign change
+    def f(x):
+        return np.float64(1.7e308) * np.sign(x - 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert info.root(f, 0.0, 1.0, 1e-12) == optimize.brentq(f, 0.0, 1.0, xtol=1e-12)
+
+
+def test_root_failures():
+    with pytest.raises(ValueError):
+        info.root(lambda x: x + 1.0, 0.0, 1.0, 1e-12)
+    with pytest.raises(info.NumericalFailure):
+        info.root(lambda x: math.copysign(1.0, x - 0.3), 0.0, 1.0, 1e-15, maxiter=3)  # bisection only

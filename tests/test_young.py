@@ -462,3 +462,15 @@ def test_two_row_weight_closed_form():
     for n1, n2 in [(3, 1), (5, 3), (10, 4)]:
         w = young.exact_block_weight((n1, n2), (n1, n2))
         assert w == 1 - Fraction(n2, n1 + 1)
+
+
+def test_log_factorial_within_3_ulps_of_mpmath():
+    k = np.unique(np.concatenate([np.arange(600), np.geomspace(600, 1e8, 1500).astype(np.int64)]))
+    got = young.log_factorial(k)
+    with mpmath.workprec(100):
+        want = np.array([float(mpmath.loggamma(int(v) + 1)) for v in k])
+    assert got[0] == got[1] == 0.0
+    assert (np.abs(got - want)[2:] <= 3 * np.spacing(want[2:])).all()
+    # scalars, and integral floats, take the same values
+    assert young.log_factorial(k.astype(float)).tolist() == got.tolist()
+    assert [young.log_factorial(int(v)) for v in k[::37]] == got[::37].tolist()
