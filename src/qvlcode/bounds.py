@@ -108,8 +108,13 @@ def restricted_error_ceiling(n: int, d: int, delta: float, delta1: float,
 
 
 def _wright_omega(z) -> np.ndarray:
-    """Wright omega, w + ln w = z, entrywise: Newton on Python floats from z - ln z above 1, else from e^z on
-    w = e^z e^(-w) (precise as w -> 0); concave residuals, so the iterates rise; a step < 1e-10 w ends them."""
+    """Wright omega, the w with w + ln w = z, entrywise.
+
+    Newton steps on Python floats, from z - ln z above 1 and otherwise
+    from e^z on w = e^z e^(-w), which keeps the relative precision as
+    w -> 0.  The residuals are concave, so the iterates rise; a step below
+    1e-10 w ends them.
+    """
     out = []
     for x in np.asarray(z, dtype=float).tolist():
         big, ex = x > 1.0, math.exp(min(x, 1.0))
@@ -122,21 +127,24 @@ def _wright_omega(z) -> np.ndarray:
 
 
 def _max_entropy_in_ball(anchor: np.ndarray, radius: float) -> tuple[float, np.ndarray]:
-    """max H(q) over probability vectors q within ``radius`` of ``anchor``, and a maximizer.
+    """max H(q) over probability vectors q within ``radius`` of ``anchor``,
+    and a maximizer.
 
-    ln d when the uniform law lies in the ball (to 1e-9, where H is ln d to O(1e-18)).  Otherwise the
-    maximizer sits on the sphere, on the Lagrange path log q + lam q = lam anchor + mu, solved by q =
-    omega(lam anchor + c) / lam, c = mu + ln lam: c makes q sum to 1, and lam puts q at distance ``radius``.
-    Along the path q runs from the uniform law (lam -> 0) to the anchor (lam -> inf), each point the
-    maximizer for its own distance.
+    ln d when the uniform law lies in the ball (to 1e-9, where H is ln d
+    to O(1e-18)).  Otherwise the maximizer sits on the sphere, on the
+    Lagrange path log q + lam q = lam anchor + mu, solved by
+    q = omega(lam anchor + c) / lam with c = mu + ln lam (``_wright_omega``):
+    c makes q sum to 1, and lam puts q at distance ``radius``.  Along the
+    path q runs from the uniform law (lam -> 0) to the anchor (lam -> inf),
+    each point the maximizer for its own distance.
     """
     d = len(anchor)
     if np.linalg.norm(anchor - 1.0 / d) <= radius + 1e-9:
         return math.log(d), np.full(d, 1.0 / d)
 
     def on_path(log_lam: float) -> np.ndarray:
-        # Newton steps on c descend to the root: sum omega(lam anchor + c) - lam is convex, increasing,
-        # and at least 0 at c = ln(lam/d) (Jensen)
+        # Newton steps on c descend to the root: sum omega(lam anchor + c) - lam
+        # is convex, increasing, and at least 0 at c = ln(lam/d) (Jensen)
         lam, c = math.exp(log_lam), log_lam - math.log(d)
         w = _wright_omega(lam * anchor + c)
         while (excess := w.sum() - lam) > 1e-14 * lam:
@@ -144,88 +152,126 @@ def _max_entropy_in_ball(anchor: np.ndarray, radius: float) -> tuple[float, np.n
             w = _wright_omega(lam * anchor + c)
         return w / lam
 
-    gap = lambda log_lam: float(np.linalg.norm(on_path(log_lam) - anchor)) - radius
+    def gap(log_lam: float) -> float:
+        return float(np.linalg.norm(on_path(log_lam) - anchor)) - radius
+
     lo = hi = 0.0
     while gap(lo) <= 0:
         lo -= 4.0
     while gap(hi) > 0:
         if hi > 40:  # a ball below the path's resolution: the larger ball's maximum bounds it
-            return entropy(q := on_path(hi)), q
+            return entropy(on_path(hi)), anchor  # and the anchor is in it
         lo, hi = hi, hi + 4.0
-    return entropy(q := on_path(root(gap, lo, hi, 1e-13))), q
+    q = on_path(root(gap, lo, hi, 1e-13))
+    return entropy(q), q
 
 
 def _max_entropy_near_face(support: np.ndarray, slack: float) -> tuple[float, np.ndarray]:
-    """max H(q) over probability vectors q within ``slack`` of one on ``support``, and a maximizer.
+    """max H(q) over probability vectors q within ``slack`` of one on
+    ``support``, and a maximizer.
 
-    The problem is concave and symmetric under permutations that keep the support, so a symmetric
-    maximizer exists: a on the k support entries, b off them.  Its nearest point on the face is the
-    uniform law there, at distance b sqrt(d (d-k) / k), and H grows with b up to b = 1/d.
+    The problem is concave and symmetric under permutations that keep the
+    support, so a symmetric maximizer exists: a on the k support entries,
+    b off them.  Its nearest point on the face is the uniform law there,
+    at distance b sqrt(d (d-k) / k), and H grows with b up to b = 1/d.
     """
     d, k = len(support), int(support.sum())
     b = min(1.0 / d, slack * math.sqrt(k / (d * (d - k)))) if k < d else 1.0 / d
-    q = np.where(support, (1.0 - (d - k) * b) / k, b)
+    a = (1.0 - (d - k) * b) / k
+    q = np.where(support, a, b)
     return entropy(q), q
 
 
 MAX_ITERATIONS = 100  # interior-point steps; about 20 suffice
 
 
-def _interior_point(rate: float, p: np.ndarray, slack: float, anchor: np.ndarray, radius: float, z) -> float:
-    """min D(q' || p) over z = (q' on supp p, q) from a strictly feasible z, by the primal-dual
-    interior-point method (Boyd & Vandenberghe, Convex Optimization, 2004, sec. 11.7; mu = 10).
+def _interior_point(rate: float, p: np.ndarray, slack: float, anchor: np.ndarray | None,
+                    radius: float | None, x: np.ndarray) -> float:
+    """min D(q' || p) over the pairs of ``_min_divergence``, by the
+    primal-dual interior-point method (Boyd & Vandenberghe, Convex
+    Optimization, 2004, sec. 11.7; mu = 10), from a strictly feasible x.
 
-    g <= 0: rate - H(q), ||q' - q||^2 - slack^2, ||q - anchor||^2 - radius^2; sum q' = sum q = 1.  Each step
-    solves the KKT system with the multipliers' step eliminated (size k + d + 2, k = |supp p|); the line
-    search keeps them positive and z strictly feasible, then cuts the residual norm.  Stops at residuals
-    <= 1e-10 and surrogate gap <= 1e-13, or <= 1e-10 after a step the search had to cut (rounding floors
-    the gap above 1e-13 by a nearly active constraint with a large multiplier)."""
-    support = np.flatnonzero(p > 0)
-    k, size, log_p = len(support), len(support) + len(p), np.log(p[support])
-    moves = np.hstack([np.eye(len(p))[:, support], -np.eye(len(p))])  # z -> q' - q
-    ball = 2.0 * moves.T @ moves  # the Hessian of ||q' - q||^2
+    Each ball is the unit ball in its own variables, whatever its radius:
+    q = anchor + radius x or, without an anchor, q = x with the entries
+    off supp(p) in units of the slack; q' = q + slack v on supp(p), and
+    v = -q / slack off it, where q' is 0.  Written in q and q' themselves,
+    a slack or radius below about 1e-8 would be lost to rounding in q' - q
+    and q - anchor, and the steps would stall.  The variables are
+    z = (x, v on supp p); g <= 0 are rate - H(q), |v|^2 - 1 and, with an
+    anchor, |x|^2 - 1; the equalities hold sum q at 1 (at the anchor's
+    sum) and sum v at 0.  Each step solves the KKT system with the
+    multipliers' step eliminated (size d + k + 2, k = |supp p|); the line
+    search keeps them positive and z strictly feasible, then cuts the
+    residual norm.  Stops at residuals <= 1e-10 and surrogate gap
+    <= 1e-13, or at the gap's rounding floor: each g is of order 1, known
+    to about 4 eps, so the gap sum lam_i (-g_i) only to about 4 eps sum lam.
+    """
+    on = p > 0
+    d, k, log_p = len(p), int(on.sum()), np.log(p[on])
+    size = d + k
+    # the affine maps z -> q, q' on supp(p) and v, as (matrix, offset)
+    if anchor is None:
+        centre, scale = np.zeros(d), np.where(on, 1.0, slack)
+    else:
+        centre, scale = anchor, np.full(d, radius)
+    to_q = np.hstack([np.diag(scale), np.zeros((d, k))])
+    to_qp = to_q[on] + np.hstack([np.zeros((k, d)), slack * np.eye(k)])
+    to_v = np.zeros((d, size))
+    to_v[on, d:], to_v[~on] = np.eye(k), -to_q[~on] / slack
+    v0 = np.zeros(d)
+    v0[~on] = -centre[~on] / slack
+    ball = 2.0 * to_v.T @ to_v  # the Hessian of |v|^2
     kkt = np.zeros((size + 2, size + 2))
-    kkt[size, :k] = kkt[:k, size] = kkt[size + 1, k:size] = kkt[k:size, size + 1] = 1.0
-    eq = kkt[size:, :size]
+    eq, eq_rhs = kkt[size:, :size], np.array([1.0 if anchor is None else 0.0, -v0.sum()])
+    eq[0, :d], eq[1] = scale if anchor is None else 1.0, to_v.sum(axis=0)
+    kkt[:size, size:] = eq.T
 
     def evaluate(z):
-        """(gradient of D, g, Jacobian of g), or None off the domain or the strict inequalities."""
-        if min(z.tolist()) <= 0:
+        """(gradient of D, g, Jacobian of g, q, q'), or None off the domain or the strict inequalities."""
+        q, qp, v = to_q @ z + centre, to_qp @ z + centre[on], to_v @ z + v0
+        if min(q.tolist() + qp.tolist()) <= 0:
             return None
-        q, step, log_q = z[k:], moves @ z, np.log(z[k:])
-        g = [rate + q @ log_q, step @ step - slack**2, (q - anchor) @ (q - anchor) - radius**2]
+        log_q = np.log(q)
+        g = [rate + q @ log_q, v @ v - 1.0]
+        dg = [(log_q + 1.0) @ to_q, 2.0 * v @ to_v]
+        if anchor is not None:
+            g.append(z[:d] @ z[:d] - 1.0)
+            dg.append(np.concatenate([2.0 * z[:d], np.zeros(k)]))
         if max(g) >= 0:
             return None
-        dg = np.zeros((3, size))
-        dg[0, k:], dg[1], dg[2, k:] = log_q + 1.0, 2.0 * step @ moves, 2.0 * (q - anchor)
-        return np.concatenate([np.log(z[:k]) - log_p + 1.0, np.zeros(len(p))]), np.array(g), dg
+        return (np.log(qp) - log_p + 1.0) @ to_qp, np.array(g), np.array(dg), q, qp
 
+    # q' starts at the point of the face nearest q: q's mass off supp(p) spread evenly on it
+    z = np.concatenate([x, np.full(k, (scale * x + centre)[~on].sum() / (k * slack))])
     if (parts := evaluate(z)) is None:
         raise NumericalFailure(f"no strictly feasible start for D(q' || p) at rate {rate!r}")
-    lam, nu, cut = -1.0 / parts[1], np.zeros(2), False
+    lam, nu = -1.0 / parts[1], np.zeros(2)
+    mu_m = 10.0 * len(lam)  # t = mu m / gap
     for _ in range(MAX_ITERATIONS):
-        grad, g, dg = parts
+        grad, g, dg, q, qp = parts
         gap = -g @ lam
-        r_dual, r_cent, r_pri = grad + lam @ dg + nu @ eq, -lam * g - gap / 30.0, eq @ z - 1.0  # t = mu m / gap
-        if max(r_dual @ r_dual, r_pri @ r_pri) <= 1e-20 and gap <= (1e-10 if cut else 1e-13):
-            return max(0.0, float(z[:k] @ (np.log(z[:k]) - log_p)))
+        r_dual, r_cent, r_pri = grad + lam @ dg + nu @ eq, -lam * g - gap / mu_m, eq @ z - eq_rhs
+        if max(r_dual @ r_dual, r_pri @ r_pri) <= 1e-20 and gap <= 1e-13 + 1e-15 * lam.sum():
+            return max(0.0, float(qp @ (np.log(qp) - log_p)))
         # the Hessian of the Lagrangian plus sum lam_i / -g_i grad g_i grad g_i^T, from the eliminated multipliers
-        kkt[:size, :size] = lam[1] * ball + dg.T @ (dg * (lam / -g)[:, None])
-        kkt.flat[:size * (size + 3):size + 3] += np.concatenate([1.0 / z[:k], lam[0] / z[k:] + 2.0 * lam[2]])
+        hess = (to_qp.T / qp) @ to_qp + lam[0] * (to_q.T / q) @ to_q + lam[1] * ball
+        if anchor is not None:
+            hess[:d, :d] += 2.0 * lam[2] * np.eye(d)
+        kkt[:size, :size] = hess + dg.T @ (dg * (lam / -g)[:, None])
         sol = np.linalg.solve(kkt, -np.concatenate([r_dual + (r_cent / g) @ dg, r_pri]))
         dz, dnu = sol[:size], sol[size:]
         dlam = (r_cent - lam * (dg @ dz)) / g
-        s = first = 0.99 * min([1.0] + [-a / b for a, b in zip(lam.tolist(), dlam.tolist()) if b < 0])
+        s = 0.99 * min([1.0] + [-a / b for a, b in zip(lam.tolist(), dlam.tolist()) if b < 0])
         norm2 = r_dual @ r_dual + r_cent @ r_cent
         while True:
             parts = evaluate(z + s * dz)
             if parts is not None:
                 res_dual = parts[0] + (lam + s * dlam) @ parts[2] + (nu + s * dnu) @ eq
-                res_cent = -(lam + s * dlam) * parts[1] - gap / 30.0
+                res_cent = -(lam + s * dlam) * parts[1] - gap / mu_m
                 if res_dual @ res_dual + res_cent @ res_cent <= (1 - 0.01 * s) ** 2 * norm2 or s < 1e-10:
                     break
             s *= 0.5
-        z, lam, nu, cut = z + s * dz, lam + s * dlam, nu + s * dnu, s < first
+        z, lam, nu = z + s * dz, lam + s * dlam, nu + s * dnu
     raise NumericalFailure(f"no minimizer of D(q' || p) at rate {rate!r} in {MAX_ITERATIONS} interior-point steps")
 
 
@@ -233,12 +279,15 @@ def _min_divergence(rate: float, p: np.ndarray, slack: float,
                     anchor: np.ndarray | None = None, radius: float | None = None) -> float:
     """inf D(q' || p) over q' within ``slack`` of the entropy super-level set.
 
-    Feasible pairs: H(q) >= rate, ||q - q'|| <= slack and, with an ``anchor``, ||q - anchor|| <= radius;
-    minimized over q'.  d=2 reduces to intervals.  Higher d solves the convex joint program (D convex, H
-    concave) by ``_interior_point`` in z = (q', q), q' held at 0 off supp(p) where D is infinite, from a
-    strictly feasible start built from the closed forms.  0 without an anchor when p is within ``slack``
-    of the level set; +inf for a feasible set that the closed-form tests find empty (the entropy reachable
-    near the face or in the ball, and its distance to the face).
+    Feasible pairs: H(q) >= rate, ||q - q'|| <= slack and, with an
+    ``anchor``, ||q - anchor|| <= radius; minimized over q'.  d=2 reduces
+    to intervals.  Higher d solves the joint program (D convex, H concave,
+    both balls convex) by ``_interior_point``, q' held at 0 off supp(p)
+    where D is infinite, from a strictly feasible start built from the
+    closed forms.  0 without an anchor when p is within ``slack`` of the
+    level set, and the tilted family's exponent at zero slack; +inf for a
+    feasible set that the closed-form tests find empty (the entropy
+    reachable near the face or in the ball, and its distance to the face).
     """
     d = len(p)
     if rate > math.log(d):
@@ -251,39 +300,63 @@ def _min_divergence(rate: float, p: np.ndarray, slack: float,
         # a further slack/sqrt(2) each way
         lo_q, hi_q = t, 1.0 - t
         if anchor is not None:
-            lo_q, hi_q = max(t, min(anchor) - radius / math.sqrt(2)), min(1.0 - t, min(anchor) + radius / math.sqrt(2))
+            a2 = min(anchor)
+            lo_q = max(lo_q, a2 - radius / math.sqrt(2))
+            hi_q = min(hi_q, a2 + radius / math.sqrt(2))
             if lo_q > hi_q:
                 return INF
-        lo, hi = max(0.0, lo_q - slack / math.sqrt(2)), min(1.0, hi_q + slack / math.sqrt(2))
+        lo = max(0.0, lo_q - slack / math.sqrt(2))
+        hi = min(1.0, hi_q + slack / math.sqrt(2))
         p2 = min(p)
         if lo <= p2 <= hi:
             return 0.0
-        return binary_divergence(lo if p2 < lo else hi, p2)
+        edge = lo if p2 < lo else hi
+        return binary_divergence(edge, p2)
     support = p > 0
-    # distance to the face supp(p), whose nearest point spreads the mass off it evenly on it
-    face = lambda x: math.sqrt(x[~support] @ x[~support] + x[~support].sum() ** 2 / support.sum())
+
+    def face(x: np.ndarray) -> float:
+        """Distance to the face supp(p), whose nearest point spreads the mass off it evenly on it."""
+        return math.sqrt(x[~support] @ x[~support] + x[~support].sum() ** 2 / support.sum())
+
     top, far = _max_entropy_near_face(support, slack)
     if top < rate:
         return INF
     if anchor is None:
         if slack == 0:  # q' = q: the exponent itself
             return optimal_overflow_exponent(rate, p)
-        if _max_entropy_in_ball(p, slack)[0] >= rate:
+        # H lies below its tangent plane at p, so the ball about p reaches the rate only if that plane does
+        reach = entropy(p) + slack * float(np.linalg.norm(np.log(p) - np.log(p).mean())) if support.all() else INF
+        if reach >= rate and _max_entropy_in_ball(p, slack)[0] >= rate:
             return 0.0  # p itself is a feasible q'
-        near, anchor, radius = support / support.sum(), np.full(d, 1.0 / d), 2.0  # a ball holding every q stands in
+        near = support / support.sum()
     else:
         if face(anchor) - radius > slack or (ball := _max_entropy_in_ball(anchor, radius))[0] < rate:
             return INF
         top, far = ball
-        # towards the face, halfway between coming within slack of it and reaching it or the sphere
-        towards = np.where(support, anchor[~support].sum() / support.sum(), -anchor) / max(face(anchor), 1e-300)
-        near = anchor + (max(0.0, face(anchor) - slack) + min(face(anchor), radius)) / 2 * towards
+        to_face = np.where(support, anchor[~support].sum() / support.sum(), -anchor)
+        if face(anchor) < radius and not support.all():
+            # the face meets the ball in a ball about centre; from there towards its entropy maximizer,
+            # halfway between where H passes the rate on the chord and the sphere
+            centre = (anchor + to_face)[support]
+            top_face, inner = _max_entropy_in_ball(centre, math.sqrt(radius**2 - face(anchor) ** 2))
+            lo = 0.0 if (h := entropy(centre)) >= rate else (rate - h) / max(top_face - h, 1e-300)
+            near = np.zeros(d)
+            near[support] = centre + min(1.0, (lo + 1.0) / 2) * (inner - centre)
+            shift = near - anchor
+        else:  # towards the face, halfway between coming within slack of it and reaching it or the sphere
+            step = (max(0.0, face(anchor) - slack) + min(face(anchor), radius)) / 2
+            shift = step * to_face / max(face(anchor), 1e-300)
+            near = anchor + shift
     # q from near towards far, halfway between where H (concave) and the face distance (convex) pass on chords
     lo = 0.0 if (h := entropy(near)) >= rate else (rate - h) / (top - h)
     hi = 1.0 if face(far) <= slack else (slack - face(near)) / (face(far) - face(near))
-    q = near + (lo + hi) / 2 * (far - near)
-    qp = q[support] + q[~support].sum() / support.sum()
-    return _interior_point(rate, p, slack, anchor, radius, np.concatenate([qp, q]))
+    t = (lo + hi) / 2
+    if anchor is None:
+        q = near + t * (far - near)
+        x = np.where(support, q, q / slack)
+    else:  # (q - anchor) / radius from the steps that built q, in the unit ball for the least radius
+        x = (shift + t * (far - anchor - shift)) / radius if radius > 0 else np.zeros(d)
+    return _interior_point(rate, p, slack, anchor, radius, x)
 
 
 def overflow_exponent_floor(n: int, d: int, delta: float, rate: float, p_spec) -> float:
@@ -294,7 +367,10 @@ def overflow_exponent_floor(n: int, d: int, delta: float, rate: float, p_spec) -
     """
     p = np.asarray(sorted(p_spec, reverse=True), dtype=float)
     reduced = rate - (4 * d / n) * math.log(n + d)
-    return -(5 * d / n) * math.log(n + d) + _min_divergence(reduced, p, 2 * delta)  # inf stays inf
+    inner = _min_divergence(reduced, p, 2 * delta)
+    if math.isinf(inner):
+        return INF
+    return -(5 * d / n) * math.log(n + d) + inner
 
 
 def restricted_overflow_exponent_floor(n: int, d: int, delta: float, delta1: float,
@@ -305,8 +381,12 @@ def restricted_overflow_exponent_floor(n: int, d: int, delta: float, delta1: flo
     reduced = rate - (4 * d / n) * math.log(n + d)
     if reduced <= 0:
         return -(5 * d / n) * math.log(n + d)
-    best = min((_min_divergence(reduced, p, 2 * delta, np.asarray(sorted(s, reverse=True), dtype=float), delta1)
-                for s in spectrum_set), default=INF)
+    best = INF
+    for s in spectrum_set:
+        s = np.asarray(sorted(s, reverse=True), dtype=float)
+        best = min(best, _min_divergence(reduced, p, 2 * delta, s, delta1))
+    if math.isinf(best):
+        return INF
     return -(5 * d / n) * math.log(n + d) + best
 
 

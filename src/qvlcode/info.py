@@ -1,8 +1,9 @@
-"""Classical information quantities, lattice constants, rate exponents, and Brent's root finder.
+"""Classical information quantities, lattice constants, and rate exponents.
 
 All logarithms are natural (nats).  The norm on probability vectors and
 on the integer lattice is the Euclidean one throughout; lattice-count
-constants below inherit that convention.
+constants below inherit that convention.  ``root`` is Brent's method,
+the one root finder of the package.
 """
 
 from __future__ import annotations
@@ -16,11 +17,15 @@ import numpy.linalg as npl
 from .linalg import NumericalFailure, hermitianize
 
 INF = float("inf")
+MAX_ROOT_STEPS = 100  # Brent steps; SciPy's brentq allows as many
 
 
-def root(f, lo: float, hi: float, xtol: float, maxiter: int = 100) -> float:
-    """A root of f in [lo, hi], where f changes sign, within xtol + 4 eps |x|, by Brent's method (Brent,
-    1973): step for step SciPy's C ``brentq``, so its roots, on Python floats.  NumericalFailure past maxiter."""
+def root(f, lo: float, hi: float, xtol: float) -> float:
+    """A root of f in [lo, hi], where f changes sign, within xtol + 4 eps |x|.
+
+    Brent's method (Brent, 1973), step for step SciPy's C ``brentq``, so
+    its roots, on Python floats.  NumericalFailure past MAX_ROOT_STEPS.
+    """
     xpre, xcur = float(lo), float(hi)
     fpre, fcur = float(f(xpre)), float(f(xcur))
     if fpre == 0 or fcur == 0:
@@ -28,7 +33,7 @@ def root(f, lo: float, hi: float, xtol: float, maxiter: int = 100) -> float:
     if (fpre < 0) == (fcur < 0):
         raise ValueError(f"f({lo!r}) and f({hi!r}) have the same sign")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(MAX_ROOT_STEPS):
         if (fpre < 0) != (fcur < 0):  # the bracket is [xpre, xcur]
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -51,7 +56,7 @@ def root(f, lo: float, hi: float, xtol: float, maxiter: int = 100) -> float:
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = float(f(xcur))
-    raise NumericalFailure(f"no root in [{lo!r}, {hi!r}] within {maxiter} steps")
+    raise NumericalFailure(f"no root in [{lo!r}, {hi!r}] within {MAX_ROOT_STEPS} steps")
 
 
 def entropy(q) -> float:

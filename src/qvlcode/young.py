@@ -348,8 +348,12 @@ def compositions(n: int, d: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _stirling(x):
-    """ln Gamma(x), x >= 13: Stirling's series (x - 1/2) ln x - x + ln sqrt(2 pi) + S(1/x^2)/x, with the
-    minimax S of Cephes' lgam (Moshier), as SciPy's gammaln: its bits wherever np.log rounds as C's log."""
+    """ln Gamma(x) for x >= 13, by Stirling's series.
+
+    (x - 1/2) ln x - x + ln sqrt(2 pi) + S(1/x^2) / x, with the minimax
+    polynomial S of Cephes' lgam (Moshier), as in SciPy's gammaln: the
+    same bits wherever np.log rounds as C's log.
+    """
     p, s = 1.0 / (x * x), 0.0
     for c in (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
               -2.77777777730099687205e-3, 8.33333333333331927722e-2):
@@ -357,12 +361,16 @@ def _stirling(x):
     return (x - 0.5) * np.log(x) - x + 0.91893853320467274178 + s / x
 
 
-_LOG_FACTORIALS = np.concatenate([[math.log(math.factorial(k)) for k in range(12)], _stirling(np.arange(13.0, 257.0))])
+_LOG_FACTORIALS = np.concatenate([[math.log(math.factorial(k)) for k in range(12)],
+                                  _stirling(np.arange(13.0, 257.0))])  # ln k! for k < 256
 
 
 def log_factorial(k):
-    """ln k! for a nonnegative integer k or an array of them (any dtype): a table below 256, above it
-    ``_stirling`` on those entries only; within 3 ulps of the exact value."""
+    """ln k! for a nonnegative integer k or an array of them (any dtype).
+
+    A table below 256; above it ``_stirling``, on those entries only.
+    Within 3 ulps of the exact value.
+    """
     k = np.asarray(k)
     if k.ndim == 0:
         return float(_LOG_FACTORIALS[int(k)] if k < 256 else _stirling(k + 1.0))

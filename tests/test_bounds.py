@@ -260,6 +260,28 @@ class TestOverflowFloorSolver:
             values.append(got)
         assert far_anchors >= 2 and sum(v > 1e-4 for v in values) >= 2
 
+    @pytest.mark.parametrize("slack", [1e-3, 1e-5, 1e-7, 1e-8, 2e-9, 1e-9])
+    def test_small_slacks_against_finite_difference_oracle(self, slack, monkeypatch):
+        # q' - q and its ball's multiplier are scaled by the slack, so that
+        # rounding does not stall the steps; the floor tends to the tilted
+        # family's exponent as the slack goes to 0
+        monkeypatch.setattr(bounds, "MAX_ITERATIONS", 30)
+        p, rate = np.array([0.6, 0.3, 0.1]), 0.9968
+        got = bounds._min_divergence(rate, p, slack)
+        assert got == pytest.approx(oracles.slsqp_min_divergence(rate, p, slack), abs=1e-9)
+        exponent = info.optimal_overflow_exponent(rate, p)
+        assert exponent - 0.5 * slack < got < exponent
+
+    @pytest.mark.parametrize("radius", [1e-4, 1e-6, 1e-9, 1e-12, 0.0])
+    def test_small_anchor_radii_against_finite_difference_oracle(self, radius, monkeypatch):
+        # likewise q - anchor, scaled by the radius; a radius of 0 pins q to the anchor
+        monkeypatch.setattr(bounds, "MAX_ITERATIONS", 30)
+        p, anchor, rate = np.array([0.6, 0.3, 0.1]), np.array([0.5, 0.3, 0.2]), 0.9968
+        for slack in (1e-2, 1e-6):
+            got = bounds._min_divergence(rate, p, slack, anchor, radius)
+            want = oracles.slsqp_min_divergence(rate, p, slack, anchor, radius)
+            assert got == pytest.approx(want, abs=1e-9)
+
     def test_zero_entries_hold_q_prime_on_the_support(self, monkeypatch):
         # D(q' || p) is finite only on supp(p); the floor stays below the
         # exponent, and a rate out of reach from that face is infeasible.

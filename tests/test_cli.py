@@ -360,6 +360,21 @@ class TestCommands:
             else:
                 assert floor == math.inf
 
+    @pytest.mark.parametrize("radii, bound, value", [
+        (["--delta", "1e-9"], "overflow-exponent", 0.0167969431811),
+        (["--delta", "0.005", "--delta1", "1e-9", "--spectrum-set", "0.5,0.3,0.2"],
+         "overflow-exponent-restricted", 0.0371648905334),
+        (["--delta", "0.005", "--delta1", "0", "--spectrum-set", "0.5,0.3,0.2"],
+         "overflow-exponent-restricted", 0.0371648911420),
+    ])
+    def test_bounds_tiny_slack_and_radius(self, radii, bound, value, capsys):
+        # a slack or anchor radius far below the spectrum's scale is still a
+        # convex program with an answer: the values SLSQP gave
+        argv = ["bounds", "--n", "40000", "--d", "3", "--rate", "1.0", "--spectrum", "0.6,0.3,0.1", "--format", "json"]
+        assert cli.main(argv + radii) == 0
+        values = {r["bound"]: r["value"] for r in json.loads(capsys.readouterr().out)["results"]}
+        assert values[bound] == pytest.approx(value, abs=1e-9)
+
     def test_bounds_anchor_ball_apart_from_the_support_face(self, capsys, monkeypatch):
         # the anchor's ball and the face's slack neighbourhood each reach the
         # rate but do not meet: inf by the closed form, with no solver call
