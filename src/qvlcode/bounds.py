@@ -242,7 +242,8 @@ def _interior_point(rate: float, p: np.ndarray, slack: float, anchor: np.ndarray
         return (np.log(qp) - log_p + 1.0) @ to_qp, np.array(g), np.array(dg), q, qp
 
     # q' starts at the point of the face nearest q: q's mass off supp(p) spread evenly on it
-    z = np.concatenate([x, np.full(k, (scale * x + centre)[~on].sum() / (k * slack))])
+    spread = (scale * x + centre)[~on].sum() / (k * slack) if k < d else 0.0
+    z = np.concatenate([x, np.full(k, spread)])
     if (parts := evaluate(z)) is None:
         raise NumericalFailure(f"no strictly feasible start for D(q' || p) at rate {rate!r}")
     lam, nu = -1.0 / parts[1], np.zeros(2)

@@ -281,6 +281,9 @@ class TestOverflowFloorSolver:
             got = bounds._min_divergence(rate, p, slack, anchor, radius)
             want = oracles.slsqp_min_divergence(rate, p, slack, anchor, radius)
             assert got == pytest.approx(want, abs=1e-9)
+        if radius == 0:  # and with no slack either, q' = q = anchor
+            exact = info.divergence(anchor, p)
+            assert bounds._min_divergence(rate, p, 0.0, anchor, 0.0) == pytest.approx(exact, abs=1e-12)
 
     def test_zero_entries_hold_q_prime_on_the_support(self, monkeypatch):
         # D(q' || p) is finite only on supp(p); the floor stays below the
