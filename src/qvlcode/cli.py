@@ -109,9 +109,9 @@ def load_source_file(path: str) -> Source:
 
     Matrix entries are [re, im] pairs.
     """
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
     try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
         d = int(data["d"])
         weights, states = [], []
         for atom in data["atoms"]:
@@ -119,7 +119,7 @@ def load_source_file(path: str) -> Source:
             m = np.array([[complex(re, im) for re, im in row] for row in atom["matrix"]])
             states.append(m)
         return Source(d=d, weights=tuple(weights), states=tuple(states))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON or UTF-8 too
         raise ConfigError(f"bad source file {path}: {exc}") from exc
 
 

@@ -46,6 +46,7 @@ from .schur_weyl import (
     dense_bytes,
     diagonal_block_probs,
     log_block_probs_iid,
+    two_row_bands,
     young_projectors,
 )
 
@@ -296,31 +297,63 @@ def _grouped_logsumexp(v: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 # Skipped: atom types of total weight below this (no expectation moves by more)
 NEGLIGIBLE_WEIGHT = 1e-17
-# Above this many atom types the expectations fall back to this many Monte Carlo draws
+# Above this many kept atom types the expectations fall back to this many Monte Carlo draws
 MAX_ATOM_TYPES = 10**6
 FALLBACK_SAMPLES = 10**5
+# Types per batch of the two-row route, and bytes of its arrays: about 16 rows per type as long as its band
+BATCH_TYPES, BATCH_BYTES = 1024, 16 << 20
 
 
 def _atom_types(weights, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Atom-count vectors tau of n i.i.d. draws from ``weights``, and their
-    probabilities n!/prod(tau_j!) prod(w_j^tau_j).
+    probabilities n!/prod(tau_j!) prod(w_j^tau_j), in descending
+    lexicographic order.
 
     Every expectation of the code is invariant under permuting the copies
     (the instrument commutes with permutations), so a sequence enters only
     through its type and ``np.repeat(arange(m), tau)`` stands for all of
-    them.  Types of total weight below NEGLIGIBLE_WEIGHT are dropped.
-    More than MAX_ATOM_TYPES types raise DimensionBudgetError before any
-    is built.
+    them.  Types below NEGLIGIBLE_WEIGHT over the number of types are
+    dropped, and only the kept ones are built, one atom at a time: a prefix
+    with the other draws lumped is at least as likely as any type that
+    extends it, and concave in its last count, so each prefix's kept next
+    counts are one interval about the mode, whose ends are bisected.  More
+    than MAX_ATOM_TYPES kept prefixes raise DimensionBudgetError.
     """
-    count = math.comb(n + len(weights) - 1, len(weights) - 1)
-    if count > MAX_ATOM_TYPES:
-        raise DimensionBudgetError(f"{count} atom types of {len(weights)} atoms at n = {n} exceed the "
-                                   f"limit of {MAX_ATOM_TYPES} (MAX_ATOM_TYPES)")
-    taus = np.array(young.compositions(n, len(weights)))
+    w, m = np.asarray(weights, dtype=float), len(weights)
+    cut = math.log(NEGLIGIBLE_WEIGHT / math.comb(n + m - 1, m - 1))
     with np.errstate(divide="ignore", invalid="ignore"):  # tau_j ln w_j is 0 where tau_j = 0
-        log_tau_w = np.where(taus > 0, taus * np.log(np.asarray(weights, dtype=float)), 0.0)
-    log_w = young.log_factorial(n) - young.log_factorial(taus).sum(axis=1) + log_tau_w.sum(axis=1)
-    keep = log_w >= math.log(NEGLIGIBLE_WEIGHT / len(taus))
+        log_w, log_rest = np.log(w), np.log(np.append(w[::-1].cumsum()[::-1], 0.0))
+
+        def times(k, log_p):
+            return np.where(k > 0, k * log_p, 0.0)
+
+        taus, base = np.zeros((1, 0), dtype=np.int64), np.array([young.log_factorial(n)])
+        for j in range(m - 1):
+            def lumped(x, base, rest):  # the log-weight of the prefix, the other draws lumped
+                return base - young.log_factorial(x) - young.log_factorial(rest - x) + times(x, log_w[j]) \
+                    + times(rest - x, log_rest[j + 1])
+
+            rest = n - taus.sum(axis=1)
+            mode = np.minimum((rest + 1) * w[j] // max(w[j:].sum(), 1e-300), rest).astype(np.int64)
+            # from the mode toward -1 and rest + 1 at once, the last count reaching the cut
+            # (less more than the rounding of a log-weight)
+            good, bad = np.concatenate([mode, mode]), np.concatenate([np.full_like(mode, -1), rest + 1])
+            base2, rest2 = np.tile(base, 2), np.tile(rest, 2)
+            while (active := np.abs(bad - good) > 1).any():
+                mid = np.where(active, (good + bad) // 2, good)
+                ok = lumped(mid, base2, rest2) >= cut - 1e-6
+                good, bad = np.where(active & ok, mid, good), np.where(active & ~ok, mid, bad)
+            first, last = np.split(good, 2)
+            counts = np.where(lumped(mode, base, rest) >= cut - 1e-6, last - first + 1, 0)
+            if counts.sum() > MAX_ATOM_TYPES:
+                raise DimensionBudgetError(f"more than {MAX_ATOM_TYPES} atom types of {m} atoms at n = {n} "
+                                           f"carry weight (MAX_ATOM_TYPES)")
+            x = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - first, counts)
+            taus = np.column_stack([np.repeat(taus, counts, axis=0), x])
+            base = np.repeat(base, counts) - young.log_factorial(x) + times(x, log_w[j])
+        taus = np.column_stack([taus, n - taus.sum(axis=1)])[::-1]
+        log_w = young.log_factorial(n) - young.log_factorial(taus).sum(axis=1) + times(taus, log_w).sum(axis=1)
+    keep = log_w >= cut
     return taus[keep], np.exp(log_w[keep])
 
 
@@ -338,15 +371,16 @@ def cluster_expectations(code: VLCode, source: Source, exponents: tuple[float, .
     Returns (one dict outcome -> expectation per exponent, one stderr per
     exponent or None).  One sequence per atom type is weighed with the
     type's probability, and each type's traces are computed once for all
-    exponents, a batch of types at a time: block probabilities from
+    exponents: by ``_two_row_expectations`` for commuting qubit atoms, else
+    a batch of types at a time, block probabilities from
     ``schur_weyl.diagonal_block_probs`` (commuting atoms, any n and d) or
-    ``schur_weyl.dense_block_probs`` (within linalg.MAX_BYTES), summed
+    ``schur_weyl.dense_block_probs`` (within linalg.MAX_BYTES) summed
     over each cluster by ``VLCode._cluster_reduce``.  Above MAX_ATOM_TYPES
-    types, or for ``samples`` (at least 2; forces the dense route), the
-    counts of the types of one seeded multinomial draw replace the type
-    probabilities, each sampled type evaluated once; stderr is the standard
-    error of the estimate 1 - sum over accepted outcomes / C1, by the
-    sample variance (divisor samples - 1).
+    kept types, or for ``samples`` (at least 2; forces the dense route),
+    the counts of the types of one seeded multinomial draw replace the
+    type probabilities, each sampled type evaluated once; stderr is the
+    standard error of the estimate 1 - sum over accepted outcomes / C1, by
+    the sample variance (divisor samples - 1).
     """
     n, m = code.n, source.num_atoms
     diag = None if samples is not None else _commuting_diag(source)
@@ -359,15 +393,21 @@ def cluster_expectations(code: VLCode, source: Source, exponents: tuple[float, .
             seqs = (np.repeat(np.arange(m), tau) for tau in taus)
             return np.array([dense_block_probs(labels, tensor(*(source.states[j] for j in seq))) for seq in seqs])
         return diagonal_block_probs(labels, diag, taus)
-    sampled = samples is not None or math.comb(n + m - 1, m - 1) > MAX_ATOM_TYPES
+    sampled = samples is not None
+    if not sampled:
+        try:
+            taus, weights = _atom_types(source.weights, n)
+        except DimensionBudgetError:
+            sampled = True
     if sampled:
         samples = samples or FALLBACK_SAMPLES
         if samples < 2:
             raise ValueError(f"a Monte Carlo standard error needs at least 2 samples, got {samples}")
         draws = np.random.default_rng(seed).multinomial(n, source.weights, size=samples)  # atom-count vectors
         taus, weights = np.unique(draws, axis=0, return_counts=True)
-    else:
-        taus, weights = _atom_types(source.weights, n)
+    elif code.d == 2 and diag is not None:
+        totals = _two_row_expectations(code, diag, taus, weights, exponents)
+        return [dict(zip(code.outcomes, row.tolist())) for row in totals], None
     # about 8 MB per array: a type's letter-count law, its cluster terms, its traces
     batch = max(1, (1 << 20) // ((n + 1) ** (code.d - 1) + code._terms + len(code.outcomes)))
     # types by blocks of nearby counts: a batch meets few counts of an atom, so evaluates few of its laws
@@ -388,6 +428,53 @@ def cluster_expectations(code: VLCode, source: Source, exponents: tuple[float, .
         spreads = [row - math.fsum(weights * row) / samples for row in kept]
         stderrs = [math.sqrt(math.fsum(weights * s**2) / (samples - 1) / samples) / code.c1_count for s in spreads]
     return [dict(zip(code.outcomes, row.tolist())) for row in totals / (samples or 1)], stderrs
+
+
+def _two_row_expectations(code: VLCode, diag, taus, weights, exponents) -> np.ndarray:
+    """The weighed sums over the types of each outcome's clipped trace to
+    each exponent, in ``outcomes`` order, for commuting qubit atoms.
+
+    Outcome k0 sums the labels within t of it.  Each type's band from
+    ``schur_weyl.two_row_bands``, reaching 2t past its law, gives every
+    outcome that meets it by a cumulative sum; types whose bands start
+    together add up by one matrix product.  Below the band an outcome is
+    0.  Above it the outcome is S_tau D(k0), with S_tau the type's total
+    and D(k0) the window sum of dim S_n, so its e-th power separates: those
+    of all types are D(k0)^e times one log-domain prefix sum of
+    w_tau S_tau^e over the types ordered by where their band ends.
+    """
+    n, t = code.n, code.window_halfwidth
+    amin, width, size = (n + 1) // 2, 2 * t + 1, len(code.outcomes)
+    # outcome u = k0 - amin + t, rising; ln D(k0) once for all types
+    log_dims = code._cluster_reduce(young.log_dim_sym_group(code._label_array), np.logaddexp)[::-1]
+    # types by blocks of nearby counts: a batch meets few counts of an atom
+    order = np.lexsort((taus // math.ceil(BATCH_TYPES ** (1 / max(diag.shape[0] - 1, 1)))).T[::-1])
+    taus, weights = taus[order], weights[order]
+    totals = np.zeros((len(exponents), size))
+    ends, log_totals = np.zeros(len(taus), dtype=np.int64), np.zeros(len(taus))
+    first, span = 0, 2 * t + 32  # the batch sized at the last band's length, the first at a guess
+    while first < len(taus):
+        rows = slice(first, first + max(1, min(BATCH_TYPES, BATCH_BYTES // (16 * 8 * span))))
+        start, bands, log_totals[rows] = two_row_bands(diag, taus[rows], 2 * t)
+        span = bands.shape[1]
+        sums = np.cumsum(bands, axis=1, out=bands)
+        clusters = sums.copy()
+        np.subtract(sums[:, width:], sums[:, :-width], out=clusters[:, width:])
+        np.clip(clusters, 0.0, 1.0, out=clusters)
+        ends[rows] = start - amin + span  # the first outcome above the band
+        offsets, group = np.unique(start - amin, return_inverse=True)
+        weighed = np.zeros((len(offsets), len(group)))
+        weighed[group, np.arange(len(group))] = weights[rows]
+        for j, e in enumerate(exponents):
+            for u, row in zip(offsets.tolist(), weighed @ clusters**e):
+                totals[j, u:u + span] += row[:size - u]
+        first = rows.stop
+    by_end = np.argsort(ends, kind="stable")
+    below = np.searchsorted(ends[by_end], np.arange(size), side="right")  # the types below each outcome
+    for j, e in enumerate(exponents):
+        prefix = np.logaddexp.accumulate((np.log(weights) + e * log_totals)[by_end])
+        totals[j] += np.exp(e * log_dims + np.append(-np.inf, prefix)[below])
+    return totals[:, ::-1]
 
 
 # --- outcome statistics -----------------------------------------------------

@@ -9,8 +9,10 @@ two class sums, within ``linalg.MAX_BYTES``); ``log_block_probs_iid``
 (the i.i.d. closed form, log-factorial dimensions plus a log-domain
 bialternant, any n); ``diagonal_block_probs`` (products of commuting
 factors, any n and d, for a batch of atom types at once: each atom's
-letter-count laws in one array pass, convolved per type, read off by the
-two-row closed form for d = 2 and by Kostka weights otherwise).  The tests hold them to 1e-10 of each other;
+letter-count laws in one array pass, multiplied per type and read off
+by the two-row closed form on a band of labels for d = 2
+(``two_row_bands``), convolved per type and weighed by Kostka numbers
+otherwise).  The tests hold them to 1e-10 of each other;
 a value off [0, 1] by more than 1e-9 raises NumericalFailure.
 """
 
@@ -22,6 +24,8 @@ import math
 from functools import lru_cache, reduce
 
 import numpy as np
+import numpy.fft  # noqa: F401  at import, not in the first operation (numpy loads it lazily)
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import young
 from .linalg import NumericalFailure, joint_eigenbasis, require_bytes, tensor
@@ -182,12 +186,20 @@ def log_block_probs_iid(labels, spec) -> np.ndarray:
 NEGLIGIBLE_PMF = 1e-30
 
 
-def _atom_laws(q: np.ndarray, counts: np.ndarray, strides: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+@lru_cache(maxsize=2)
+def _log_factorials(size: int) -> np.ndarray:
+    """ln k! for k < size, read-only: every batch's letter-count laws read it."""
+    out = young.log_factorial(np.arange(size))
+    out.setflags(write=False)
+    return out
+
+
+def _atom_law_rows(q: np.ndarray, counts: np.ndarray, strides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Laws of the letter counts c of each of the sorted distinct ``counts``
     of draws from q on the index strides @ c, strides = (n + 1)^(d - 2), ...,
     n + 1, 1, 0, where count vectors add as their indices: (first index of
-    each law, values), tails below NEGLIGIBLE_PMF cut.  One broadcast log
-    pmf over the live letters (q > 0), all but the last within Hoeffding's
+    each law, one row of values per count).  One broadcast log pmf over the
+    live letters (q > 0), all but the last within Hoeffding's
     sqrt(count ln(2 / NEGLIGIBLE_PMF) / 2) of their means, beyond which a
     letter count is less likely than the cut."""
     live = np.flatnonzero(q > 0)
@@ -200,14 +212,20 @@ def _atom_laws(q: np.ndarray, counts: np.ndarray, strides: np.ndarray) -> tuple[
     require_bytes(len(counts) * (2 * (free + 2) * width**free + step[-1] + 1) * 8, "the letter-count laws")
     c = low[:, :, None] + grid[:, None, :]
     c = np.concatenate([c, (counts[:, None] - c.sum(axis=0))[None]])
-    log_fact = young.log_factorial(np.arange(counts[-1] + 1))  # off its ends only where c < 0
+    log_fact = _log_factorials(1 << int(counts[-1]).bit_length())  # off its ends only where c < 0
     logp = log_fact[counts, None] - log_fact.take(c, mode="clip").sum(axis=0) + np.tensordot(np.log(q[live]), c, 1)
     logp[(c < 0).any(axis=0)] = -np.inf
     rows = np.zeros((len(counts), step[-1] + 1))
     rows[:, step] = np.exp(logp)
+    return s @ c[:, :, 0], rows
+
+
+def _atom_laws(q: np.ndarray, counts: np.ndarray, strides: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``_atom_law_rows`` with tails below NEGLIGIBLE_PMF cut: (first index of each law, values)."""
+    first, rows = _atom_law_rows(q, counts, strides)
     big = rows >= NEGLIGIBLE_PMF
     lo, hi = big.argmax(axis=1), big.shape[1] - big[:, ::-1].argmax(axis=1)
-    return s @ c[:, :, 0] + lo, [row[a:b] for row, a, b in zip(rows, lo.tolist(), hi.tolist())]
+    return first + lo, [row[a:b] for row, a, b in zip(rows, lo.tolist(), hi.tolist())]
 
 
 @lru_cache(maxsize=8)
@@ -234,6 +252,99 @@ def _diagonal_weights(n: int, d: int) -> np.ndarray:
     return out
 
 
+# Labels per block of the two-row read-out: a scale within a block stays within n^READ_BLOCK
+READ_BLOCK = 16
+
+
+@lru_cache(maxsize=4)
+def _two_row_tables(n: int) -> tuple[np.ndarray, ...]:
+    """Per h = ceil(n/2), ... in blocks of READ_BLOCK, and one more block
+    past n that later blocks read: e^-off(h) and e^off(h) (2h - n + 1) / (h + 1)
+    (0 past n), off(h) = ln C(n, h) - ln C(n, h0) from the block's first h0;
+    per block ln C(n, h0) and its rise to the next block's.  off and the
+    rises sum ln((n - j + 1) / j), so are exact to rounding at any n."""
+    amin = (n + 1) // 2
+    h = amin + np.arange((-(-(n + 1 - amin) // READ_BLOCK) + 1) * READ_BLOCK).reshape(-1, READ_BLOCK)
+    step = np.where(h <= n, np.log(np.maximum(n - h + 1, 1) / h), 0.0)  # ln C(n, h) - ln C(n, h - 1)
+    off = np.cumsum(step, axis=1) - step[:, :1]
+    h0 = np.minimum(h[:, 0], n)
+    out = (np.exp(-off), np.where(h <= n, np.exp(off) * (2 * h - n + 1) / (h + 1), 0.0),
+           young.log_factorial(n) - young.log_factorial(h0) - young.log_factorial(n - h0),
+           off[:, -1] + np.append(step[1:, 0], 0.0))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def two_row_bands(spectra, types, reach: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tr P_(a, n - a) of the product of diag(spectra[j])^{x types[i, j]}
+    for each row i of a (T, m) array of atom counts summing to n, on a band
+    of labels: (starts, bands, log totals).  Row i holds a = starts[i], ...
+    from below the type's lowest h = max(c, n - c), c a first-letter count
+    likelier than NEGLIGIBLE_PMF, to ``reach`` past its highest (0 past n).
+    Below the band Tr P_(a, n - a) is 0; above it, dim S_n(a) e^(log total).
+
+    The law of c is the product of the atoms' laws (``_atom_law_rows``),
+    folded by one cyclic FFT as long as those counts, in Bernstein's bound,
+    round up to a power of two: what wraps onto them is less likely than
+    the cut.  Kostka numbers of two rows are 0/1, so Tr P_(a, n - a) is
+    dim S_n(a) sum over h <= a of law(h) / C(n, h), read out as C(n, a)
+    times the sum: a cumulative sum per block of READ_BLOCK labels scaled
+    to its first, and a log-domain one over blocks, so no term leaves the
+    float range.
+    """
+    types, spectra = np.asarray(types, dtype=np.int64), np.asarray(spectra, dtype=float)
+    n, b, t = int(types[0].sum()), READ_BLOCK, len(types)
+    amin = (n + 1) // 2
+    einv, scale, log_comb, rise = _two_row_tables(n)
+    lo, hi, laws = np.zeros(t, dtype=np.int64), np.zeros(t, dtype=np.int64), []
+    for q, column in zip(spectra, types.T):
+        distinct, inverse = np.unique(column, return_inverse=True)
+        begin, rows = _atom_law_rows(q, distinct, np.array([1, 0]))
+        lo += begin[inverse]
+        hi += begin[inverse] + rows.shape[1] - 1
+        laws.append((rows, inverse))
+    cut = math.log(2 / NEGLIGIBLE_PMF)
+    mean, var = types @ spectra[:, 0], types @ (spectra[:, 0] * spectra[:, 1])
+    reach_c = cut / 3 + np.sqrt(cut * cut / 9 + 2 * var * cut)
+    first = np.maximum(lo, np.ceil(mean - reach_c).astype(np.int64))
+    last = np.minimum(np.minimum(hi, n), np.floor(mean + reach_c).astype(np.int64))
+    shift = int((first - lo).min())  # the product's index 0 is the count lo + shift
+    size = 1 << int((last - lo).max() - shift).bit_length()
+    product = 1.0
+    for j, (rows, inverse) in enumerate(laws):  # each law folded onto its counts modulo size, the first turned
+        folded = np.pad(rows, ((0, 0), (0, -rows.shape[1] % size))).reshape(len(rows), -1, size).sum(axis=1)
+        product = product * np.fft.rfft(np.roll(folded, -shift * (j == 0), axis=1))[inverse]
+    low = np.maximum(np.maximum(first, n - last), amin)
+    start = low - (low - amin) % b
+    top = np.maximum(last, n - first) + 1
+    core = -(-int((top - start).max()) // b)  # blocks holding the law
+    blocks = max(core, -(-int((top + reach - start).max()) // b))
+    # law(h) + law(n - h) for h = start, ...: windows of the law between zeros
+    span = core * b
+    padded = np.zeros((t, size + 2 * span))
+    padded[:, span:span + size] = np.fft.irfft(product, size)
+    rows, origin = np.arange(t), lo + shift
+    by_h = sliding_window_view(padded, span, axis=1)[rows, np.clip(span + start - origin, 0, size + span)]
+    by_h += sliding_window_view(padded[:, ::-1], span, axis=1)[
+        rows, np.clip(size + span - 1 - n + start + origin, 0, size + span)]
+    by_h[start * 2 == n, 0] /= 2  # h = n/2 is the one count c = n/2
+    idx = np.minimum((start - amin)[:, None] // b + np.arange(blocks), len(rise) - 1)
+    sums = by_h.reshape(t, core, b)
+    sums *= einv[idx[:, :core]]
+    np.cumsum(sums, axis=2, out=sums)
+    up = np.cumsum(rise[idx], axis=1) - rise[idx]  # ln C(n, h0) - ln C(n, start) per block
+    with np.errstate(divide="ignore"):
+        prefix = np.logaddexp.accumulate(np.log(np.maximum(sums[:, :, -1], 0.0)) - up[:, :core], axis=1)
+    earlier = np.concatenate([np.full((t, 1), -np.inf), prefix, np.repeat(prefix[:, -1:], blocks - core, axis=1)],
+                             axis=1)[:, :blocks]
+    carry = np.exp(up + earlier)[:, :, None]
+    bands = scale[idx]
+    bands[:, core:] *= carry[:, core:]
+    bands[:, :core] *= carry[:, :core] + sums
+    return start, bands.reshape(t, blocks * b), prefix[:, -1] - log_comb[idx[:, 0]]
+
+
 def diagonal_block_probs(labels, spectra, counts=None) -> np.ndarray:
     """Tr P_lam (diag(spectra[0])^{x counts[0]} x ... x diag(spectra[m-1])^{x counts[m-1]})
     for each row of an (L, d) label array and each row of a (..., m) array
@@ -241,20 +352,24 @@ def diagonal_block_probs(labels, spectra, counts=None) -> np.ndarray:
     array, at any n.
 
     The state depends on the slots only through the law of its letter
-    counts: the laws of each atom's distinct counts in the batch, from one
-    ``_atom_laws`` pass, convolved over each type's atoms on their index.
-    Two rows take the closed form: Kostka numbers of two rows are 0/1, so
-    with h = max(c, n - c)
-    over the counts c of the first letter,
-    Tr P_(a, n - a) = dim S_n(a) sum over h <= a of law(h) / C(n, h).
-    More rows weigh the law, summed by sorted content, against the Kostka
-    matrix of ``_diagonal_weights``.
+    counts.  Two rows take ``two_row_bands`` on bands that reach n, 0
+    below them.  More rows convolve the laws of each atom's distinct
+    counts in the batch, from one ``_atom_laws`` pass, over each type's
+    atoms on their index, and weigh the law, summed by sorted content,
+    against the Kostka matrix of ``_diagonal_weights``.
     """
     labels = np.asarray(labels, dtype=np.int64)
     spectra = np.asarray(spectra, dtype=float)
     counts = np.ones(len(spectra), dtype=np.int64) if counts is None else np.asarray(counts, dtype=np.int64)
     types = counts.reshape(-1, len(spectra))
     n, d = int(types[0].sum()), spectra.shape[1]
+    if d == 2:
+        if (labels.sum(axis=1) != n).any() or (labels[:, 0] < (n + 1) // 2).any():
+            raise KeyError(f"labels off the partitions of n = {n} into two parts")
+        start, bands, _ = two_row_bands(spectra, types, n)  # each band reaches n
+        j = labels[:, 0] - start[:, None]
+        probs = np.where(j < 0, 0.0, np.take_along_axis(bands, np.maximum(j, 0), axis=1))
+        return _probabilities(probs.reshape(counts.shape[:-1] + (len(labels),)), "a diagonal block probability")
     strides = np.append((n + 1) ** np.arange(d - 2, -1, -1), 0)
     starts, factors = np.zeros(len(types), dtype=np.int64), []
     for q, column in zip(spectra, types.T):
@@ -266,21 +381,8 @@ def diagonal_block_probs(labels, spectra, counts=None) -> np.ndarray:
     for row, start, parts in zip(law, starts.tolist(), zip(*factors)):
         vals = reduce(np.convolve, parts)
         row[start:start + len(vals)] = vals
-    if d == 2:
-        amin = (n + 1) // 2
-        if (labels.sum(axis=1) != n).any() or (labels[:, 0] < amin).any():
-            raise KeyError(f"labels off the partitions of n = {n} into two parts")
-        h = np.arange(amin, n + 1)
-        by_h = law[:, amin:] + law[:, n - amin::-1]  # c = h and c = n - h
-        if n % 2 == 0:
-            by_h[:, 0] /= 2  # h = n/2 is a single c
-        log_comb = young.log_factorial(n) - young.log_factorial(h) - young.log_factorial(n - h)
-        with np.errstate(divide="ignore"):
-            log_s = np.logaddexp.accumulate(np.log(by_h) - log_comb, axis=1)
-        probs = np.exp(young.log_dim_sym_group(labels) + log_s[:, labels[:, 0] - amin])
-    else:
-        cells, starts = _content_groups(n, d)
-        probs = np.add.reduceat(law[:, cells], starts, axis=1) @ _diagonal_weights(n, d)[_rows(labels, n, d)].T
+    cells, starts = _content_groups(n, d)
+    probs = np.add.reduceat(law[:, cells], starts, axis=1) @ _diagonal_weights(n, d)[_rows(labels, n, d)].T
     return _probabilities(probs.reshape(counts.shape[:-1] + (len(labels),)), "a diagonal block probability")
 
 

@@ -7,6 +7,10 @@ which the class-sum eigenspaces of ``schur_weyl.young_projectors`` are
 checked; the linear-domain two-row bialternant; the letter-count law of
 independent slots by a dict DP over partial count vectors, against which
 the array law of ``schur_weyl.diagonal_block_probs`` is checked; the
+two-row block probabilities and cluster expectations by a full-length
+convolution per atom type read off by a log-domain prefix over every
+label, and the atom types by enumerating every composition, against
+which the banded route of ``schur_weyl`` and ``codec`` is checked; the
 entropy of a count vector; the ten-start finite-difference SLSQP for the
 overflow floor's divergence program, against which
 ``bounds._min_divergence`` is checked; and the per-sample Monte Carlo
@@ -19,15 +23,15 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from scipy import optimize
 
-from qvlcode import info, young
+from qvlcode import codec, info, young
 from qvlcode.linalg import tensor
-from qvlcode.schur_weyl import dense_block_probs, permutation_index_map
+from qvlcode.schur_weyl import _atom_laws, dense_block_probs, permutation_index_map
 
 
 @lru_cache(maxsize=None)
@@ -231,3 +235,56 @@ def monte_carlo_expectations(code, source, exponents, samples: int, seed: int):
     stderrs = [math.sqrt(max(0.0, q - t * t / samples) / (samples - 1) / samples) / code.c1_count
                for t, q in zip(kept, sq)]
     return [dict(zip(code.outcomes, row.tolist())) for row in totals / samples], stderrs
+
+
+def enumerated_atom_types(weights, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Atom types of n draws from ``weights`` and their probabilities, by
+    building every composition of n and dropping those of weight below
+    ``codec.NEGLIGIBLE_WEIGHT`` over their count; compositions order."""
+    taus = np.array(young.compositions(n, len(weights)))
+    with np.errstate(divide="ignore", invalid="ignore"):  # tau_j ln w_j is 0 where tau_j = 0
+        log_tau_w = np.where(taus > 0, taus * np.log(np.asarray(weights, dtype=float)), 0.0)
+    log_w = young.log_factorial(n) - young.log_factorial(taus).sum(axis=1) + log_tau_w.sum(axis=1)
+    keep = log_w >= math.log(codec.NEGLIGIBLE_WEIGHT / len(taus))
+    return taus[keep], np.exp(log_w[keep])
+
+
+def convolved_two_row_probs(spectra, types) -> np.ndarray:
+    """Tr P_(a, n - a) of each atom type (rows of ``types``) for a = ceil(n/2),
+    ..., n: each type's first-letter count law convolved over its atoms on
+    the whole range 0..n, then dim S_n(a) times the sum over h <= a of
+    law(h) / C(n, h), h = max(c, n - c), by a log-domain prefix."""
+    types, spectra = np.asarray(types, dtype=np.int64), np.asarray(spectra, dtype=float)
+    n = int(types[0].sum())
+    starts, factors = np.zeros(len(types), dtype=np.int64), []
+    for q, column in zip(spectra, types.T):
+        distinct, inverse = np.unique(column, return_inverse=True)
+        first, rows = _atom_laws(q, distinct, np.array([1, 0]))
+        starts += first[inverse]
+        factors.append([rows[i] for i in inverse.tolist()])
+    law = np.zeros((len(types), n + 1))
+    for row, start, parts in zip(law, starts.tolist(), zip(*factors)):
+        vals = reduce(np.convolve, parts)
+        row[start:start + len(vals)] = vals
+    amin = (n + 1) // 2
+    h = np.arange(amin, n + 1)
+    by_h = law[:, amin:] + law[:, n - amin::-1]  # c = h and c = n - h
+    if n % 2 == 0:
+        by_h[:, 0] /= 2  # h = n/2 is a single c
+    log_comb = young.log_factorial(n) - young.log_factorial(h) - young.log_factorial(n - h)
+    with np.errstate(divide="ignore"):
+        log_s = np.logaddexp.accumulate(np.log(by_h) - log_comb, axis=1)
+    return np.exp(young.log_dim_sym_group(np.stack([h, n - h], axis=1)) + log_s)
+
+
+def convolved_cluster_expectations(code, source, exponents) -> list[dict]:
+    """Cluster expectations of a commuting qubit source: every enumerated
+    atom type's ``convolved_two_row_probs`` summed over each outcome's
+    window of labels, clipped to [0, 1], raised to each exponent and
+    weighed with the type's probability."""
+    _, diags = codec.joint_eigenbasis(source.states)
+    spectra = np.clip(diags, 0.0, None)
+    taus, weights = enumerated_atom_types(source.weights, code.n)
+    probs = convolved_two_row_probs(spectra, taus)
+    clusters = np.clip(codec._window_reduce(probs, 2 * code.window_halfwidth + 1, np.add)[:, ::-1], 0.0, 1.0)
+    return [dict(zip(code.outcomes, (weights @ clusters**e).tolist())) for e in exponents]

@@ -159,6 +159,19 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "malformed-json", "not-utf8"])
+    def test_unreadable_source_file_exits_1(self, kind, tmp_path, capsys):
+        path = tmp_path / "source.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "malformed-json":
+            path.write_text('{"d": 2, "atoms": [')
+        elif kind == "not-utf8":
+            path.write_bytes(b'{"d": 2, "atoms": []}\xff\xfe')
+        assert cli.main(["error", "--n", "4", "--schedule", "--source", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
     def test_bad_spectrum(self, capsys):
         assert cli.main(["error", "--n", "4", "--delta", "0.2",
                          "--spectrum", "0.9,0.9"]) == 1
@@ -456,6 +469,17 @@ class TestLargeQubit:
         path = tmp_path / "atoms3.json"
         path.write_text(json.dumps({"d": 2, "atoms": atoms}))
         (row,) = self.main_json(["error", "--n", "1100", "--schedule", "--source", str(path)], capsys)
+        assert 0.0 < row["error"] < 1.0
+
+    def test_three_atoms_exact_past_the_total_type_count(self, tmp_path, capsys):
+        # C(1502, 2) = 1,127,251 atom types exceed MAX_ATOM_TYPES, but only
+        # 80,564 carry weight: the cap counts those, so the row stays exact
+        atoms = [{"weight": w, "matrix": [[[q, 0], [0, 0]], [[0, 0], [1 - q, 0]]]}
+                 for w, q in ((0.3, 0.2), (0.3, 0.5), (0.4, 0.9))]
+        path = tmp_path / "atoms3.json"
+        path.write_text(json.dumps({"d": 2, "atoms": atoms}))
+        (row,) = self.main_json(["error", "--n", "1500", "--schedule", "--source", str(path)], capsys)
+        assert row["method"] == "exact" and row["stderr"] is None
         assert 0.0 < row["error"] < 1.0
 
 

@@ -491,6 +491,53 @@ class TestQubitRouteOracle:
                 assert err == pytest.approx(want_err, abs=1e-10)
 
 
+# --- the banded two-row route against the full-length route it replaced -------
+
+TWO_ROW_SOURCES = {  # (weights, first-letter probability of each commuting diagonal atom)
+    1: [((1.0,), (0.63,))],
+    2: [((0.7, 0.3), (1.0, 0.0)), ((0.6, 0.4), (0.8, 0.3)), ((0.45, 0.55), (1.0, 0.35))],
+    3: [((0.3, 0.3, 0.4), (0.2, 0.5, 0.9)), ((0.5, 0.2, 0.3), (1.0, 0.0, 0.6))],
+}
+
+
+@pytest.mark.parametrize("n", list(range(1, 41)) + [100, 1030, 2000])
+def test_two_row_expectations_against_convolved_route(n):
+    # every outcome's expectation at e = 1, 1.5, 2 within 1e-12 of the
+    # full-length convolution read off by a log-domain prefix, for one to
+    # three atoms (point masses and a zero letter among them), on a plain
+    # and a restricted code; the oracle enumerates every composition, so
+    # three atoms stop at n = 100
+    delta, delta1 = delta_schedule(n)
+    codes = [CodeParams(n=n, d=2, delta=delta),
+             CodeParams(n=n, d=2, delta=delta, delta1=delta1, spectrum_set=((0.8, 0.2), (0.55, 0.45)))]
+    for params in codes:
+        code = build_code(params)
+        for m, sources in TWO_ROW_SOURCES.items():
+            for weights, zero_probs in sources if m < 3 or n <= 100 else ():
+                source = commuting_source(weights, zero_probs)
+                got, stderr = codec.cluster_expectations(code, source, (1.0, 1.5, 2.0))
+                assert stderr is None
+                want = oracles.convolved_cluster_expectations(code, source, (1.0, 1.5, 2.0))
+                for g, w in zip(got, want):
+                    assert list(g) == list(w)
+                    np.testing.assert_allclose(list(g.values()), list(w.values()), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_atom_types_are_the_enumerated_kept_set(m):
+    # built one atom at a time, the kept types, their order and their
+    # weights are those of the enumeration of every composition
+    rng = np.random.default_rng(m)
+    for n in range(1, 61):
+        weights = rng.dirichlet(np.ones(m))
+        if n % 3 == 0:
+            weights[rng.integers(m)] = 0.0
+            weights /= weights.sum()
+        got, want = codec._atom_types(tuple(weights), n), oracles.enumerated_atom_types(tuple(weights), n)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+
 def test_window_logsumexp_matches_loop():
     def loop(window):
         m = max(window)
@@ -917,6 +964,7 @@ class TestAtomTypeCap:
 
 @pytest.mark.parametrize("n, make", [
     (1100, lambda: basis_source(2, (0.7, 0.3))),
+    (10_000, lambda: basis_source(2, (0.7, 0.3))),
     (300, commuting_three_atom_qubit_source),
     (24, commuting_qutrit_source),
 ])

@@ -328,6 +328,85 @@ class TestArrayRoutes:
             diagonal_block_probs([(2, 4)], [np.array([0.5, 0.5])] * 6)
 
 
+# --- the banded two-row route against the full-length route it replaced -------
+
+TWO_ROW_ATOMS = {
+    1: [np.array([[0.63, 0.37]]), np.array([[1.0, 0.0]])],
+    2: [np.array([[0.3, 0.7], [0.85, 0.15]]), np.array([[1.0, 0.0], [0.0, 1.0]]),  # point masses
+        np.array([[0.45, 0.55], [0.0, 1.0]])],  # a zero letter
+    3: [np.array([[0.2, 0.8], [0.5, 0.5], [0.9, 0.1]]), np.array([[1.0, 0.0], [0.37, 0.63], [0.0, 1.0]])],
+}
+
+
+def two_row_cases(n):
+    """(atoms, types) of one to three atoms at n: every type, or a sample of 60."""
+    rng = np.random.default_rng(n)
+    for m, atoms in TWO_ROW_ATOMS.items():
+        types = np.array(young.compositions(n, m))
+        if len(types) > 60:
+            types = types[rng.choice(len(types), 60, replace=False)]
+        for spectra in atoms:
+            yield spectra, types
+
+
+@pytest.mark.parametrize("n", list(range(1, 41)) + [100, 1030, 2000])
+def test_two_row_bands_against_convolved_route(n):
+    # every block probability of the banded route within 1e-12 of the
+    # full-length convolution and log-domain prefix; at n >= 1030 the
+    # latter's log-factorials of about 5,900 to 13,000 round it by up to
+    # 4e-12 itself where a type's law is a point mass, so there both are
+    # held to the exact dim S_n(a) / C(n, max(c, n - c)) instead
+    a = np.arange((n + 1) // 2, n + 1)
+    labels = np.stack([a, n - a], axis=1)
+    for spectra, types in two_row_cases(n):
+        got = diagonal_block_probs(labels, spectra, types)
+        points = (spectra.max(axis=1) == 1.0).all()
+        if n < 1000 or not points:
+            np.testing.assert_allclose(got, oracles.convolved_two_row_probs(spectra, types), rtol=0, atol=1e-12)
+            continue
+        for row, tau in zip(got[:6], types):
+            c = int(tau @ spectra[:, 0])
+            h = max(c, n - c)
+            want = [young.dim_sym_group((int(x), n - int(x))) / math.comb(n, h) if x >= h else 0.0 for x in a]
+            np.testing.assert_allclose(row, want, rtol=0, atol=2e-14)
+
+
+@pytest.mark.parametrize("n, q", [(3000, 0.999), (5000, 0.95), (5000, 0.02)])
+def test_two_row_bands_of_skewed_atoms(n, q):
+    # an atom near a point mass: Hoeffding's window of its law is far wider
+    # than Bernstein's of the product, which the FFT's length follows, so the
+    # law is folded onto it whole; one type per call, so no other type widens it
+    a = np.arange((n + 1) // 2, n + 1)
+    labels = np.stack([a, n - a], axis=1)
+    spectra = np.array([[q, 1 - q], [0.3, 0.7]])
+    for types in ([[n, 0]], [[n - 7, 7]]):
+        got = diagonal_block_probs(labels, spectra, types)
+        np.testing.assert_allclose(got, oracles.convolved_two_row_probs(spectra, types), rtol=0, atol=1e-11)
+        assert math.fsum(got[0]) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_two_row_bands_at_large_n():
+    # at n = 1e5 a band holds a few thousand labels of the 50,001; above it
+    # the block probabilities are dim S_n(a) times the type's total, below
+    # it 0, and every type's probabilities sum to 1 (to the rounding of the
+    # atoms' laws, whose log-factorials near 1e6 carry about 1e-10)
+    n = 100_000
+    atoms = np.array([[0.7, 0.3], [0.2, 0.8]])
+    types = np.array([[70_000, 30_000], [50_000, 50_000], [1, 99_999]])
+    start, bands, log_totals = schur_weyl.two_row_bands(atoms, types, 0)
+    assert bands.shape[1] < 5000
+    a = np.arange((n + 1) // 2, n + 1)
+    labels = np.stack([a, n - a], axis=1)
+    probs = diagonal_block_probs(labels, atoms, types)
+    above = a >= (start + bands.shape[1])[:, None]
+    with np.errstate(over="ignore"):  # below the bands, not compared
+        tail = np.exp(young.log_dim_sym_group(labels) + log_totals[:, None])
+    np.testing.assert_allclose(probs[above], tail[above], rtol=1e-9, atol=1e-300)
+    assert (probs[a < start[:, None]] == 0.0).all()
+    for row in probs:
+        assert math.fsum(row) == pytest.approx(1.0, abs=1e-9)
+
+
 LAW_SPECTRA = {
     2: [(0.3, 0.7), (0.08, 0.92), (1.0, 0.0), (0.0, 1.0)],
     3: [(0.2, 0.3, 0.5), (0.45, 0.0, 0.55), (0.0, 1.0, 0.0)],
