@@ -1,7 +1,7 @@
 """Run the benchmark on a parent commit and on this checkout in pairs, and
 write the comparison as ``BENCH_<pr>.json``.
 
-    python3 tools/bench_pairs.py --parent 2b77dd3 --pr 18 \\
+    python3 tools/bench_pairs.py --parent <commit> --pr <number> \\
         --workload qubit --workload dense-qudit --seeds 1-10 --seconds 45
 
 For each seed and workload, ``bench/run.py --workload W --seed N --seconds S
