@@ -47,6 +47,7 @@ from .schur_weyl import (
     diagonal_block_probs,
     log_block_probs_iid,
     two_row_bands,
+    two_row_bytes,
     young_projectors,
 )
 
@@ -300,8 +301,8 @@ NEGLIGIBLE_WEIGHT = 1e-17
 # Above this many kept atom types the expectations fall back to this many Monte Carlo draws
 MAX_ATOM_TYPES = 10**6
 FALLBACK_SAMPLES = 10**5
-# Types per batch of the two-row route, and bytes of its arrays: about 16 rows per type as long as its band
-BATCH_TYPES, BATCH_BYTES = 1024, 16 << 20
+# Most types per batch of the two-row route, and most bytes of its arrays (schur_weyl.two_row_bytes)
+BATCH_TYPES, BATCH_BYTES = 1024, 24 << 20
 
 
 def _atom_types(weights, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -315,9 +316,9 @@ def _atom_types(weights, n: int) -> tuple[np.ndarray, np.ndarray]:
     them.  Types below NEGLIGIBLE_WEIGHT over the number of types are
     dropped, and only the kept ones are built, one atom at a time: a prefix
     with the other draws lumped is at least as likely as any type that
-    extends it, and concave in its last count, so each prefix's kept next
-    counts are one interval about the mode, whose ends are bisected.  More
-    than MAX_ATOM_TYPES kept prefixes raise DimensionBudgetError.
+    extends it, and its next count is binomial given the prefix, so kept
+    only within Hoeffding's reach of its mean.  More than MAX_ATOM_TYPES
+    kept prefixes raise DimensionBudgetError.
     """
     w, m = np.asarray(weights, dtype=float), len(weights)
     cut = math.log(NEGLIGIBLE_WEIGHT / math.comb(n + m - 1, m - 1))
@@ -329,28 +330,19 @@ def _atom_types(weights, n: int) -> tuple[np.ndarray, np.ndarray]:
 
         taus, base = np.zeros((1, 0), dtype=np.int64), np.array([young.log_factorial(n)])
         for j in range(m - 1):
-            def lumped(x, base, rest):  # the log-weight of the prefix, the other draws lumped
-                return base - young.log_factorial(x) - young.log_factorial(rest - x) + times(x, log_w[j]) \
-                    + times(rest - x, log_rest[j + 1])
-
             rest = n - taus.sum(axis=1)
-            mode = np.minimum((rest + 1) * w[j] // max(w[j:].sum(), 1e-300), rest).astype(np.int64)
-            # from the mode toward -1 and rest + 1 at once, the last count reaching the cut
-            # (less more than the rounding of a log-weight)
-            good, bad = np.concatenate([mode, mode]), np.concatenate([np.full_like(mode, -1), rest + 1])
-            base2, rest2 = np.tile(base, 2), np.tile(rest, 2)
-            while (active := np.abs(bad - good) > 1).any():
-                mid = np.where(active, (good + bad) // 2, good)
-                ok = lumped(mid, base2, rest2) >= cut - 1e-6
-                good, bad = np.where(active & ok, mid, good), np.where(active & ~ok, mid, bad)
-            first, last = np.split(good, 2)
-            counts = np.where(lumped(mode, base, rest) >= cut - 1e-6, last - first + 1, 0)
-            if counts.sum() > MAX_ATOM_TYPES:
+            # P(x) <= e^(-2 (x - mean)^2 / rest) is below the cut (less 1e-6 of rounding) beyond the reach
+            mean, reach = rest * (w[j] / max(w[j:].sum(), 1e-300)), np.sqrt(rest * (1 - cut) / 2)
+            lo = np.maximum(np.ceil(mean - reach), 0).astype(np.int64)
+            counts = np.minimum(np.floor(mean + reach).astype(np.int64), rest) - lo + 1
+            x = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+            rows = np.repeat(np.arange(len(taus)), counts)
+            base = base[rows] - young.log_factorial(x) + times(x, log_w[j])
+            kept = base - young.log_factorial(rest[rows] - x) + times(rest[rows] - x, log_rest[j + 1]) >= cut - 1e-6
+            if kept.sum() > MAX_ATOM_TYPES:
                 raise DimensionBudgetError(f"more than {MAX_ATOM_TYPES} atom types of {m} atoms at n = {n} "
                                            f"carry weight (MAX_ATOM_TYPES)")
-            x = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - first, counts)
-            taus = np.column_stack([np.repeat(taus, counts, axis=0), x])
-            base = np.repeat(base, counts) - young.log_factorial(x) + times(x, log_w[j])
+            taus, base = np.column_stack([taus[rows[kept]], x[kept]]), base[kept]
         taus = np.column_stack([taus, n - taus.sum(axis=1)])[::-1]
         log_w = young.log_factorial(n) - young.log_factorial(taus).sum(axis=1) + times(taus, log_w).sum(axis=1)
     keep = log_w >= cut
@@ -450,11 +442,13 @@ def _two_row_expectations(code: VLCode, diag, taus, weights, exponents) -> np.nd
     # types by blocks of nearby counts: a batch meets few counts of an atom
     order = np.lexsort((taus // math.ceil(BATCH_TYPES ** (1 / max(diag.shape[0] - 1, 1)))).T[::-1])
     taus, weights = taus[order], weights[order]
+    costs = two_row_bytes(diag, taus, 2 * t)
     totals = np.zeros((len(exponents), size))
     ends, log_totals = np.zeros(len(taus), dtype=np.int64), np.zeros(len(taus))
-    first, span = 0, 2 * t + 32  # the batch sized at the last band's length, the first at a guess
-    while first < len(taus):
-        rows = slice(first, first + max(1, min(BATCH_TYPES, BATCH_BYTES // (16 * 8 * span))))
+    first = 0
+    while first < len(taus):  # as many types as fit in BATCH_BYTES, at least one
+        held = np.maximum.accumulate(costs[first:first + BATCH_TYPES], axis=0).sum(axis=1)
+        rows = slice(first, first + max(1, int((held * np.arange(1, len(held) + 1) <= BATCH_BYTES).sum())))
         start, bands, log_totals[rows] = two_row_bands(diag, taus[rows], 2 * t)
         span = bands.shape[1]
         sums = np.cumsum(bands, axis=1, out=bands)

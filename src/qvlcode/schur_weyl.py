@@ -276,6 +276,29 @@ def _two_row_tables(n: int) -> tuple[np.ndarray, ...]:
     return out
 
 
+def _count_window(spectra, types) -> tuple[np.ndarray, np.ndarray]:
+    """The first-letter counts of each type that Bernstein's bound leaves
+    likelier than NEGLIGIBLE_PMF in all: (first, last), within [0, n]."""
+    cut = math.log(2 / NEGLIGIBLE_PMF)
+    mean, var = types @ spectra[:, 0], types @ (spectra[:, 0] * spectra[:, 1])
+    reach = cut / 3 + np.sqrt(cut * cut / 9 + 2 * var * cut)
+    return np.maximum(np.ceil(mean - reach), 0).astype(np.int64), \
+        np.minimum(np.floor(mean + reach), types.sum(axis=1)).astype(np.int64)
+
+
+def two_row_bytes(spectra, types, reach: int) -> np.ndarray:
+    """Bytes that ``two_row_bands`` and a reduction of its bands hold per
+    type, as a (T, m + 1) array: 8 rows of each atom's law (Hoeffding's
+    width, 1 for a point mass), then 8 rows of the FFT and 4 of the band.
+    A batch holds at most its length times the sum of its column maxima."""
+    types, spectra = np.asarray(types, dtype=np.int64), np.asarray(spectra, dtype=float)
+    first, last = _count_window(spectra, types)
+    width = last - first + 1  # the band is shorter than width + reach + 2 blocks
+    hoeffding = np.minimum(types, 2 * np.ceil(np.sqrt(types * math.log(2 / NEGLIGIBLE_PMF) / 2))) + 1
+    laws = np.where((spectra > 0).all(axis=1), hoeffding, 1)
+    return 8 * np.column_stack([8 * laws, 8 * np.exp2(np.ceil(np.log2(width))) + 4 * (width + reach + 2 * READ_BLOCK)])
+
+
 def two_row_bands(spectra, types, reach: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tr P_(a, n - a) of the product of diag(spectra[j])^{x types[i, j]}
     for each row i of a (T, m) array of atom counts summing to n, on a band
@@ -285,13 +308,13 @@ def two_row_bands(spectra, types, reach: int) -> tuple[np.ndarray, np.ndarray, n
     Below the band Tr P_(a, n - a) is 0; above it, dim S_n(a) e^(log total).
 
     The law of c is the product of the atoms' laws (``_atom_law_rows``),
-    folded by one cyclic FFT as long as those counts, in Bernstein's bound,
-    round up to a power of two: what wraps onto them is less likely than
-    the cut.  Kostka numbers of two rows are 0/1, so Tr P_(a, n - a) is
-    dim S_n(a) sum over h <= a of law(h) / C(n, h), read out as C(n, a)
-    times the sum: a cumulative sum per block of READ_BLOCK labels scaled
-    to its first, and a log-domain one over blocks, so no term leaves the
-    float range.
+    folded by one cyclic FFT as long as the widest type's run of those
+    counts, in Bernstein's bound, rounded up to a power of two: what wraps
+    onto a type's run is less likely than the cut.  Kostka numbers of two
+    rows are 0/1, so Tr P_(a, n - a) is dim S_n(a) sum over h <= a of
+    law(h) / C(n, h), read out as C(n, a) times the sum: a cumulative sum
+    per block of READ_BLOCK labels scaled to its first, and a log-domain
+    one over blocks, so no term leaves the float range.
     """
     types, spectra = np.asarray(types, dtype=np.int64), np.asarray(spectra, dtype=float)
     n, b, t = int(types[0].sum()), READ_BLOCK, len(types)
@@ -304,17 +327,13 @@ def two_row_bands(spectra, types, reach: int) -> tuple[np.ndarray, np.ndarray, n
         lo += begin[inverse]
         hi += begin[inverse] + rows.shape[1] - 1
         laws.append((rows, inverse))
-    cut = math.log(2 / NEGLIGIBLE_PMF)
-    mean, var = types @ spectra[:, 0], types @ (spectra[:, 0] * spectra[:, 1])
-    reach_c = cut / 3 + np.sqrt(cut * cut / 9 + 2 * var * cut)
-    first = np.maximum(lo, np.ceil(mean - reach_c).astype(np.int64))
-    last = np.minimum(np.minimum(hi, n), np.floor(mean + reach_c).astype(np.int64))
-    shift = int((first - lo).min())  # the product's index 0 is the count lo + shift
-    size = 1 << int((last - lo).max() - shift).bit_length()
+    first, last = _count_window(spectra, types)
+    first, last = np.maximum(first, lo), np.minimum(last, hi)
+    size = 1 << int((last - first).max()).bit_length()
     product = 1.0
-    for j, (rows, inverse) in enumerate(laws):  # each law folded onto its counts modulo size, the first turned
+    for rows, inverse in laws:  # each law folded onto its counts modulo size
         folded = np.pad(rows, ((0, 0), (0, -rows.shape[1] % size))).reshape(len(rows), -1, size).sum(axis=1)
-        product = product * np.fft.rfft(np.roll(folded, -shift * (j == 0), axis=1))[inverse]
+        product = product * np.fft.rfft(folded)[inverse]
     low = np.maximum(np.maximum(first, n - last), amin)
     start = low - (low - amin) % b
     top = np.maximum(last, n - first) + 1
@@ -322,9 +341,11 @@ def two_row_bands(spectra, types, reach: int) -> tuple[np.ndarray, np.ndarray, n
     blocks = max(core, -(-int((top + reach - start).max()) // b))
     # law(h) + law(n - h) for h = start, ...: windows of the law between zeros
     span = core * b
-    padded = np.zeros((t, size + 2 * span))
-    padded[:, span:span + size] = np.fft.irfft(product, size)
-    rows, origin = np.arange(t), lo + shift
+    padded, rows, origin = np.zeros((t, size + 2 * span)), np.arange(t), first
+    cyclic, turn = np.fft.irfft(product, size), (first - lo) % size  # index i the count lo + i modulo size
+    if turn.any():  # each row turned to start at its count first
+        cyclic = sliding_window_view(np.concatenate([cyclic, cyclic], axis=1), size, axis=1)[rows, turn]
+    padded[:, span:span + size] = cyclic
     by_h = sliding_window_view(padded, span, axis=1)[rows, np.clip(span + start - origin, 0, size + span)]
     by_h += sliding_window_view(padded[:, ::-1], span, axis=1)[
         rows, np.clip(size + span - 1 - n + start + origin, 0, size + span)]

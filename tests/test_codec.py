@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -523,6 +524,26 @@ def test_two_row_expectations_against_convolved_route(n):
                     np.testing.assert_allclose(list(g.values()), list(w.values()), rtol=0, atol=1e-12)
 
 
+def test_two_row_batches_stay_within_their_bytes(monkeypatch):
+    # a small delta at n = 10,000: the window is narrow, so the atoms' laws
+    # and the FFTs, not the bands, set a batch's bytes; with budgets of
+    # 1 MiB the traced peak of numpy's arrays stays under twice that, and
+    # every expectation is that of the default batches
+    code = build_code(CodeParams(n=10_000, d=2, delta=1e-4))
+    source = commuting_source((0.5, 0.5), (0.5, 0.7))
+    want = codec.cluster_expectations(code, source, (1.5,))[0][0]  # and the per-n tables cached
+    monkeypatch.setattr(codec, "BATCH_BYTES", 1 << 20)
+    monkeypatch.setattr(linalg, "MAX_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        got = codec.cluster_expectations(code, source, (1.5,))[0][0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    np.testing.assert_allclose(list(got.values()), list(want.values()), rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_atom_types_are_the_enumerated_kept_set(m):
     # built one atom at a time, the kept types, their order and their
@@ -934,14 +955,25 @@ class _MonteCarloReached(Exception):
     pass
 
 
+def stacked_rows(monkeypatch) -> list[int]:
+    """The row counts of every np.column_stack from now on: the atom-type
+    prefixes that ``codec._atom_types`` builds."""
+    rows, column_stack = [], np.column_stack
+    monkeypatch.setattr(np, "column_stack", lambda arrays: rows.append(len(arrays[0])) or column_stack(arrays))
+    return rows
+
+
 class TestAtomTypeCap:
     def test_simulation_raises_before_building_types(self, monkeypatch):
+        # the kept prefixes are counted before they are stacked: the 5 of the
+        # first atom are built, the 15 types of all three never are
         monkeypatch.setattr(codec, "MAX_ATOM_TYPES", 10)  # C(6, 2) = 15 types at n = 4
-        monkeypatch.setattr(young, "compositions", lambda *args: pytest.fail("types were built"))
         code = build_code(CodeParams(n=4, d=2, delta=0.3))
+        stacked = stacked_rows(monkeypatch)
         for simulate in (codec.average_error_definitional, codec.average_error_prime):
-            with pytest.raises(DimensionBudgetError):
+            with pytest.raises(DimensionBudgetError, match="carry weight"):
                 simulate(code, three_atom_source())
+        assert stacked == [5, 5]
 
     @pytest.mark.parametrize("params, make", [
         (CodeParams(n=3, d=2, delta=0.3), noncommuting_source),  # dense route
@@ -954,10 +986,12 @@ class TestAtomTypeCap:
             raise _MonteCarloReached
 
         monkeypatch.setattr(codec, "MAX_ATOM_TYPES", 1)
-        monkeypatch.setattr(young, "compositions", lambda *args: pytest.fail("types were built"))
         monkeypatch.setattr(codec.np.random, "default_rng", reached)
+        code, source = build_code(params), make()
+        stacked = stacked_rows(monkeypatch)
         with pytest.raises(_MonteCarloReached):
-            codec.cluster_expectations(build_code(params), make(), (1.5,))
+            codec.cluster_expectations(code, source, (1.5,))
+        assert stacked == []  # the first atom's kept counts are already more than one
 
 
 # --- the letter-count route far above the oracles' n ----------------------------

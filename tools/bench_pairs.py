@@ -1,17 +1,17 @@
 """Run the benchmark on a parent commit and on this checkout in pairs, and
 write the comparison as ``BENCH_<pr>.json``.
 
-    python3 tools/bench_pairs.py --parent <commit> --pr <number> \\
+    git archive <commit> | tar -x -C <dir>
+    python3 tools/bench_pairs.py --parent <commit> --parent-dir <dir> --pr <number> \\
         --workload qubit --workload dense-qudit --seeds 1-10 --seconds 45
 
 For each seed and workload, ``bench/run.py --workload W --seed N --seconds S
 --trace 0`` runs once on the parent and once on the change, the parent
 first on odd seeds and the change first on even ones, so a drift of the
 machine falls on both sides alike.  Then one traced run (``--trace 1``)
-per workload and side at ``--traced-seed``.  The parent is a ``git
-worktree`` of the parent commit in a temporary directory, removed at the
-end, unless ``--parent-dir`` names a checkout of it already made.  The
-change is this checkout's files as they are.
+per workload and side at seed TRACED_SEED.  The parent is run from
+``--parent-dir``, the files of the parent commit (``--parent`` only names
+it in the output); the change is this checkout's files as they are.
 
 For each end-to-end metric of ``BENCHMARK.json`` the output gives both
 sides' medians and quartiles (numpy's linear 25th and 75th percentiles),
@@ -27,23 +27,20 @@ import argparse
 import json
 import os
 import platform
-import shutil
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+TRACED_SEED = 1
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'1-10' or '1,3,5' as a list of seeds."""
-    if "-" in text:
-        lo, hi = (int(v) for v in text.split("-"))
-        return list(range(lo, hi + 1))
-    return [int(v) for v in text.split(",")]
+    """'1-10' as the list of seeds 1 to 10."""
+    lo, hi = (int(v) for v in text.split("-"))
+    return list(range(lo, hi + 1))
 
 
 def bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -94,14 +91,14 @@ def document(args, parent_hash: str, runs: list[dict], metrics: list[dict]) -> d
         "machine": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs, "
                    f"Python {platform.python_version()}, numpy {np.__version__}",
         "order": f"seeds {args.seeds} untraced (--trace 0), parent and change alternately, the parent first on "
-                 f"odd seeds; then one traced run (seed {args.traced_seed}) per workload and side. Quartiles are "
+                 f"odd seeds; then one traced run (seed {TRACED_SEED}) per workload and side. Quartiles are "
                  f"numpy's linear 25th and 75th percentiles over the runs of a side.",
         "every_run_correct_with_0_failed": all(r["result"].get("correct") and r["result"].get("failed") == 0
                                                for r in runs),
         f"summary_seeds_{seeds[0]}_{seeds[-1]}": {
             w: {m["name"]: s for m in metrics if (s := summary(runs, w, m["name"], m["better"])) is not None}
             for w in args.workload},
-        f"traced_seed_{args.traced_seed}": {
+        f"traced_seed_{TRACED_SEED}": {
             w: {r["side"]: {k: round(v["value"], 4) for k, v in r["result"].get("metrics", {}).items()}
                 for r in runs if r["workload"] == w and r["trace"] == 1}
             for w in args.workload},
@@ -115,39 +112,24 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="the parent commit")
     parser.add_argument("--pr", required=True, help="the number in BENCH_<pr>.json")
     parser.add_argument("--workload", action="append", required=True)
-    parser.add_argument("--seeds", default="1-10", help="'1-10' or '1,3,5'")
+    parser.add_argument("--parent-dir", type=Path, required=True, help="the files of the parent commit")
+    parser.add_argument("--seeds", default="1-10", help="a range such as '1-10'")
     parser.add_argument("--seconds", type=float, default=45)
-    parser.add_argument("--traced-seed", type=int, default=1)
-    parser.add_argument("--parent-dir", type=Path, help="a checkout of the parent to use as it is")
-    parser.add_argument("--output", type=Path)
     args = parser.parse_args(argv)
-    output = args.output or ROOT / f"BENCH_{args.pr}.json"
+    output = ROOT / f"BENCH_{args.pr}.json"
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     parent_hash = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT, capture_output=True,
                                  text=True, check=True).stdout.strip()
-    tmp = None
-    if args.parent_dir is None:
-        tmp = Path(tempfile.mkdtemp(prefix="bench-parent-")) / "parent"
-        subprocess.run(["git", "worktree", "add", "--detach", str(tmp), args.parent], cwd=ROOT, check=True,
-                       capture_output=True)
-    parent_root = args.parent_dir or tmp
     runs: list[dict] = []
-    try:
-        plan = [(seed, w, 0) for seed in parse_seeds(args.seeds) for w in args.workload]
-        plan += [(args.traced_seed, w, 1) for w in args.workload]
-        for seed, workload, trace in plan:
-            sides = ("parent", "change") if seed % 2 else ("change", "parent")
-            for side in sides:
-                root = parent_root if side == "parent" else ROOT
-                result = bench(root, workload, seed, args.seconds, trace)
-                runs.append({"side": side, "workload": workload, "seed": seed, "trace": trace, "result": result})
-                print(f"{side:6s} {workload:12s} seed {seed:3d} trace {trace}: "
-                      f"{json.dumps(result.get('metrics', result))[:200]}", flush=True)
-                output.write_text(json.dumps(document(args, parent_hash, runs, metrics), indent=1) + "\n")
-    finally:
-        if tmp is not None:
-            subprocess.run(["git", "worktree", "remove", "--force", str(tmp)], cwd=ROOT, capture_output=True)
-            shutil.rmtree(tmp.parent, ignore_errors=True)
+    plan = [(seed, w, 0) for seed in parse_seeds(args.seeds) for w in args.workload]
+    plan += [(TRACED_SEED, w, 1) for w in args.workload]
+    for seed, workload, trace in plan:
+        for side in ("parent", "change") if seed % 2 else ("change", "parent"):
+            result = bench(args.parent_dir if side == "parent" else ROOT, workload, seed, args.seconds, trace)
+            runs.append({"side": side, "workload": workload, "seed": seed, "trace": trace, "result": result})
+            print(f"{side:6s} {workload:12s} seed {seed:3d} trace {trace}: "
+                  f"{json.dumps(result.get('metrics', result))[:200]}", flush=True)
+            output.write_text(json.dumps(document(args, parent_hash, runs, metrics), indent=1) + "\n")
     return 0 if document(args, parent_hash, runs, metrics)["every_run_correct_with_0_failed"] else 1
 
 
