@@ -46,6 +46,8 @@ from .schur_weyl import (
     dense_bytes,
     diagonal_block_probs,
     log_block_probs_iid,
+    log_type_probs,
+    polarized_block_probs,
     two_row_bands,
     two_row_bytes,
     young_projectors,
@@ -344,14 +346,14 @@ def _atom_types(weights, n: int) -> tuple[np.ndarray, np.ndarray]:
                                            f"carry weight (MAX_ATOM_TYPES)")
             taus, base = np.column_stack([taus[rows[kept]], x[kept]]), base[kept]
         taus = np.column_stack([taus, n - taus.sum(axis=1)])[::-1]
-        log_w = young.log_factorial(n) - young.log_factorial(taus).sum(axis=1) + times(taus, log_w).sum(axis=1)
+        log_w = log_type_probs(w, taus)
     keep = log_w >= cut
     return taus[keep], np.exp(log_w[keep])
 
 
-def _commuting_diag(source: Source):
-    """The atoms' joint diagonals clipped at 0, or None if the atoms do not commute."""
-    joint = joint_eigenbasis(source.states)
+def _commuting_diag(states):
+    """The states' joint diagonals clipped at 0, or None if they do not commute."""
+    joint = joint_eigenbasis(states)
     return None if joint is None else np.clip(joint[1], 0.0, None)
 
 
@@ -361,30 +363,33 @@ def cluster_expectations(code: VLCode, source: Source, exponents: tuple[float, .
     each exponent e in ``exponents``.
 
     Returns (one dict outcome -> expectation per exponent, one stderr per
-    exponent or None).  One sequence per atom type is weighed with the
-    type's probability, and each type's traces are computed once for all
-    exponents: by ``_two_row_expectations`` for commuting qubit atoms, else
-    a batch of types at a time, block probabilities from
-    ``schur_weyl.diagonal_block_probs`` (commuting atoms, any n and d) or
-    ``schur_weyl.dense_block_probs`` (within linalg.MAX_BYTES) summed
-    over each cluster by ``VLCode._cluster_reduce``.  Above MAX_ATOM_TYPES
-    kept types, or for ``samples`` (at least 2; forces the dense route),
-    the counts of the types of one seeded multinomial draw replace the
-    type probabilities, each sampled type evaluated once; stderr is the
+    exponent or None).  One sequence per atom type (atoms of weight 0 in
+    none) is weighed with the type's probability, its traces computed once
+    for all exponents: by ``_two_row_expectations`` for commuting qubit
+    atoms, else a batch of types at a time, block probabilities from
+    ``schur_weyl``: ``diagonal_block_probs`` (commuting atoms, any n and d),
+    ``polarized_block_probs`` (other qubit atoms, any n) or
+    ``dense_block_probs`` (within linalg.MAX_BYTES), summed over each
+    cluster by ``VLCode._cluster_reduce``.  Above MAX_ATOM_TYPES kept
+    types, or for ``samples`` (at least 2), the counts of the types of one
+    seeded multinomial draw replace the type probabilities; stderr is the
     standard error of the estimate 1 - sum over accepted outcomes / C1, by
     the sample variance (divisor samples - 1).
     """
-    n, m = code.n, source.num_atoms
-    diag = None if samples is not None else _commuting_diag(source)
+    n, live = code.n, np.asarray(source.weights) > 0  # the atoms that can take part in a type
+    states = [rho for rho, keep in zip(source.states, live) if keep]
+    m, diag = len(states), _commuting_diag(states)
     labels = code._label_array
-    if diag is None:  # before any tensor product is built
+    if diag is None and code.d > 2:  # before any tensor product is built
         require_bytes(dense_bytes(n, code.d), f"the block projectors of n = {n}, d = {code.d}")
 
     def block_probs(taus) -> np.ndarray:
-        if diag is None:
-            seqs = (np.repeat(np.arange(m), tau) for tau in taus)
-            return np.array([dense_block_probs(labels, tensor(*(source.states[j] for j in seq))) for seq in seqs])
-        return diagonal_block_probs(labels, diag, taus)
+        if diag is not None:
+            return diagonal_block_probs(labels, diag, taus)
+        if code.d == 2:
+            return polarized_block_probs(labels, states, taus)
+        seqs = (np.repeat(np.arange(m), tau) for tau in taus)
+        return np.array([dense_block_probs(labels, tensor(*(states[j] for j in seq))) for seq in seqs])
     sampled = samples is not None
     if not sampled:
         try:
@@ -397,7 +402,8 @@ def cluster_expectations(code: VLCode, source: Source, exponents: tuple[float, .
             raise ValueError(f"a Monte Carlo standard error needs at least 2 samples, got {samples}")
         draws = np.random.default_rng(seed).multinomial(n, source.weights, size=samples)  # atom-count vectors
         taus, weights = np.unique(draws, axis=0, return_counts=True)
-    elif code.d == 2 and diag is not None:
+    taus = taus[:, live]
+    if not sampled and code.d == 2 and diag is not None:
         totals = _two_row_expectations(code, diag, taus, weights, exponents)
         return [dict(zip(code.outcomes, row.tolist())) for row in totals], None
     # about 8 MB per array: a type's letter-count law, its cluster terms, its traces

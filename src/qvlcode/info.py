@@ -8,13 +8,12 @@ the one root finder of the package.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 import numpy.linalg as npl
 
-from .linalg import NumericalFailure, hermitianize
+from .linalg import NumericalFailure, hermitianize, require_bytes
 
 INF = float("inf")
 MAX_ROOT_STEPS = 100  # Brent steps; SciPy's brentq allows as many
@@ -135,14 +134,12 @@ def sum_zero_ball(x: float, d: int) -> list[tuple[int, ...]]:
         while 2 * (t + 1) * (t + 1) <= limit2:
             t += 1
         return [(z, -z) for z in range(t, -t - 1, -1)]
-    reach = int(math.floor(x)) + 1
-    out = []
-    for head in itertools.product(range(-reach, reach + 1), repeat=d - 1):
-        tail = -sum(head)
-        vec = head + (tail,)
-        if sum(v * v for v in vec) <= limit2:
-            out.append(vec)
-    return sorted(out, reverse=True)
+    width = 2 * int(math.floor(x)) + 3  # heads within floor(x) + 1 of 0
+    require_bytes(3 * 8 * d * width ** (d - 1), f"the zero-sum ball of radius {x:g} in d = {d}")
+    heads = np.indices((width,) * (d - 1)).reshape(d - 1, width ** (d - 1)).T - width // 2
+    vecs = np.column_stack([heads, -heads.sum(axis=1)])
+    vecs = vecs[(vecs * vecs).sum(axis=1) <= limit2]
+    return list(map(tuple, vecs[np.lexsort(vecs.T[::-1])[::-1]].tolist()))
 
 
 def c1(x: float, d: int) -> int:

@@ -2,18 +2,18 @@
 
 The n-fold tensor power splits into blocks labelled by partitions of n
 with at most d parts; each block carries one SU(d) irrep tensored with
-one symmetric-group irrep.  Three routes give the weight Tr P_lam rho of
+one symmetric-group irrep.  Four routes give the weight Tr P_lam rho of
 every row of an (L, d) label array, and the per-label functions are
 entries of them: ``dense_block_probs`` (projectors as eigenspaces of
 two class sums, within ``linalg.MAX_BYTES``); ``log_block_probs_iid``
-(the i.i.d. closed form, log-factorial dimensions plus a log-domain
-bialternant, any n); ``diagonal_block_probs`` (products of commuting
-factors, any n and d, for a batch of atom types at once: each atom's
-letter-count laws in one array pass, multiplied per type and read off
-by the two-row closed form on a band of labels for d = 2
-(``two_row_bands``), convolved per type and weighed by Kostka numbers
-otherwise).  The tests hold them to 1e-10 of each other;
-a value off [0, 1] by more than 1e-9 raises NumericalFailure.
+(the i.i.d. closed form, any n); ``diagonal_block_probs`` (commuting
+factors, any n and d, for a batch of atom types: letter-count laws read
+off by the two-row closed form on a band of labels for d = 2
+(``two_row_bands``), weighed by Kostka numbers otherwise);
+``polarized_block_probs`` (qubit atoms that need not commute, any n, a
+batch of types by one FFT per tilt of the atoms' mixture).  The tests
+hold them to 1e-10 of each other; a value off [0, 1] by more than 1e-9
+raises NumericalFailure.
 """
 
 from __future__ import annotations
@@ -405,6 +405,83 @@ def diagonal_block_probs(labels, spectra, counts=None) -> np.ndarray:
     cells, starts = _content_groups(n, d)
     probs = np.add.reduceat(law[:, cells], starts, axis=1) @ _diagonal_weights(n, d)[_rows(labels, n, d)].T
     return _probabilities(probs.reshape(counts.shape[:-1] + (len(labels),)), "a diagonal block probability")
+
+
+def log_type_probs(s, taus) -> np.ndarray:
+    """ln(multinomial(tau) prod s_j^tau_j) for each row tau of a (T, m) count array (0 ln 0 = 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(taus > 0, taus * np.log(s), 0.0)
+    return young.log_factorial(taus.sum(axis=1)) - young.log_factorial(taus).sum(axis=1) + terms.sum(axis=1)
+
+
+def _tilts(taus):
+    """Tilts s with the rows of ``taus`` read from each: the first unread type's own s = tau/n,
+    for every unread type at least 1/e as likely under it as under its own."""
+    left, best = np.arange(len(taus)), log_type_probs(taus / taus[0].sum(), taus) - 1
+    while len(left):
+        s = taus[left[0]] / taus[left[0]].sum()
+        near = log_type_probs(s, taus[left]) >= best[left]
+        yield s, left[near]
+        left = left[~near]
+
+
+CHUNK_BYTES = 24 << 20  # most bytes of a chunk of labels in ``polarized_block_probs``
+
+
+def polarized_block_probs(labels, states, taus) -> np.ndarray:
+    """Tr P_lam (rho_1^{x tau_1} x ... x rho_m^{x tau_m}) for each row of an
+    (L, 2) label array and each row of a (T, m) array of atom counts summing
+    to n, as a (T, L) array, for qubit atoms that need not commute.
+
+    Tr P_lam X^{x n} = dim S_n(lam) s_lam(eig X) for every 2x2 X (Fulton and
+    Harris, Representation Theory, 6.1).  So for a tilt s, s_lam of X(theta)
+    = sum_j s_j e^(i theta_j) rho_j has the coefficients multinomial(tau)
+    prod s_j^tau_j Tr P_lam(...) / dim S_n(lam) >= 0 in theta: one FFT over
+    roots of unity, folded to powers of two past the counts Bernstein's bound
+    leaves likelier than NEGLIGIBLE_PMF, reads off every type, each label
+    scaled by its value at theta = 0 (``log_block_probs_iid``).  s_(a,b) =
+    e2^b h_(a-b), h_k = e1 h_(k-1) - e2 h_(k-2) (e1 = tr X, e2 = det X), from
+    the lowest k by doubling.  A coefficient is off by about eps times its
+    label's scale, so a type is read from a tilt near tau/n (``_tilts``);
+    labels whose scale over its probability is below NEGLIGIBLE_PMF are 0.
+    """
+    labels, taus = np.asarray(labels, dtype=np.int64), np.asarray(taus, dtype=np.int64)
+    states = np.asarray(states, dtype=complex).reshape(-1, 4)  # an atom in no type gets a grid axis of 1
+    n, m, out = int(taus[0].sum()), len(states), np.zeros((len(taus), len(labels)))
+    diff = labels[:, 0] - labels[:, 1]  # k = a - b, distinct per label
+    for s, rows in _tilts(taus):
+        spec = np.linalg.eigvalsh((s @ states).reshape(2, 2))[::-1].clip(0.0)
+        log_p, log_scale = log_type_probs(s, taus[rows]), log_block_probs_iid(labels, spec)
+        live = np.flatnonzero(log_scale >= log_p.min() + math.log(NEGLIGIBLE_PMF))
+        live = live[np.argsort(diff[live])]
+        first, last = _count_window(np.column_stack([s, 1 - s]), n * np.eye(m, dtype=np.int64))
+        span = np.where(s > 0, np.maximum(last - taus[rows].min(axis=0), taus[rows].max(axis=0) - first) + 1, 1)
+        axes = np.argsort(s == s.max(), kind="stable")  # theta = 0 on the last, a likeliest atom
+        sizes = tuple(min(1 << int(v - 1).bit_length(), n + 1) for v in span[axes[:-1]].tolist())
+        size = math.prod(sizes)
+        chunk = max(1, CHUNK_BYTES // (48 * size))  # labels per chunk: three complex arrays over the grid
+        require_bytes(48 * size * min(chunk, len(live)) + 64 * m * size, f"a polarization grid of {size} points")
+        phases = np.exp(2j * np.pi * np.indices(sizes).reshape(m - 1, size).T / np.array(sizes))
+        x = np.column_stack([phases, np.ones(size)]) @ (s[:, None] * states)[axes] / spec[0]
+        e1, e2 = x[:, 0] + x[:, 3], x[:, 0] * x[:, 3] - x[:, 1] * x[:, 2]
+        log_q = np.log(np.where(e2 == 0, np.finfo(float).tiny, e2)) - np.log(e2[0] or 1.0)  # |q| <= 1
+        h, prev, k = np.ones(size, dtype=complex), np.zeros(size, dtype=complex), int(diff[live].min(initial=n))
+        for bit in bin(k)[2:]:  # (h_j, h_(j-1)) to j = k from the top bit: j -> 2j, then j -> j + 1
+            h, prev = h * h - e2 * prev * prev, prev * (2 * h - e1 * prev)
+            if bit == "1":
+                h, prev = e1 * h - e2 * prev, h
+        index = np.ravel_multi_index(tuple((taus[np.ix_(rows, axes[:-1])] % sizes).T), sizes)
+        for part in (live[i:i + chunk] for i in range(0, len(live), chunk)):
+            terms = np.empty((len(part), size), dtype=complex)
+            for i, j in enumerate(diff[part].tolist()):
+                while k < j:
+                    h, prev, k = e1 * h - e2 * prev, h, k + 1
+                h[np.abs(h) < 1e-200], prev[np.abs(prev) < 1e-200] = 0.0, 0.0  # no slow subnormals; h(0) >= 1
+                terms[i] = h / h[0]
+            terms *= np.exp(labels[part, 1, None] * log_q)
+            coeffs = np.fft.fftn(terms.reshape((-1,) + sizes), axes=tuple(range(1, m))).reshape(-1, size)
+            out[np.ix_(rows, part)] = coeffs[:, index].real.T / size * np.exp(log_scale[part] - log_p[:, None])
+    return _probabilities(out, "a polarized block probability")
 
 
 def dense_block_probs(labels, rho) -> np.ndarray:

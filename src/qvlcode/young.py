@@ -220,9 +220,9 @@ def log_schur_two_rows(a, b, x: float, y: float):
     elif x == y:
         out = (a + b) * math.log(x) + np.log(a - b + 1)
     else:
-        u = (x - y) / x  # 1 - r, exact when x and y are close
-        out = (a * math.log(x) + b * math.log(y)
-               + np.log(-np.expm1((a - b + 1) * math.log1p(-u))) - math.log(u))
+        u = (x - y) / x  # 1 - r, exact when x and y are close; ln r from y / x when u rounds to 1
+        log_r = math.log1p(-u) if 2 * y > x else math.log(y / x)
+        out = a * math.log(x) + b * math.log(y) + np.log(-np.expm1((a - b + 1) * log_r)) - math.log(u)
     return float(out) if out.ndim == 0 else out
 
 

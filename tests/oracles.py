@@ -13,7 +13,9 @@ label, and the atom types by enumerating every composition, against
 which the banded route of ``schur_weyl`` and ``codec`` is checked; the
 entropy of a count vector; the ten-start finite-difference SLSQP for the
 overflow floor's divergence program, against which
-``bounds._min_divergence`` is checked; and the per-sample Monte Carlo
+``bounds._min_divergence`` is checked; the zero-sum ball by a loop over
+its heads, against which the grid of ``info.sum_zero_ball`` is checked;
+and the per-sample Monte Carlo
 loop, against which the type-tallied sampling route of
 ``codec.cluster_expectations`` is checked.
 """
@@ -203,6 +205,21 @@ def slsqp_min_divergence(rate: float, p, slack: float, anchor=None, radius=None)
         if res.success:
             best = min(best, max(0.0, float(res.fun)))
     return best
+
+
+def sum_zero_ball(x: float, d: int) -> list[tuple[int, ...]]:
+    """``info.sum_zero_ball`` for d >= 3 by a loop over the heads: every
+    (d - 1)-vector within floor(x) + 1 of 0 per coordinate, completed to
+    sum 0, kept if its exact squared length is at most x^2 (1e-9 relative
+    tie guard), sorted descending."""
+    limit2 = x * x * (1 + 1e-9) + 1e-12
+    reach = int(math.floor(x)) + 1
+    out = []
+    for head in itertools.product(range(-reach, reach + 1), repeat=d - 1):
+        vec = head + (-sum(head),)
+        if sum(v * v for v in vec) <= limit2:
+            out.append(vec)
+    return sorted(out, reverse=True)
 
 
 def monte_carlo_expectations(code, source, exponents, samples: int, seed: int):

@@ -54,19 +54,34 @@ class TestDecomposeCheck:
         schur_weyl.young_projectors.cache_clear()
 
 
-def test_noncommuting_qubit_error_at_n9(tmp_path, capsys):
-    # the dense chain past n = 8, against its own Monte Carlo estimate
-    atoms = [{"weight": 0.6, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
-             {"weight": 0.4, "matrix": [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]}]
+# two non-commuting qubit atoms: |0><0| and |+><+|
+NONCOMMUTING_QUBIT = {"d": 2, "atoms": [{"weight": 0.6, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
+                                        {"weight": 0.4, "matrix": [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]}]}
+
+
+def noncommuting_qubit_file(tmp_path) -> str:
     path = tmp_path / "noncommuting.json"
-    path.write_text(json.dumps({"d": 2, "atoms": atoms}))
-    argv = ["error", "--n", "9", "--schedule", "--source", str(path), "--format", "json"]
+    path.write_text(json.dumps(NONCOMMUTING_QUBIT))
+    return str(path)
+
+
+def error_against_monte_carlo(n: int, path: str, capsys) -> None:
+    """The chain's error at n exits 0 and its Monte Carlo estimate lies within 4 standard errors."""
+    argv = ["error", "--n", str(n), "--schedule", "--source", path, "--format", "json"]
     assert cli.main(argv) == 0
     exact = json.loads(capsys.readouterr().out)["results"][0]["error"]
     assert cli.main(argv + ["--samples", "2000", "--seed", "3"]) == 0
     row = json.loads(capsys.readouterr().out)["results"][0]
     assert abs(row["error"] - exact) <= 4 * row["stderr"]
-    schur_weyl.young_projectors.cache_clear()
+
+
+def test_noncommuting_qubit_error_at_n9(tmp_path, capsys):
+    error_against_monte_carlo(9, noncommuting_qubit_file(tmp_path), capsys)
+
+
+def test_noncommuting_qubit_error_at_n12(tmp_path, capsys):
+    # the dense projectors would need about 1024 MiB here; the polarized route none
+    error_against_monte_carlo(12, noncommuting_qubit_file(tmp_path), capsys)
 
 
 class TestMemoryBudget:
@@ -183,12 +198,10 @@ class TestConfigHandling:
         assert run_text(["--n", "4", "--format", "json", "dims"]) == run_text(["dims", "--n", "4", "--format", "json"])
 
     def test_block_probability_off_the_unit_interval_exits_3(self, monkeypatch, tmp_path, capsys):
-        # doubled projectors give block probabilities up to 2: a numerical
-        # failure, reported without a traceback
-        from qvlcode import schur_weyl
-        projectors = schur_weyl.young_projectors
-        monkeypatch.setattr(schur_weyl, "young_projectors",
-                            lambda n, d: {lam: 2 * p for lam, p in projectors(n, d).items()})
+        # doubled scales of the polarized route give block probabilities up
+        # to 2: a numerical failure, reported without a traceback
+        scales = schur_weyl.log_block_probs_iid
+        monkeypatch.setattr(schur_weyl, "log_block_probs_iid", lambda labels, spec: scales(labels, spec) + math.log(2))
         atoms = [{"weight": 0.75, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
                  {"weight": 0.25, "matrix": [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]}]
         path = tmp_path / "noncommuting.json"
@@ -429,8 +442,11 @@ class TestDeterminism:
          "--samples", "40", "--seed", "7", "--format", "json"],
         ["distribution", "--n", "8", "--schedule", "--spectrum", "0.7,0.3"],
         ["overflow", "--n", "12", "--d", "3", "--schedule", "--spectrum", "0.5,0.3,0.2", "--rate", "0.9"],
+        ["error", "--n", "40", "--schedule", "--source", "SOURCE", "--format", "json"],
+        ["distribution", "--n", "12", "--schedule", "--source", "SOURCE"],
     ])
-    def test_byte_identical_across_thread_counts(self, argv):
+    def test_byte_identical_across_thread_counts(self, argv, tmp_path):
+        argv = [noncommuting_qubit_file(tmp_path) if a == "SOURCE" else a for a in argv]
         outputs = {
             threads: run_text(argv + ["--threads", str(threads)])
             for threads in (1, 4, 8)

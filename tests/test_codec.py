@@ -25,7 +25,7 @@ from qvlcode.linalg import (
     tensor,
     trace_norm,
 )
-from qvlcode.schur_weyl import dense_bytes, young_projectors
+from qvlcode.schur_weyl import dense_bytes, two_row_bands, young_projectors
 
 RNG = np.random.default_rng(2024)
 
@@ -754,8 +754,9 @@ def test_monte_carlo_by_type_against_per_sample_loop(name, monkeypatch):
     exponents = (1.0, 1.5, 2.0)
     want, want_stderrs = oracles.monte_carlo_expectations(code, source, exponents, samples, seed=7)
     calls = []
-    probs = codec.dense_block_probs
-    monkeypatch.setattr(codec, "dense_block_probs", lambda labels, rho: calls.append(1) or probs(labels, rho))
+    probs = codec.polarized_block_probs
+    monkeypatch.setattr(codec, "polarized_block_probs",
+                        lambda labels, states, taus: calls.extend(taus) or probs(labels, states, taus))
     got, stderrs = codec.cluster_expectations(code, source, exponents, samples=samples, seed=7)
     # one evaluation per sampled atom type, of which there are at most C(n + m - 1, m - 1)
     assert len(calls) <= math.comb(code.n + source.num_atoms - 1, source.num_atoms - 1) < samples
@@ -927,21 +928,43 @@ def test_dense_chain_against_complex_contraction(tmp_path, capsys):
 
 
 def test_dense_budget_counts_the_cluster_projectors(monkeypatch):
-    # the chain holds the block projectors only; the simulation holds the
-    # stacked cluster projectors on top, which are their own square roots
-    # up to the factor 1 / sqrt(C1)
+    # the chain holds the block projectors only (a non-commuting qutrit: qubit
+    # chains take the polarized route); the simulation holds the stacked
+    # cluster projectors on top, which are their own square roots up to the
+    # factor 1 / sqrt(C1)
+    qutrit = build_code(CodeParams(n=4, d=3, delta=0.3))
+    monkeypatch.setattr(linalg, "MAX_BYTES", dense_bytes(4, 3) - 1)
+    with pytest.raises(DimensionBudgetError):
+        codec.average_error_chain(qutrit, qutrit_source())
+    monkeypatch.setattr(linalg, "MAX_BYTES", dense_bytes(4, 3))
+    assert 0.0 <= codec.average_error_chain(qutrit, qutrit_source())[0] <= 1.0
     code = build_code(CodeParams(n=4, d=2, delta=0.3))
     outcomes = len(code.outcomes)
-    monkeypatch.setattr(linalg, "MAX_BYTES", dense_bytes(4, 2) - 1)
-    with pytest.raises(DimensionBudgetError):
-        codec.average_error_chain(code, noncommuting_source())
-    monkeypatch.setattr(linalg, "MAX_BYTES", dense_bytes(4, 2))
-    assert 0.0 <= codec.average_error_chain(code, noncommuting_source())[0] <= 1.0
     monkeypatch.setattr(linalg, "MAX_BYTES", dense_bytes(4, 2, outcomes) - 1)
     with pytest.raises(DimensionBudgetError):
         codec.average_error_definitional(code, noncommuting_source())
     monkeypatch.setattr(linalg, "MAX_BYTES", dense_bytes(4, 2, outcomes))
     assert 0.0 <= codec.average_error_definitional(code, noncommuting_source()) <= 1.0
+
+
+@pytest.mark.parametrize("n", [1000, 10_000])
+def test_polarized_chain_against_the_banded_route(n, monkeypatch):
+    # a commuting qubit source through the route of non-commuting ones
+    code = build_code(CodeParams(n=n, d=2, delta=delta_schedule(n)[0]))
+    want, _ = codec.average_error_chain(code, mixed_commuting_source())
+    monkeypatch.setattr(codec, "_commuting_diag", lambda states: None)
+    assert codec.average_error_chain(code, mixed_commuting_source())[0] == pytest.approx(want, abs=1e-10)
+
+
+def test_zero_weight_atoms_leave_the_route(monkeypatch):
+    # a non-commuting atom of weight 0 does not send a commuting source off its route
+    states = mixed_commuting_source().states + (np.full((2, 2), 0.5, dtype=complex),)
+    source = Source(d=2, weights=(0.6, 0.4, 0.0), states=states)
+    code = build_code(CodeParams(n=300, d=2, delta=delta_schedule(300)[0]))
+    calls = []
+    monkeypatch.setattr(codec, "two_row_bands", lambda *args: calls.append(1) or two_row_bands(*args))
+    got, _ = codec.average_error_chain(code, source)
+    assert calls and got == pytest.approx(codec.average_error_chain(code, mixed_commuting_source())[0], abs=1e-15)
 
 
 # --- the atom-type cap ---------------------------------------------------------

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import optimize, special
 
-from qvlcode import info
-from qvlcode.linalg import pure_state, random_density, random_unitary
+import oracles
+from qvlcode import info, linalg
+from qvlcode.linalg import DimensionBudgetError, pure_state, random_density, random_unitary
 
 RNG = np.random.default_rng(99)
 
@@ -163,6 +164,20 @@ class TestLatticeCounts:
 
     def test_c2_grows(self):
         assert info.c2(10.0, 2) == 14  # floor(sqrt(2) * 10)
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_ball_grid_against_loop(self, d):
+        # radii with x^2 an integer put lattice points exactly on the sphere
+        for x in (0.0, 1.0, math.sqrt(2), math.sqrt(3), 2.0, math.sqrt(6), 3.0, math.sqrt(14), 4.0, 7.24):
+            if d == 5 and x > 4:
+                continue
+            assert info.sum_zero_ball(x, d) == oracles.sum_zero_ball(x, d), (d, x)
+
+    def test_ball_grid_within_the_byte_budget(self, monkeypatch):
+        monkeypatch.setattr(linalg, "MAX_BYTES", 1 << 16)
+        assert info.sum_zero_ball(2.0, 3) == oracles.sum_zero_ball(2.0, 3)
+        with pytest.raises(DimensionBudgetError):
+            info.sum_zero_ball(20.0, 4)
 
 
 class TestCurvatureConstant:

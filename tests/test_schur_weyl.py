@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from qvlcode import schur_weyl, young
+from qvlcode import codec, linalg, schur_weyl, young
 from qvlcode.linalg import DimensionBudgetError, NumericalFailure, random_density, random_unitary, tensor
 from qvlcode.schur_weyl import (
     block_prob_diagonal,
@@ -17,6 +17,7 @@ from qvlcode.schur_weyl import (
     log_block_prob_iid_two_level,
     log_block_probs_iid,
     permutation_operator,
+    polarized_block_probs,
     young_projector,
     young_projectors,
 )
@@ -405,6 +406,72 @@ def test_two_row_bands_at_large_n():
     assert (probs[a < start[:, None]] == 0.0).all()
     for row in probs:
         assert math.fsum(row) == pytest.approx(1.0, abs=1e-9)
+
+
+# --- the polarized route: non-commuting qubit atoms by one FFT per tilt ------
+
+def two_row_labels(n):
+    a = np.arange((n + 1) // 2, n + 1)
+    return np.stack([a, n - a], axis=1)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_polarized_against_dense(m):
+    # pure and mixed atoms, and one atom in no type (a zero-weight atom):
+    # every type of every n <= 8, labels in young_indices order (a falling)
+    rng = np.random.default_rng(40 + m)
+    states = [random_density(2, rng, pure=bool(j % 2)) for j in range(m)] + [random_density(2, rng)]
+    for n in range(1, 9):
+        taus = np.array(young.compositions(n, m))
+        labels = np.array(young.young_indices(n, 2))
+        got = polarized_block_probs(labels, states, np.column_stack([taus, np.zeros(len(taus), dtype=int)]))
+        for tau, row in zip(taus, got):
+            rho = tensor(*(states[j] for j in np.repeat(np.arange(m), tau)))
+            np.testing.assert_allclose(row, dense_block_probs(labels, rho), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1000, 10_000])
+def test_polarized_against_diagonal_at_large_n(n):
+    # commuting atoms fed straight to the polarized route: every kept type,
+    # read from several tilts, against the banded letter-count route
+    spectra = np.array([[0.8, 0.2], [0.35, 0.65]])
+    taus, _ = codec._atom_types((0.75, 0.25), n)
+    assert len(list(schur_weyl._tilts(taus))) > 1
+    labels = two_row_labels(n)
+    got = polarized_block_probs(labels, [np.diag(q) for q in spectra], taus)
+    np.testing.assert_allclose(got, diagonal_block_probs(labels, spectra, taus), rtol=0, atol=1e-9)
+
+
+def test_polarized_types_sum_to_one_at_n10000():
+    n = 10_000
+    rng = np.random.default_rng(12)
+    states = [random_density(2, rng), random_density(2, rng, pure=True)]
+    taus, _ = codec._atom_types((0.6, 0.4), n)
+    got = polarized_block_probs(two_row_labels(n), states, taus)
+    assert max(abs(math.fsum(row) - 1.0) for row in got) <= 1e-10
+
+
+def test_polarized_tilts_read_each_type_near_its_own():
+    # every type once, each at least 1/e as likely under its tilt as under tau/n
+    taus = np.array(young.compositions(40, 3))
+    tilts = list(schur_weyl._tilts(taus))
+    rows = np.concatenate([r for _, r in tilts])
+    assert sorted(rows.tolist()) == list(range(len(taus)))
+    for s, r in tilts:
+        own = schur_weyl.log_type_probs(taus[r] / 40, taus[r])
+        assert (schur_weyl.log_type_probs(s, taus[r]) >= own - 1).all()
+
+
+def test_polarized_grid_within_the_byte_budget(monkeypatch):
+    labels = two_row_labels(200)
+    taus, _ = codec._atom_types((0.5, 0.5), 200)
+    states = [np.diag([1.0, 0.0]), np.full((2, 2), 0.5)]
+    whole = polarized_block_probs(labels, states, taus)
+    monkeypatch.setattr(schur_weyl, "CHUNK_BYTES", 1)  # one label per chunk
+    np.testing.assert_array_equal(polarized_block_probs(labels, states, taus), whole)
+    monkeypatch.setattr(linalg, "MAX_BYTES", 1 << 10)
+    with pytest.raises(DimensionBudgetError):
+        polarized_block_probs(labels, states, taus)
 
 
 LAW_SPECTRA = {

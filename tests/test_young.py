@@ -294,8 +294,9 @@ def test_schur_normalization():
 
 
 def test_log_schur_two_rows_against_monomial_sum():
-    # the bialternant against sum_{c=b}^{a} x^c y^(n-c), also near and at x = y
-    for x, y in [(0.75, 0.25), (0.5 + 1e-9, 0.5 - 1e-9), (0.5, 0.5), (0.25, 0.75), (1.0, 0.0), (0.0, 1.0)]:
+    # the bialternant against sum_{c=b}^{a} x^c y^(n-c), also near and at x = y, and with 1 - y/x rounding to 1
+    for x, y in [(0.75, 0.25), (0.5 + 1e-9, 0.5 - 1e-9), (0.5, 0.5), (0.25, 0.75), (1.0, 0.0), (0.0, 1.0),
+                 (1.0, 1e-17), (0.9, 1e-18)]:
         for a, b in [(7, 3), (40, 0), (25, 25), (0, 0)]:
             direct = sum(x**c * y ** (a + b - c) for c in range(b, a + 1))
             val = young.log_schur_two_rows(a, b, x, y)
