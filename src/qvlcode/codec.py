@@ -12,8 +12,8 @@ Everything observable about the code reduces to block probabilities,
 which ``schur_weyl`` computes over label arrays (dense, i.i.d. closed
 form, letter-count law); this module only reduces them over clusters,
 by one function for log-domain values (outcome statistics, lengths) and
-linear ones (error expectations): window runs for d = 2, the membership
-index for d >= 3.  The instrument commutes with permutations of the
+linear ones (error expectations): one row-window sum over a grid of the
+labels, for every d.  The instrument commutes with permutations of the
 copies, so every expectation over the source is a sum over atom types
 (``_atom_types``), one sequence per type, evaluated a batch of types at
 a time; seeded Monte Carlo over the types is the fallback.
@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg, young
-from .info import lattice_count_bounds, sorted_spectrum, sum_zero_ball
+from .info import sorted_spectrum, sum_zero_ball
 from .linalg import (
     DimensionBudgetError,
     Source,
@@ -59,9 +59,6 @@ NEG_INF = float("-inf")
 # classical flag is sent, no quantum subspace.
 REJECT = None
 
-# Bytes per membership and coordinate held while the d >= 3 cluster index
-# is built (the sums, the sort keys and order, and the sorted copy).
-MEMBER_BYTES = 32
 # Complex d^n x d^n matrices one outcome holds at once in the instrument
 # simulation (post states, square roots, eigenvectors): tracemalloc reads
 # about 6 at n = 7 and 8, and LAPACK workspace comes on top.
@@ -116,60 +113,61 @@ def delta_schedule(n: int) -> tuple[float, float]:
 class VLCode:
     """A built instrument: outcomes, their block clusters, and lengths.
 
-    For d = 2, outcome (k0, n - k0) covers the labels (a, n - a) with a in
-    the window [max(k0 - t, ceil(n/2)), min(k0 + t, n)], t =
-    ``window_halfwidth``.  For d >= 3 the memberships (label + ball
-    offset) form one array index grouped by outcome, held within
-    linalg.MAX_BYTES: outcome i covers the labels numbered
-    ``_index[_starts[i]:_starts[i + 1]]``.  Either way ``blocks`` lists a
-    cluster when asked for it.
+    Outcome k covers the labels k - z over the ball offsets z of
+    ``info.sum_zero_ball``.  Per-label values are reduced over the clusters
+    on a dense grid over the label coordinates 1..d-1 (coordinate 1 alone,
+    one cell, for d = 1).  The ball is a stack of rows: with z_1..z_(d-2)
+    fixed, z_(d-1) runs over one interval, the constraint being convex.  So
+    a cluster sum is a sum over rows of one window reduction along the
+    grid's last axis (``_window_reduce``), shifted into a box of outcomes
+    padded by the ball's reach; d = 2 is the one-row case.  The outcomes
+    are the box cells some label reaches, in descending order.  The grid,
+    the box and the window temporaries are held within linalg.MAX_BYTES;
+    ``blocks`` lists a cluster when asked for it.
     """
 
     def __init__(self, params: CodeParams):
         self.params = params
         n, d = params.n, params.d
-        if d == 2:
-            offsets = sum_zero_ball(n * params.delta, d)
-            self.c1_count = len(offsets)
-            t = self.window_halfwidth = offsets[0][0]
-            self.outcomes = tuple((k0, n - k0) for k0 in range(n + t, (n + 1) // 2 - t - 1, -1))
-            self._terms = n // 2 + 6 * t + 2  # the padded windows of ``_cluster_reduce``
-        else:
-            self._index, self._starts, outcomes, self.c1_count = self._members()
-            self.outcomes = tuple(map(tuple, outcomes.tolist()))
-            self._terms = len(self._index)
+        x = n * params.delta
+        # the grid: label coordinates 1..d-1 (1 alone for d = 1), lambda_1 >= n / d and lambda_i <= n / i
+        low = np.array([-(-n // d)] + [0] * max(d - 2, 0))
+        shape = [n // i - lo + 1 for i, lo in enumerate(low.tolist(), 1)]
+        r = math.floor(x)  # grid, box and window temporaries, before any is allocated; no offset exceeds x
+        require_bytes(8 * (math.prod(shape) + math.prod(s + 2 * r for s in shape)
+                           + 4 * math.prod(shape[:-1]) * (shape[-1] + 4 * r + 2)),
+                      f"the cluster grid of n = {n}, d = {d}")
+        ball, a = sum_zero_ball(x, d), len(shape)
+        self.c1_count, self._offsets = len(ball), np.array(ball)
+        # the rows: z_(d-1) on one interval per head z_1..z_(d-2), runs of the descending ball; as
+        # (width, first offset), by width so that one window reduction serves a run of rows
+        runs = (list(run) for _, run in itertools.groupby(ball, lambda z: z[:a - 1]))
+        self._rows = sorted((run[0][a - 1] - run[-1][a - 1] + 1, run[-1][:a]) for run in runs)
+        self._pad = np.abs(self._offsets[:, :a]).max(axis=0)
+        self._grid_shape, self._box_shape = tuple(shape), tuple((shape + 2 * self._pad).tolist())
+        self._terms = math.prod(self._box_shape)  # the padded box of one type
+        # the labels: the grid cells that are partitions, descending (young_indices order)
+        axes = np.ogrid[tuple(slice(lo, lo + s) for lo, s in zip(low.tolist(), shape))]
+        self._grid_cells = np.flatnonzero(_partitions((*axes, n - sum(axes))))[::-1]
+        labels = self._label_array = _full_vectors(np.unravel_index(self._grid_cells, shape), low, n, d)
+        self._cells = slice(None)  # every box cell, until the reached ones are known
+        log_dims = self._cluster_reduce(young.log_dim_sym_group(labels) + young.log_dim_unitary_group(labels),
+                                        np.logaddexp)
+        self._cells = np.flatnonzero(log_dims > NEG_INF)[::-1]  # every label's dimension is positive
+        self._log_dims = log_dims[self._cells]
+        ks = _full_vectors(np.unravel_index(self._cells, self._box_shape), low - self._pad, n, d)
+        self.outcomes = tuple(zip(*ks.T.tolist()))
         self.blocks = _Clusters(self)
         if params.restricted:
             limit = params.delta1 * (1 + 1e-9) + 1e-12
-            ks = np.asarray(self.outcomes, dtype=float) / n
             specs = np.asarray(params.spectrum_set, dtype=float)
-            near = np.linalg.norm(ks[:, None, :] - specs[None, :, :], axis=-1) <= limit
+            near = np.linalg.norm(ks[:, None, :] / n - specs[None, :, :], axis=-1) <= limit
             self._accepted_mask = near.any(axis=1)
             self.accepted = tuple(itertools.compress(self.outcomes, self._accepted_mask))
         else:
             self._accepted_mask = np.ones(len(self.outcomes), dtype=bool)
             self.accepted = self.outcomes
         self.num_symbols = len(self.accepted) + (1 if params.restricted else 0)
-
-    def _members(self):
-        """(label index of each membership, first membership of each
-        outcome, outcomes, C1), memberships sorted by outcome descending,
-        then label descending."""
-        n, d = self.n, self.d
-        x = n * self.params.delta
-        # lower bounds first, so that no enumeration starts past the budget:
-        # labels >= C(n + d - 1, d - 1) / d!, offsets >= the lattice count bound
-        what = f"the cluster index of n = {n}, d = {d}"
-        ball = lattice_count_bounds(x, d)[0]
-        require_bytes(math.comb(n + d - 1, d - 1) / math.factorial(d) * ball * MEMBER_BYTES * d, what)
-        labels = np.array(self.labels)
-        offsets = np.array(sum_zero_ball(x, d))
-        require_bytes(len(labels) * len(offsets) * MEMBER_BYTES * d, what)
-        ks = (labels[:, None, :] + offsets[None, :, :]).reshape(-1, d)
-        order = np.lexsort((np.repeat(np.arange(len(labels)), len(offsets)), *(-ks.T[::-1])))
-        ks = ks[order]
-        starts = np.flatnonzero(np.concatenate([[True], (ks[1:] != ks[:-1]).any(axis=1)]))
-        return order // len(offsets), np.append(starts, len(ks)), ks[starts], len(offsets)
 
     @property
     def n(self) -> int:
@@ -188,32 +186,22 @@ class VLCode:
         return {k: i for i, k in enumerate(self.outcomes)}
 
     def _cluster_reduce(self, values: np.ndarray, ufunc) -> np.ndarray:
-        """Reduce the last axis of ``values`` over each cluster by ``ufunc``
-        (np.add, or np.logaddexp for log-domain values), in ``outcomes``
-        order.  For d = 2 entry i is for the label (ceil(n/2) + i, .), and
-        the windows of width 2t + 1 that meet the labels are the clusters;
-        otherwise entry i is for ``labels[i]``."""
-        if self.d == 2:
-            return _window_reduce(values, 2 * self.window_halfwidth + 1, ufunc)[..., ::-1]
-        if ufunc is np.add:
-            return np.add.reduceat(values[..., self._index], self._starts[:-1], axis=-1)
-        return _grouped_logsumexp(values[self._index], self._starts)
-
-    @property
-    def _label_array(self) -> np.ndarray:
-        """The labels as an (L, d) array in ``_cluster_reduce`` order:
-        (a, n - a) for a rising from ceil(n/2) when d = 2, else ``labels``."""
-        if self.d == 2:
-            a = np.arange((self.n + 1) // 2, self.n + 1)
-            return np.stack([a, self.n - a], axis=1)
-        return np.array(self.labels)
-
-    @cached_property
-    def _log_dims(self) -> np.ndarray:
-        """ln(subspace dimension) per outcome in ``outcomes`` order, from log-factorials."""
-        labels = self._label_array
-        return self._cluster_reduce(young.log_dim_sym_group(labels) + young.log_dim_unitary_group(labels),
-                                    np.logaddexp)
+        """Reduce the last axis of ``values`` (one entry per row of
+        ``_label_array``) over each cluster by ``ufunc`` (np.add, or
+        np.logaddexp for log-domain values), in ``outcomes`` order: each row
+        of the ball adds its window reduction into the box of outcomes."""
+        lead = values.shape[:-1]
+        grid = np.full(lead + (math.prod(self._grid_shape),), ufunc.identity, dtype=float)
+        grid[..., self._grid_cells] = values
+        grid = grid.reshape(lead + self._grid_shape)
+        box = np.full(lead + self._box_shape, ufunc.identity, dtype=float)
+        width = 0
+        for w, corner in self._rows:
+            if w != width:
+                width, runs = w, _window_reduce(grid, w, ufunc)
+            view = box[(...,) + tuple(map(slice, self._pad + corner, self._pad + corner + runs.shape[len(lead):]))]
+            ufunc(view, runs, out=view)
+        return box.reshape(lead + (-1,))[..., self._cells]
 
     def subspace_dim(self, k) -> int:
         """Total dimension of the blocks covered by outcome k (exact integer)."""
@@ -238,19 +226,19 @@ class VLCode:
 
 
 class _Clusters(Mapping):
-    """Outcome -> covered labels, listed when asked for: from the window
-    for d = 2, from the membership index otherwise."""
+    """Outcome -> covered labels, listed when asked for: the labels k - z
+    over the ball offsets z that are partitions (non-increasing, last entry
+    >= 0), in descending order."""
 
     def __init__(self, code: VLCode):
         self._code = code
 
     def __getitem__(self, k) -> tuple[tuple[int, ...], ...]:
         code = self._code
-        i = code._position[tuple(k)]
-        if code.d == 2:
-            n, k0, t = code.n, code.outcomes[i][0], code.window_halfwidth
-            return tuple((a, n - a) for a in range(min(k0 + t, n), max(k0 - t, (n + 1) // 2) - 1, -1))
-        return tuple(code.labels[j] for j in code._index[code._starts[i]:code._starts[i + 1]].tolist())
+        if tuple(k) not in code._position:
+            raise KeyError(k)
+        labels = np.asarray(k)[:, None] - code._offsets.T
+        return tuple(zip(*labels[:, _partitions(labels)][:, ::-1].tolist()))  # the ball is sorted descending
 
     def __iter__(self):
         return iter(self._code.outcomes)
@@ -261,6 +249,22 @@ class _Clusters(Mapping):
 
 def build_code(params: CodeParams) -> VLCode:
     return VLCode(params)
+
+
+def _partitions(coords) -> np.ndarray:
+    """Where the vectors of the coordinate arrays ``coords`` (broadcast
+    together) are non-increasing with a last entry >= 0."""
+    keep = coords[-1] >= 0
+    for u, v in zip(coords[:-1], coords[1:]):
+        keep = keep & (u >= v)
+    return keep
+
+
+def _full_vectors(coords, low, n: int, d: int) -> np.ndarray:
+    """Grid or box cells (index arrays per axis, counted from ``low``) as
+    (count, d) vectors summing to n; for d = 1 the one axis is the vector."""
+    head = np.column_stack(coords) + low
+    return np.column_stack([head, n - head.sum(axis=1)])[:, :d]
 
 
 # --- log-domain sums --------------------------------------------------------
@@ -286,14 +290,6 @@ def _window_reduce(v: np.ndarray, width: int, ufunc) -> np.ndarray:
     out = ufunc(suffix[..., :runs], prefix[..., width - 1:runs + width - 1])
     out[..., ::width] = suffix[..., :runs:width]  # the runs that are one whole block
     return out
-
-
-def _grouped_logsumexp(v: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Log-sum-exp of each run v[starts[i]:starts[i + 1]] (all nonempty)."""
-    top = np.maximum.reduceat(v, starts[:-1])
-    shift = np.where(top > NEG_INF, top, 0.0)
-    with np.errstate(divide="ignore"):
-        return shift + np.log(np.add.reduceat(np.exp(v - np.repeat(shift, np.diff(starts))), starts[:-1]))
 
 
 # --- block cluster expectations ---------------------------------------------
@@ -349,6 +345,13 @@ def _atom_types(weights, n: int) -> tuple[np.ndarray, np.ndarray]:
         log_w = log_type_probs(w, taus)
     keep = log_w >= cut
     return taus[keep], np.exp(log_w[keep])
+
+
+def _by_nearby_counts(taus, weights, batch: int):
+    """The types and their weights in blocks of nearby counts: a batch of
+    ``batch`` types meets few counts of an atom, so evaluates few of its laws."""
+    order = np.lexsort((taus // math.ceil(batch ** (1 / max(taus.shape[1] - 1, 1)))).T[::-1])
+    return taus[order], weights[order]
 
 
 def _commuting_diag(states):
@@ -408,9 +411,7 @@ def cluster_expectations(code: VLCode, source: Source, exponents: tuple[float, .
         return [dict(zip(code.outcomes, row.tolist())) for row in totals], None
     # about 8 MB per array: a type's letter-count law, its cluster terms, its traces
     batch = max(1, (1 << 20) // ((n + 1) ** (code.d - 1) + code._terms + len(code.outcomes)))
-    # types by blocks of nearby counts: a batch meets few counts of an atom, so evaluates few of its laws
-    order = np.lexsort((taus // math.ceil(batch ** (1 / max(m - 1, 1)))).T[::-1])
-    taus, weights = taus[order], weights[order]
+    taus, weights = _by_nearby_counts(taus, weights, batch)
     totals = np.zeros((len(exponents), len(code.outcomes)))
     kept = np.zeros((len(exponents), len(taus)))  # a sampled type's accepted sum per exponent
     for first in range(0, len(taus), batch):
@@ -441,13 +442,11 @@ def _two_row_expectations(code: VLCode, diag, taus, weights, exponents) -> np.nd
     of all types are D(k0)^e times one log-domain prefix sum of
     w_tau S_tau^e over the types ordered by where their band ends.
     """
-    n, t = code.n, code.window_halfwidth
+    n, t = code.n, code.c1_count // 2  # C1 = 2t + 1
     amin, width, size = (n + 1) // 2, 2 * t + 1, len(code.outcomes)
     # outcome u = k0 - amin + t, rising; ln D(k0) once for all types
     log_dims = code._cluster_reduce(young.log_dim_sym_group(code._label_array), np.logaddexp)[::-1]
-    # types by blocks of nearby counts: a batch meets few counts of an atom
-    order = np.lexsort((taus // math.ceil(BATCH_TYPES ** (1 / max(diag.shape[0] - 1, 1)))).T[::-1])
-    taus, weights = taus[order], weights[order]
+    taus, weights = _by_nearby_counts(taus, weights, BATCH_TYPES)
     costs = two_row_bytes(diag, taus, 2 * t)
     totals = np.zeros((len(exponents), size))
     ends, log_totals = np.zeros(len(taus), dtype=np.int64), np.zeros(len(taus))

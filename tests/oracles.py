@@ -297,11 +297,15 @@ def convolved_two_row_probs(spectra, types) -> np.ndarray:
 def convolved_cluster_expectations(code, source, exponents) -> list[dict]:
     """Cluster expectations of a commuting qubit source: every enumerated
     atom type's ``convolved_two_row_probs`` summed over each outcome's
-    window of labels, clipped to [0, 1], raised to each exponent and
-    weighed with the type's probability."""
+    window of labels (its first and last block in ``code.blocks``) by a
+    difference of prefix sums, clipped to [0, 1], raised to each exponent
+    and weighed with the type's probability."""
     _, diags = codec.joint_eigenbasis(source.states)
     spectra = np.clip(diags, 0.0, None)
     taus, weights = enumerated_atom_types(source.weights, code.n)
-    probs = convolved_two_row_probs(spectra, taus)
-    clusters = np.clip(codec._window_reduce(probs, 2 * code.window_halfwidth + 1, np.add)[:, ::-1], 0.0, 1.0)
+    probs = convolved_two_row_probs(spectra, taus)  # column j is the label (amin + j, n - amin - j)
+    amin = (code.n + 1) // 2
+    prefix = np.column_stack([np.zeros(len(probs)), np.cumsum(probs, axis=1)])
+    windows = np.array([(lams[-1][0] - amin, lams[0][0] - amin + 1) for lams in map(code.blocks.get, code.outcomes)])
+    clusters = np.clip(prefix[:, windows[:, 1]] - prefix[:, windows[:, 0]], 0.0, 1.0)
     return [dict(zip(code.outcomes, (weights @ clusters**e).tolist())) for e in exponents]

@@ -89,7 +89,7 @@ class TestMemoryBudget:
 
     @pytest.mark.parametrize("argv", [
         ["error", "--n", "7", "--d", "3", "--schedule", "--source", "SOURCE"],
-        ["overflow", "--n", "1000", "--d", "3", "--schedule", "--spectrum", "0.5,0.3,0.2", "--rate", "0.9"],
+        ["overflow", "--n", "1000000", "--d", "3", "--schedule", "--spectrum", "0.5,0.3,0.2", "--rate", "0.9"],
     ])
     def test_exit_2_quickly(self, argv, tmp_path, capsys):
         # a non-commuting qutrit source: the dense route at n = 7 needs about 1 GB
@@ -105,6 +105,13 @@ class TestMemoryBudget:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "MiB" in err and "Traceback" not in err
 
+
+    @pytest.mark.parametrize("n, d, spectrum", [(130, 3, "0.6,0.3,0.1"), (40, 4, "0.4,0.3,0.2,0.1")])
+    def test_qudit_clusters_within_budget(self, n, d, spectrum, capsys):
+        # the grid holds these clusters within the budget; labels x C1 memberships would need 340 and 435 MiB
+        argv = ["overflow", "--n", str(n), "--d", str(d), "--schedule", "--spectrum", spectrum, "--rate", "0.9"]
+        assert cli.main(argv) == 0
+        assert "error" not in capsys.readouterr().err
 
     def test_atom_type_cap_exit_2(self, tmp_path, capsys, monkeypatch):
         # a 3-atom commuting qubit source at n = 4 has 15 atom types; the
@@ -273,6 +280,21 @@ class TestCommands:
                                    "--spectrum", "0.7,0.3", "--format", "json"]))
         total = sum(r["probability"] for r in doc["results"])
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_one_level_code(self):
+        # d = 1: one label, one outcome (n), one grid cell; nothing to send and no error
+        from qvlcode import codec
+
+        code = codec.build_code(codec.CodeParams(n=7, d=1, delta=7 ** -0.25))
+        assert code.outcomes == ((7,),) and dict(code.blocks) == {(7,): ((7,),)}
+        base = ["--n", "7", "--d", "1", "--schedule", "--spectrum", "1", "--format", "json"]
+        (row,) = json.loads(run_text(["distribution", *base]))["results"]
+        assert (row["outcome"], row["probability"], row["coding_length_nats"], row["error_contribution"]) \
+            == ("7", 1.0, 0.0, 0.0)
+        (row,) = json.loads(run_text(["error", *base]))["results"]
+        assert row["error"] == 0.0
+        (row,) = json.loads(run_text(["overflow", *base, "--rate", "0.5"]))["results"]
+        assert row["overflow_probability"] == 0.0
 
     def test_error_matches_library(self):
         from qvlcode import codec

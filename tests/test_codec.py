@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -412,9 +413,15 @@ class TestCodeParamsValidation:
 
 # --- the O(n) d = 2 route against the general-d route --------------------------
 
+@lru_cache(maxsize=None)
+def sorted_kostka(lam, content):
+    return young.kostka(lam, content)
+
+
 def kostka_schur(lam, spec):
-    """s_lam(spec) by its monomial expansion with Kostka multiplicities."""
-    return sum(young.kostka(lam, c) * math.prod(x**ci for x, ci in zip(spec, c))
+    """s_lam(spec) by its monomial expansion with Kostka multiplicities
+    (symmetric in the content, so looked up by the sorted content)."""
+    return sum(sorted_kostka(lam, tuple(sorted(c, reverse=True))) * math.prod(x**ci for x, ci in zip(spec, c))
                for c in young.compositions(sum(lam), len(spec)))
 
 
@@ -808,6 +815,12 @@ QUDIT_CODES = {
     "d4-n8": CodeParams(n=8, d=4, delta=delta_schedule(8)[0]),
     "d5-n6": CodeParams(n=6, d=5, delta=0.4),
     "d3-n9-zero-radius": CodeParams(n=9, d=3, delta=0.0),
+    # many rows of the cluster grid, and one (d = 2)
+    "d3-n40": CodeParams(n=40, d=3, delta=delta_schedule(40)[0]),
+    "d4-n16": CodeParams(n=16, d=4, delta=delta_schedule(16)[0]),
+    "d5-n10": CodeParams(n=10, d=5, delta=delta_schedule(10)[0]),
+    "d4-n10-restricted": CodeParams(n=10, d=4, delta=0.5, delta1=0.3, spectrum_set=((0.4, 0.3, 0.2, 0.1),)),
+    "d2-n40": CodeParams(n=40, d=2, delta=delta_schedule(40)[0]),
 }
 
 
@@ -825,8 +838,8 @@ class TestQuditRouteOracle:
     def test_probabilities_and_lengths(self, name):
         code = build_code(QUDIT_CODES[name])
         d = code.d
-        for spec in ((0.5, 0.3, 0.2, 0.0, 0.0)[:d] if d > 3 else (0.5, 0.3, 0.2), (1.0 / d,) * d,
-                     (0.4, 0.4) + (0.2 / (d - 2),) * (d - 2)):
+        for spec in ([0.5, 0.3, 0.2, 0.0, 0.0][:d], [1.0] * d, [0.4, 0.4] + [0.2 / max(d - 2, 1)] * (d - 2)):
+            spec = tuple(np.array(spec) / sum(spec))
             got = codec.outcome_distribution(code, spec)
             want = general_distribution(code, spec)
             assert list(got) == list(want)
@@ -836,7 +849,7 @@ class TestQuditRouteOracle:
             exact = math.log(code.num_symbols) + math.log(code.subspace_dim(k))
             assert code.coding_length(k) == pytest.approx(exact, rel=1e-12)
 
-    @pytest.mark.parametrize("d, n", [(3, 60), (4, 30), (5, 16)])
+    @pytest.mark.parametrize("d, n", [(3, 60), (4, 30), (5, 16), (3, 300), (4, 40)])
     def test_distribution_normalized(self, d, n):
         code = build_code(CodeParams(n=n, d=d, delta=delta_schedule(n)[0]))
         spec = np.linspace(2.0, 1.0, d) / np.linspace(2.0, 1.0, d).sum()
@@ -854,10 +867,20 @@ class TestQuditRouteOracle:
             assert math.fsum(math.exp(v) for v in logp.values()) == pytest.approx(1.0, abs=1e-12)
             code.length_ceiling()
 
-    def test_index_over_budget_raises_before_enumerating(self):
-        for n in (1000, 10**6):
-            with pytest.raises(DimensionBudgetError):
-                build_code(CodeParams(n=n, d=3, delta=delta_schedule(n)[0]))
+    def test_grid_over_budget_raises_before_allocating(self, monkeypatch):
+        # d = 3, n = 10**6: a grid of 3.3e11 cells, refused from its shape alone
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionBudgetError, match="cluster grid"):
+                build_code(CodeParams(n=10**6, d=3, delta=delta_schedule(10**6)[0]))
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+        # a budget one byte below the padded box of one type
+        params = CodeParams(n=60, d=3, delta=delta_schedule(60)[0])
+        monkeypatch.setattr(linalg, "MAX_BYTES", 8 * build_code(params)._terms - 1)
+        with pytest.raises(DimensionBudgetError, match="cluster grid"):
+            build_code(params)
 
 
 # --- several exponents in one pass ------------------------------------------
