@@ -83,7 +83,7 @@ def _parse_spectrum(text: str) -> tuple[float, ...]:
         vals = tuple(float(v) for v in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad spectrum {text!r}") from exc
-    if any(v < 0 for v in vals) or abs(sum(vals) - 1.0) > 1e-9:
+    if not (all(v >= 0 for v in vals) and abs(sum(vals) - 1.0) <= 1e-9):  # NaN fails both
         raise ConfigError(f"spectrum {text!r} is not a probability vector")
     return vals
 
@@ -132,6 +132,9 @@ SIMULATED = {"definitional": "average_error_definitional", "prime": "average_err
 
 def _validate(config: ExperimentConfig) -> None:
     """ConfigError for a setting out of range, before any command runs."""
+    for name in ("delta", "delta1", "rate", "t1", "t0", "dtheta"):
+        if not math.isfinite(getattr(config, name) or 0.0):  # an unset option passes
+            raise ConfigError(f"--{name} must be a finite number")
     for name, low in MINIMA.items():
         value = getattr(config, name)
         if value is not None and not value >= low:

@@ -34,9 +34,10 @@ from .info import sorted_spectrum, sum_zero_ball
 from .linalg import (
     DimensionBudgetError,
     Source,
+    factor_fidelity,
     fidelity,
     joint_eigenbasis,
-    partial_trace,
+    psd_factor,
     require_bytes,
     tensor,
 )
@@ -59,10 +60,10 @@ NEG_INF = float("-inf")
 # classical flag is sent, no quantum subspace.
 REJECT = None
 
-# Complex d^n x d^n matrices one outcome holds at once in the instrument
-# simulation (post states, square roots, eigenvectors): tracemalloc reads
-# about 6 at n = 7 and 8, and LAPACK workspace comes on top.
-SIMULATION_STACKS = 12
+# Complex d^n x R matrices (X_k, X_k / sqrt(p_k), V* X_k) one outcome holds
+# at once in the instrument simulation: tracemalloc reads 3.1 to 3.4 at
+# n = 6..8 for R = 1 and R = d^n, and LAPACK workspace comes on top.
+SIMULATION_STACKS = 6
 
 
 @dataclass(frozen=True)
@@ -570,56 +571,59 @@ def _instrument_matrices(code: VLCode) -> np.ndarray:
 
 def _simulated_error(code: VLCode, source: Source, accepted_error) -> float:
     """Average over atom sequences and outcomes of p_k times the error of
-    the normalized post-measurement state, by dense instrument simulation.
-
-    ``accepted_error(seq, rho, sigmas)`` gives it for a stack of accepted
-    outcomes' states at once; the reject flag leaves the decoder no copy
-    and is charged the worst case 1.  Both criteria are invariant under
-    permuting the copies (the post-measurement state is permuted alike),
-    so one sequence per atom type carries the type's probability.  The
-    outcomes of a type go in chunks whose stacks, SIMULATION_STACKS
-    complex matrices per outcome, fit beside the projectors within
-    linalg.MAX_BYTES; a chunk holds at least one outcome.
+    the normalized post-measurement state, by instrument simulation: the
+    definition (Kraus action, renormalization, criterion), not the chain's
+    identity in Tr(P_k rho)^(3/2).  The state is a factor, rho = V V*, V
+    the tensor product of the atoms' ``psd_factor``s (d^n x R, R the
+    product of their ranks); P_k / sqrt(C1) takes V to X_k, of squared
+    norm p_k, and ``accepted_error(seq, v, xs)`` gives the error of a stack
+    of accepted outcomes' X_k / sqrt(p_k).  The reject flag is charged the
+    worst case 1.  Both criteria are invariant under permuting the copies,
+    so one sequence per atom type carries the type's probability.  A type's
+    outcomes go in chunks, at least one outcome each, whose SIMULATION_STACKS
+    d^n x R matrices per outcome fit beside the projectors in MAX_BYTES.
     """
-    n, dim = code.n, code.d**code.n
-    held = dense_bytes(n, code.d, len(code.outcomes))
+    held = dense_bytes(code.n, code.d, len(code.outcomes))
     require_bytes(held, "the dense instrument simulation")
-    # P_k is a projector, so sqrt(M_k) = P_k / sqrt(C1)
-    roots = _instrument_matrices(code)
-    roots /= math.sqrt(code.c1_count)
-    chunk = max(1, (linalg.MAX_BYTES - held) // (SIMULATION_STACKS * 16 * dim * dim))
+    kraus = _instrument_matrices(code)
+    kraus /= math.sqrt(code.c1_count)
+    factors = [psd_factor(s) for s in source.states]
     total = 0.0
-    for tau, w in zip(*_atom_types(source.weights, n)):
+    for tau, w in zip(*_atom_types(source.weights, code.n)):
         seq = np.repeat(np.arange(source.num_atoms), tau)
-        rho = tensor(*(source.states[j] for j in seq))
-        for first in range(0, len(roots), chunk):
-            r = roots[first:first + chunk]
-            posts = r @ rho @ r
-            p = np.trace(posts, axis1=1, axis2=2).real
+        v = np.ascontiguousarray(tensor(*(factors[j] for j in seq)))  # viewed as float below
+        chunk = max(1, (linalg.MAX_BYTES - held) // (SIMULATION_STACKS * 16 * v.size))
+        for first in range(0, len(kraus), chunk):
+            # P_k is real: one real product on V's interleaved real and imaginary parts
+            xs = kraus[first:first + chunk] @ v.view(float)
+            p = np.einsum("kij,kij->k", xs, xs)
             live = p > 1e-15
             acc = live & code._accepted_mask[first:first + chunk]
             total += w * p[live & ~acc].sum()
             if acc.any():
-                total += w * (p[acc] @ accepted_error(seq, rho, posts[acc] / p[acc, None, None]))
+                normalized = xs[acc].view(complex) / np.sqrt(p[acc, None, None])
+                total += w * (p[acc] @ accepted_error(seq, v, normalized))
     return total
 
 
 def average_error_definitional(code: VLCode, source: Source) -> float:
-    """Average error by direct instrument simulation (dense matrices).
-
-    Applies sqrt(M_k) . sqrt(M_k), renormalizes, embeds, and averages the
-    squared Bures distance over outcomes and atom sequences.  This is the
-    defining expression, kept independent of the closed chain so the two
-    can check each other.
+    """Average error by direct instrument simulation: applies the Kraus
+    operator, renormalizes, and averages the squared Bures distance over
+    outcomes and atom sequences, the root fidelity by ``factor_fidelity``.
+    This is the defining expression, not the chain's Tr(P_k rho)^(3/2)
+    identity, so the two routes can check each other.
     """
-    return _simulated_error(code, source, lambda seq, rho, sigmas: 1.0 - fidelity(rho, sigmas))
+    return _simulated_error(code, source, lambda seq, v, xs: 1.0 - factor_fidelity(v, xs))
 
 
 def average_error_prime(code: VLCode, source: Source) -> float:
-    """Per-copy error: mean squared Bures distance between each input
-    factor and the matching normalized partial trace of the output."""
-    def per_copy(seq, rho, sigmas):
-        marginals = np.stack([partial_trace(sigmas, code.d, i) for i in range(code.n)], axis=1)
+    """Per-copy error by the same simulation (Kraus action, renormalization,
+    fidelity; not the chain's identity): mean squared Bures distance between
+    each input factor and the matching marginal of the normalized output,
+    slot i's of X X* contracting X with its conjugate over the other slots."""
+    def per_copy(seq, v, xs):
+        parts = (xs.reshape(len(xs), code.d**i, code.d, -1) for i in range(code.n))
+        marginals = np.stack([np.einsum("kaib,kajb->kij", x, x.conj()) for x in parts], axis=1)
         return (1.0 - fidelity(np.array(source.states)[seq], marginals)).mean(axis=1)
 
     return _simulated_error(code, source, per_copy)

@@ -91,14 +91,11 @@ def pure_state(vec) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def psd_sqrt(m: np.ndarray, tol: float = VALIDATION_TOL) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix via eigendecomposition,
-    of each matrix of a stack (leading axes broadcast).
-
-    Each matrix is checked on its own: a Hermitian residual above 1e-10 or
-    an eigenvalue below -1e-10 relative to its largest is rejected; small
-    negatives from roundoff are clipped to zero.
-    """
+def _root_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Square roots of the eigenvalues, and the eigenvectors, of a Hermitian
+    PSD matrix or of each of a stack (leading axes broadcast).  Each is
+    checked on its own: a Hermitian residual above 1e-10 or an eigenvalue
+    below -1e-10 relative to its largest is rejected."""
     m = np.asarray(m, dtype=complex)
     herm_res = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
     if np.any(herm_res > 1e-10):
@@ -109,23 +106,38 @@ def psd_sqrt(m: np.ndarray, tol: float = VALIDATION_TOL) -> np.ndarray:
         raise ValueError(f"psd_sqrt: negative eigenvalue {w[..., 0].min():.3e}")
     # Zero the near-null space: sqrt amplifies eigensolver noise at 0
     # (1e-16 -> 1e-8), which would wreck fidelities of rank-deficient states.
-    w = np.sqrt(np.where(w > top * 1e-13, w, 0.0))
-    return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return np.sqrt(np.where(w > top * 1e-13, w, 0.0)), v
+
+
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
+    """Principal square root of a Hermitian PSD matrix, or of each of a stack,
+    checked and cut by ``_root_eigh``."""
+    s, v = _root_eigh(m)
+    return (v * s[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def psd_factor(m: np.ndarray) -> np.ndarray:
+    """Factor V, M = V V*, of a Hermitian PSD matrix: a column per eigenvalue psd_sqrt keeps."""
+    s, v = _root_eigh(m)
+    return v[:, s > 0] * s[s > 0]
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray):
     """Root fidelity Tr|sqrt(rho) sqrt(sigma)| of two density matrices, or
-    of each pair of two stacks (leading axes broadcast).
-
-    Computed as the sum of singular values of sqrt(rho) @ sqrt(sigma),
-    which avoids one nested matrix square root.  Symmetric in its
-    arguments; equals 1 iff the states coincide.  For pure states it
-    reduces to |<psi|phi>|.  Two matrices give a float, stacks an array.
-    """
+    of each pair of two stacks (leading axes broadcast): ``factor_fidelity``
+    of the square roots.  Symmetric; equals 1 iff the states coincide; for
+    pure states |<psi|phi>|.  Two matrices give a float, stacks an array."""
     rho, sigma = np.asarray(rho), np.asarray(sigma)
     if rho.shape[-2:] != sigma.shape[-2:]:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    sv = npl.svd(psd_sqrt(rho) @ psd_sqrt(sigma), compute_uv=False)
+    return factor_fidelity(psd_sqrt(rho), psd_sqrt(sigma))
+
+
+def factor_fidelity(v: np.ndarray, x: np.ndarray):
+    """Root fidelity of V V* and X X*, or of each pair of two stacks: the sum
+    of the singular values of V* X for any factors V and X (Uhlmann 1976),
+    so no matrix square root is taken and the SVD is only as wide as X."""
+    sv = npl.svd(v.conj().swapaxes(-1, -2) @ x, compute_uv=False)
     f = np.minimum(1.0, sv.sum(axis=-1))
     return float(f) if f.ndim == 0 else f
 
@@ -154,11 +166,6 @@ def partial_trace(state: np.ndarray, d: int, keep: int) -> np.ndarray:
     return np.einsum("...aibajb->...ij", state.reshape(state.shape[:-2] + split + split))
 
 
-def trace_norm(a: np.ndarray) -> float:
-    """Trace norm ||A||_1 (sum of singular values)."""
-    return float(npl.svd(np.asarray(a, dtype=complex), compute_uv=False).sum())
-
-
 @dataclass(frozen=True)
 class Source:
     """A finitely supported distribution over density matrices on C^d.
@@ -175,9 +182,9 @@ class Source:
     def __post_init__(self):
         if len(self.weights) != len(self.states) or not self.states:
             raise ValueError("weights and states must be nonempty and equal length")
-        if any(w < -VALIDATION_TOL for w in self.weights):
-            raise ValueError("negative atom weight")
-        if abs(sum(self.weights) - 1.0) > VALIDATION_TOL:
+        if not all(w >= -VALIDATION_TOL for w in self.weights):  # NaN fails too
+            raise ValueError("atom weights must be non-negative numbers")
+        if not abs(sum(self.weights) - 1.0) <= VALIDATION_TOL:
             raise ValueError(f"weights sum to {sum(self.weights)}, not 1")
         for rho in self.states:
             if rho.shape != (self.d, self.d):

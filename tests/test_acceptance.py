@@ -4,7 +4,8 @@ Each test prints a PASS/FAIL line (visible with ``pytest -s`` or in the
 failure report).  Criteria 4 and 7 are implemented exactly as stated and
 fail: the quantities they pin down converge to different values than the
 ones asserted.  The assertion messages carry the measured numbers; see
-the test docstrings for the analysis.
+the test docstrings for the analysis.  Beside criterion 4, a test that is
+no criterion checks the limit its quantity does converge to.
 """
 
 import itertools
@@ -141,6 +142,31 @@ def test_criterion_04_zero_radius_error_floor():
         f"trend {sorted(errors.items())} converges to ~0.326 "
         f"(= 1 - sum_j (r^j(1-r))^1.5, r = 1/3)"
     )
+
+
+def test_zero_radius_error_rises_to_its_limit():
+    """Beside criterion 4: the (3/4, 1/4) zero-radius errors rise to their true limit.
+
+    With radius 0 every cluster is one block, C1 = 1, and a basis sequence
+    with c ones lies in the permutation module of content (n - c, c) =
+    sum over j <= c of the blocks (n - j, j), each once.  All C(n, c)
+    such sequences are permuted into each other, so each has weight
+    x_j = (C(n, j) - C(n, j - 1)) / C(n, c) in block (n - j, j).  At
+    c ~ n p2, C(n, c - i) / C(n, c) -> r^i with r = p2 / p1 = 1/3, so
+    x_(c - i) -> r^i (1 - r): a geometric profile.  The error
+    1 - E[sum_j x_j^(3/2)] therefore tends to
+    1 - (1 - r)^(3/2) sum_i r^(3i/2) = 1 - (1 - r)^(3/2) / (1 - r^(3/2))
+    = 0.32595, which the exact errors approach from below (0.32092 at
+    n = 100, 0.32471 at n = 400).
+    """
+    src = basis_source(2, (0.75, 0.25))
+    r = 0.25 / 0.75
+    limit = 1 - (1 - r) ** 1.5 / (1 - r**1.5)
+    assert limit == pytest.approx(0.3259, abs=1e-4)
+    errors = [codec.average_error_exact(build_code(CodeParams(n=n, d=2, delta=0.0)), src)
+              for n in (100, 200, 300, 400)]
+    assert all(a < b for a, b in zip(errors, errors[1:])), errors
+    assert errors[-1] < limit and limit - errors[-1] < 0.002, (errors, limit)
 
 
 def test_criterion_05_slow_decay_diagnostic():

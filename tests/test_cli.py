@@ -181,6 +181,25 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["error", "--n", "5", "--schedule", "--spectrum", "nan,0.5"],
+        ["error", "--n", "5", "--schedule", "--source", "{nan_weight}"],
+        ["exponent", "--rate", "nan", "--spectrum", "0.7,0.3"],
+        ["overflow", "--n", "5", "--delta", "inf", "--spectrum", "0.7,0.3", "--rate", "0.5"],
+        ["overflow", "--n", "5", "--delta", "0.3", "--spectrum", "0.7,0.3", "--rate", "nan"],
+        ["overflow", "--n", "5", "--delta", "0.3", "--delta1", "-inf", "--spectrum-set", "0.7,0.3",
+         "--spectrum", "0.7,0.3", "--rate", "0.5"],
+        ["sec6-gap", "--t1", "0.2", "--t0", "0.1", "--dtheta", "inf"],
+    ])
+    def test_non_finite_numbers_exit_1(self, argv, tmp_path, capsys):
+        path = tmp_path / "nan-weight.json"
+        atoms = [{"weight": math.nan, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
+                 {"weight": 0.5, "matrix": [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]}]
+        path.write_text(json.dumps({"d": 2, "atoms": atoms}))  # written as the JSON extension NaN
+        assert cli.main([a.format(nan_weight=path) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("kind", ["missing", "directory", "malformed-json", "not-utf8"])
     def test_unreadable_source_file_exits_1(self, kind, tmp_path, capsys):
         path = tmp_path / "source.json"

@@ -24,7 +24,6 @@ from qvlcode.linalg import (
     random_density,
     random_unitary,
     tensor,
-    trace_norm,
 )
 from qvlcode.schur_weyl import dense_bytes, two_row_bands, young_projectors
 
@@ -255,7 +254,7 @@ class TestErrorFunctionals:
                 p = float(np.real(np.trace(post)))
                 if p <= 1e-15:
                     continue
-                overlap = trace_norm(rho @ (post / p))
+                overlap = np.linalg.norm(rho @ (post / p), "nuc")  # the trace norm
                 total += w * p * (1.0 - overlap**2)
         assert codec.average_error_dprime(code, src) == pytest.approx(total, abs=1e-9)
 
@@ -685,6 +684,16 @@ def qutrit_source():
     return Source(d=3, weights=(0.7, 0.3), states=(random_density(3, rng), random_density(3, rng, pure=True)))
 
 
+def pure_qutrit_source():
+    rng = np.random.default_rng(10)
+    return Source(d=3, weights=(0.5, 0.3, 0.2), states=tuple(random_density(3, rng, pure=True) for _ in range(3)))
+
+
+def full_rank_source():
+    rng = np.random.default_rng(11)
+    return Source(d=2, weights=(0.6, 0.4), states=(random_density(2, rng), random_density(2, rng)))
+
+
 TYPE_CASES = {
     "two-atom-n5": (CodeParams(n=5, d=2, delta=0.3), noncommuting_source),
     "two-atom-n4-zero-radius": (CodeParams(n=4, d=2, delta=0.0), noncommuting_source),
@@ -693,6 +702,10 @@ TYPE_CASES = {
                                  three_atom_source),
     "zero-weight-n4": (CodeParams(n=4, d=2, delta=0.3), zero_weight_source),
     "qutrit-n3": (CodeParams(n=3, d=3, delta=0.4), qutrit_source),
+    "qutrit-n1": (CodeParams(n=1, d=3, delta=0.5), qutrit_source),  # one copy: the atom's own factor
+    # the simulations' factors at both extremes: width R = 1 and R = d^n
+    "pure-qutrit-n3": (CodeParams(n=3, d=3, delta=0.4), pure_qutrit_source),
+    "full-rank-n4": (CodeParams(n=4, d=2, delta=0.4), full_rank_source),
 }
 
 
@@ -785,9 +798,9 @@ SIMULATION_CASES = {
 def test_simulation_in_one_outcome_chunks_equals_one_chunk(name, simulate, monkeypatch):
     params, make = SIMULATION_CASES[name]
     code, source = build_code(params), make()
-    stacks = []
-    fid = codec.fidelity
-    monkeypatch.setattr(codec, "fidelity", lambda a, b: stacks.append(len(b)) or fid(a, b))
+    stacks = []  # outcomes per chunk, seen by either criterion's fidelity call
+    for attr in ("factor_fidelity", "fidelity"):
+        monkeypatch.setattr(codec, attr, lambda a, b, fid=getattr(codec, attr): stacks.append(len(b)) or fid(a, b))
     whole = simulate(code, source)
     assert max(stacks) > 1  # every accepted outcome of a type in one stack
     stacks.clear()

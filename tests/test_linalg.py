@@ -10,9 +10,11 @@ from qvlcode.linalg import (
     Source,
     basis_source,
     bures,
+    factor_fidelity,
     fidelity,
     joint_eigenbasis,
     partial_trace,
+    psd_factor,
     psd_sqrt,
     pure_source,
     pure_state,
@@ -252,6 +254,23 @@ def test_fidelity_stack_equals_loop(d):
     assert np.allclose(fidelity(rhos, rhos), 1.0, atol=1e-12, rtol=0)
     value = fidelity(rhos[1], sigmas[1])
     assert type(value) is float
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_factor_fidelity_against_fidelity(d):
+    # Uhlmann: F(V V*, X X*) = |V* X|_1 for any factors V and X, of any width
+    rhos, sigmas = _state_stack(d, 8), _state_stack(d, 12)[4:]
+    for m in (*rhos, *sigmas):
+        v = psd_factor(m)
+        assert v.shape == (d, np.linalg.matrix_rank(m, tol=1e-10))
+        assert np.max(np.abs(v @ v.conj().T - m)) <= 1e-12
+    square = psd_sqrt(sigmas) @ random_unitary(d, RNG)  # a stack of other factors of the same states
+    for rho in rhos:
+        want = fidelity(rho, sigmas)
+        assert np.max(np.abs(factor_fidelity(psd_factor(rho), square) - want)) <= 1e-12
+        for i, sigma in enumerate(sigmas):
+            assert factor_fidelity(psd_factor(rho), psd_factor(sigma)) == pytest.approx(want[i], abs=1e-12)
+    assert type(factor_fidelity(psd_factor(rhos[0]), square[0])) is float
 
 
 def test_stack_with_one_bad_member_raises():
