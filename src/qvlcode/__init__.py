@@ -46,7 +46,6 @@ from .linalg import (
     basis_source,
     bures,
     fidelity,
-    partial_trace,
     psd_sqrt,
     pure_source,
     pure_state,

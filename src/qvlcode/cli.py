@@ -3,8 +3,8 @@
 Every result row carries the inputs that produced it, the value, and a
 ``method`` tag (exact | closed-form | convex-program | monte-carlo).
 Output is byte-stable for a fixed configuration and seed, independent of
-the worker-thread count: threads only split row computation, and rows
-are always reduced in submission order.
+the worker-thread count: threads only split the rows of ``dims`` and
+``lemma-l1``, which are always collected in submission order.
 
 Exit codes: 0 success, 1 invalid configuration, 2 dimension budget
 exceeded, 3 numerical failure.
@@ -208,7 +208,7 @@ def _require(config: ExperimentConfig, *names: str) -> None:
 
 # --- command implementations --------------------------------------------------
 
-def cmd_dims(config: ExperimentConfig, pool) -> list[dict]:
+def cmd_dims(config: ExperimentConfig, threads: int) -> list[dict]:
     _require(config, "n")
     labels = young.young_indices(config.n, config.d)
 
@@ -223,10 +223,11 @@ def cmd_dims(config: ExperimentConfig, pool) -> list[dict]:
             "method": "exact",
         }
 
-    return list(pool.map(row, labels))
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        return list(pool.map(row, labels))
 
 
-def cmd_decompose_check(config: ExperimentConfig, pool) -> list[dict]:
+def cmd_decompose_check(config: ExperimentConfig) -> list[dict]:
     _require(config, "n")
     projs = young_projectors(config.n, config.d)
     mats = list(projs.values())
@@ -251,7 +252,7 @@ def cmd_decompose_check(config: ExperimentConfig, pool) -> list[dict]:
     return rows
 
 
-def cmd_distribution(config: ExperimentConfig, pool) -> list[dict]:
+def cmd_distribution(config: ExperimentConfig) -> list[dict]:
     _require(config, "n")
     code = _build_code(config)
     source = _resolve_source(config)
@@ -266,7 +267,7 @@ def cmd_distribution(config: ExperimentConfig, pool) -> list[dict]:
     } for rec in records]
 
 
-def cmd_error(config: ExperimentConfig, pool) -> list[dict]:
+def cmd_error(config: ExperimentConfig) -> list[dict]:
     _require(config, "n")
     code = _build_code(config)
     source = _resolve_source(config)
@@ -286,7 +287,7 @@ def cmd_error(config: ExperimentConfig, pool) -> list[dict]:
     }]
 
 
-def cmd_overflow(config: ExperimentConfig, pool) -> list[dict]:
+def cmd_overflow(config: ExperimentConfig) -> list[dict]:
     _require(config, "n", "rate")
     if config.spectrum is None:
         raise ConfigError("overflow needs --spectrum")
@@ -302,7 +303,7 @@ def cmd_overflow(config: ExperimentConfig, pool) -> list[dict]:
     }]
 
 
-def cmd_bounds(config: ExperimentConfig, pool) -> list[dict]:
+def cmd_bounds(config: ExperimentConfig) -> list[dict]:
     _require(config, "n")
     delta, delta1 = _resolve_radii(config)
     n, d = config.n, config.d
@@ -327,7 +328,7 @@ def cmd_bounds(config: ExperimentConfig, pool) -> list[dict]:
     return rows
 
 
-def cmd_exponent(config: ExperimentConfig, pool) -> list[dict]:
+def cmd_exponent(config: ExperimentConfig) -> list[dict]:
     _require(config, "rate")
     if config.spectrum is None:
         raise ConfigError("exponent needs --spectrum")
@@ -335,7 +336,7 @@ def cmd_exponent(config: ExperimentConfig, pool) -> list[dict]:
     return [{"rate": config.rate, "exponent": value, "method": "closed-form"}]
 
 
-def cmd_lemma_l1(config: ExperimentConfig, pool) -> list[dict]:
+def cmd_lemma_l1(config: ExperimentConfig, threads: int) -> list[dict]:
     if config.spectrum is None or config.n_grid is None:
         raise ConfigError("lemma-l1 needs --spectrum and --n-grid")
     floor = bounds.zero_radius_error_floor(config.spectrum)
@@ -346,10 +347,11 @@ def cmd_lemma_l1(config: ExperimentConfig, pool) -> list[dict]:
         err = codec.average_error_exact(code, source)
         return {"n": n, "error": err, "floor_constant": floor, "method": "closed-form"}
 
-    return list(pool.map(row, config.n_grid))
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        return list(pool.map(row, config.n_grid))
 
 
-def cmd_lemma_l2(config: ExperimentConfig, pool) -> list[dict]:
+def cmd_lemma_l2(config: ExperimentConfig) -> list[dict]:
     if config.spectrum is None or config.n_grid is None:
         raise ConfigError("lemma-l2 needs --spectrum and --n-grid")
     rows = bounds.decay_rate_table(config.spectrum, config.n_grid)
@@ -362,7 +364,7 @@ def cmd_lemma_l2(config: ExperimentConfig, pool) -> list[dict]:
     } for n, lhs, ceiling in rows]
 
 
-def cmd_sec6_gap(config: ExperimentConfig, pool) -> list[dict]:
+def cmd_sec6_gap(config: ExperimentConfig) -> list[dict]:
     _require(config, "t1", "t0", "dtheta")
     t1, t0, dtheta = config.t1, config.t0, config.dtheta
     gap = info.rotating_family_gap(t1, t0, lambda t: dtheta if t == t1 else 0.0)
@@ -376,7 +378,7 @@ def cmd_sec6_gap(config: ExperimentConfig, pool) -> list[dict]:
     }]
 
 
-def cmd_fixed_length(config: ExperimentConfig, pool) -> list[dict]:
+def cmd_fixed_length(config: ExperimentConfig) -> list[dict]:
     _require(config, "n", "rate")
     code = _build_code(config)
     source = _resolve_source(config)
@@ -435,8 +437,8 @@ def run(config: ExperimentConfig, threads: int = 1) -> str:
     if config.command not in COMMANDS:
         raise ConfigError(f"unknown command {config.command!r}")
     _validate(config)
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        results = COMMANDS[config.command](config, pool)
+    command = COMMANDS[config.command]
+    results = command(config, threads) if config.command in ("dims", "lemma-l1") else command(config)
     return emit(results, config)
 
 

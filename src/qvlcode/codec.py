@@ -50,7 +50,7 @@ from .schur_weyl import (
     log_type_probs,
     polarized_block_probs,
     two_row_bands,
-    two_row_bytes,
+    two_row_batches,
     young_projectors,
 )
 
@@ -300,8 +300,8 @@ NEGLIGIBLE_WEIGHT = 1e-17
 # Above this many kept atom types the expectations fall back to this many Monte Carlo draws
 MAX_ATOM_TYPES = 10**6
 FALLBACK_SAMPLES = 10**5
-# Most types per batch of the two-row route, and most bytes of its arrays (schur_weyl.two_row_bytes)
-BATCH_TYPES, BATCH_BYTES = 1024, 24 << 20
+# Most types per batch of the two-row route, and most bytes of its arrays (schur_weyl.two_row_batches)
+BATCH_TYPES, BATCH_BYTES = 1024, 4 << 20
 
 
 def _atom_types(weights, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -448,27 +448,21 @@ def _two_row_expectations(code: VLCode, diag, taus, weights, exponents) -> np.nd
     # outcome u = k0 - amin + t, rising; ln D(k0) once for all types
     log_dims = code._cluster_reduce(young.log_dim_sym_group(code._label_array), np.logaddexp)[::-1]
     taus, weights = _by_nearby_counts(taus, weights, BATCH_TYPES)
-    costs = two_row_bytes(diag, taus, 2 * t)
     totals = np.zeros((len(exponents), size))
     ends, log_totals = np.zeros(len(taus), dtype=np.int64), np.zeros(len(taus))
-    first = 0
-    while first < len(taus):  # as many types as fit in BATCH_BYTES, at least one
-        held = np.maximum.accumulate(costs[first:first + BATCH_TYPES], axis=0).sum(axis=1)
-        rows = slice(first, first + max(1, int((held * np.arange(1, len(held) + 1) <= BATCH_BYTES).sum())))
+    for rows, _ in two_row_batches(diag, taus, 2 * t, BATCH_BYTES, BATCH_TYPES):
         start, bands, log_totals[rows] = two_row_bands(diag, taus[rows], 2 * t)
         span = bands.shape[1]
-        sums = np.cumsum(bands, axis=1, out=bands)
-        clusters = sums.copy()
-        np.subtract(sums[:, width:], sums[:, :-width], out=clusters[:, width:])
-        np.clip(clusters, 0.0, 1.0, out=clusters)
+        np.cumsum(bands, axis=1, out=bands)
+        bands[:, width:] -= bands[:, :-width]  # numpy reads the overlapping operand from a copy
+        np.clip(bands, 0.0, 1.0, out=bands)
         ends[rows] = start - amin + span  # the first outcome above the band
         offsets, group = np.unique(start - amin, return_inverse=True)
         weighed = np.zeros((len(offsets), len(group)))
         weighed[group, np.arange(len(group))] = weights[rows]
         for j, e in enumerate(exponents):
-            for u, row in zip(offsets.tolist(), weighed @ clusters**e):
+            for u, row in zip(offsets.tolist(), weighed @ bands**e):
                 totals[j, u:u + span] += row[:size - u]
-        first = rows.stop
     by_end = np.argsort(ends, kind="stable")
     below = np.searchsorted(ends[by_end], np.arange(size), side="right")  # the types below each outcome
     for j, e in enumerate(exponents):

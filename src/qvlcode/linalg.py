@@ -147,25 +147,6 @@ def bures(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.sqrt(max(0.0, 1.0 - fidelity(rho, sigma))))
 
 
-def partial_trace(state: np.ndarray, d: int, keep: int) -> np.ndarray:
-    """Trace out all tensor slots except ``keep`` from a state on (C^d)^{x n},
-    or from each state of a stack (leading axes kept).
-
-    ``n`` is inferred from the matrix size, which must be an exact power
-    of d.  Slots are 0-indexed.  The trace of the result equals the
-    trace of the input.
-    """
-    dim = state.shape[-1]
-    n = round(np.log(dim) / np.log(d)) if d > 1 and dim > 0 else 0
-    if d**n != dim or state.shape[-2:] != (dim, dim):
-        raise ValueError(f"state dimension {state.shape} is not a power of d={d}")
-    if not 0 <= keep < n:
-        raise ValueError(f"keep index {keep} out of range for n={n}")
-    # rows and columns split as (slots before, slot keep, slots after)
-    split = (d**keep, d, d ** (n - keep - 1))
-    return np.einsum("...aibajb->...ij", state.reshape(state.shape[:-2] + split + split))
-
-
 @dataclass(frozen=True)
 class Source:
     """A finitely supported distribution over density matrices on C^d.

@@ -25,7 +25,6 @@ from functools import lru_cache, reduce
 
 import numpy as np
 import numpy.fft  # noqa: F401  at import, not in the first operation (numpy loads it lazily)
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import young
 from .linalg import NumericalFailure, joint_eigenbasis, require_bytes, tensor
@@ -194,19 +193,27 @@ def _log_factorials(size: int) -> np.ndarray:
     return out
 
 
+def _reach(count, var):
+    """Half-width about its mean beyond which a sum of ``count`` independent
+    draws in [0, 1] of total variance ``var`` is less likely than
+    NEGLIGIBLE_PMF: Bernstein's cut/3 + sqrt(cut^2/9 + 2 var cut), or
+    Hoeffding's sqrt(count cut / 2) if smaller, cut = ln(2 / NEGLIGIBLE_PMF)."""
+    cut = math.log(2 / NEGLIGIBLE_PMF)
+    return np.minimum(cut / 3 + np.sqrt(cut * cut / 9 + 2 * var * cut), np.sqrt(count * cut / 2))
+
+
 def _atom_law_rows(q: np.ndarray, counts: np.ndarray, strides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Laws of the letter counts c of each of the sorted distinct ``counts``
     of draws from q on the index strides @ c, strides = (n + 1)^(d - 2), ...,
     n + 1, 1, 0, where count vectors add as their indices: (first index of
     each law, one row of values per count).  One broadcast log pmf over the
-    live letters (q > 0), all but the last within Hoeffding's
-    sqrt(count ln(2 / NEGLIGIBLE_PMF) / 2) of their means, beyond which a
-    letter count is less likely than the cut."""
+    live letters (q > 0), all but the last within ``_reach`` of their means,
+    beyond which a letter count is less likely than the cut."""
     live = np.flatnonzero(q > 0)
-    free, s = len(live) - 1, strides[live]
-    reach = np.sqrt(counts * math.log(2 / NEGLIGIBLE_PMF) / 2)
-    width = min(int(counts[-1]), 2 * math.ceil(reach[-1])) + 1
-    low = np.maximum(np.ceil(np.outer(q[live[:-1]], counts) - reach), 0).astype(np.int64)
+    free, s, p = len(live) - 1, strides[live], q[live[:-1], None]
+    reach = _reach(counts, counts * p * (1 - p))
+    width = min(int(counts[-1]), 2 * math.ceil(reach[:, -1].max(initial=0))) + 1
+    low = np.maximum(np.ceil(p * counts - reach), 0).astype(np.int64)
     grid = np.indices((width,) * free).reshape(free, width**free)
     step = (s[:-1] - s[-1]) @ grid  # rising: the count vectors are base-(n + 1) digits
     require_bytes(len(counts) * (2 * (free + 2) * width**free + step[-1] + 1) * 8, "the letter-count laws")
@@ -277,26 +284,45 @@ def _two_row_tables(n: int) -> tuple[np.ndarray, ...]:
 
 
 def _count_window(spectra, types) -> tuple[np.ndarray, np.ndarray]:
-    """The first-letter counts of each type that Bernstein's bound leaves
+    """The first-letter counts of each type within ``_reach`` of their mean,
     likelier than NEGLIGIBLE_PMF in all: (first, last), within [0, n]."""
-    cut = math.log(2 / NEGLIGIBLE_PMF)
-    mean, var = types @ spectra[:, 0], types @ (spectra[:, 0] * spectra[:, 1])
-    reach = cut / 3 + np.sqrt(cut * cut / 9 + 2 * var * cut)
+    mean, n = types @ spectra[:, 0], types.sum(axis=1)
+    reach = _reach(n, types @ (spectra[:, 0] * spectra[:, 1]))
     return np.maximum(np.ceil(mean - reach), 0).astype(np.int64), \
-        np.minimum(np.floor(mean + reach), types.sum(axis=1)).astype(np.int64)
+        np.minimum(np.floor(mean + reach), n).astype(np.int64)
 
 
-def two_row_bytes(spectra, types, reach: int) -> np.ndarray:
-    """Bytes that ``two_row_bands`` and a reduction of its bands hold per
-    type, as a (T, m + 1) array: 8 rows of each atom's law (Hoeffding's
-    width, 1 for a point mass), then 8 rows of the FFT and 4 of the band.
-    A batch holds at most its length times the sum of its column maxima."""
+def two_row_batches(spectra, types, reach: int, budget: int, most: int):
+    """Consecutive batches of the rows of a (T, m) array of atom counts for
+    ``two_row_bands``, as (rows, bytes): each as long as what the call and a
+    reduction of its bands hold at their peak stays within ``budget``
+    bytes, at least 1 row and at most ``most``.  A batch holds 7 rows of an
+    atom's law (``_reach`` wide, 1 for a point mass) per distinct count of
+    the atom in it; per type, at the batch's widest, the larger of a row of
+    the FFT and 2 of the reach, and the larger of a row of the FFT and 3 of
+    the band without its reach."""
     types, spectra = np.asarray(types, dtype=np.int64), np.asarray(spectra, dtype=float)
-    first, last = _count_window(spectra, types)
-    width = last - first + 1  # the band is shorter than width + reach + 2 blocks
-    hoeffding = np.minimum(types, 2 * np.ceil(np.sqrt(types * math.log(2 / NEGLIGIBLE_PMF) / 2))) + 1
-    laws = np.where((spectra > 0).all(axis=1), hoeffding, 1)
-    return 8 * np.column_stack([8 * laws, 8 * np.exp2(np.ceil(np.log2(width))) + 4 * (width + reach + 2 * READ_BLOCK)])
+    n, q = int(types[0].sum()), spectra[:, :1] * spectra[:, 1:]
+    c = np.arange(n + 1)
+    widths = np.where(q > 0, np.minimum(c, 2 * np.ceil(_reach(c, c * q))) + 1, 1)  # of each atom's law, by count
+    start = 0
+    while start < len(types):
+        run = types[start:start + most]
+        first, last = _count_window(spectra, run)
+        size = np.ldexp(1.0, np.frexp(np.maximum.accumulate(last - first))[1])
+        # h = max(c, n - c) from ceil(n/2) up: the band without its reach is shorter than this
+        band = np.maximum(last, n - first) - np.maximum(np.maximum(first, n - last), (n + 1) // 2) + 2 * READ_BLOCK
+        counts = np.ascontiguousarray(run.T)
+        order = np.argsort(counts, axis=1, kind="stable")
+        ranked, seen = np.take_along_axis(counts, order, axis=1), np.ones(counts.shape)
+        np.put_along_axis(seen, order[:, 1:], ranked[:, 1:] != ranked[:, :-1], axis=1)  # 1 where a count first occurs
+        law = np.take_along_axis(widths, np.maximum.accumulate(counts, axis=1), axis=1)
+        held = 8 * (np.arange(1, len(run) + 1) * (np.maximum(size, 2 * reach)
+                                                  + np.maximum(size, 3 * np.maximum.accumulate(band)))
+                    + 7 * (np.cumsum(seen, axis=1) * law).sum(axis=0))
+        stop = start + max(1, int((held <= budget).sum()))
+        yield slice(start, stop), held[stop - start - 1]
+        start = stop
 
 
 def two_row_bands(spectra, types, reach: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -309,8 +335,10 @@ def two_row_bands(spectra, types, reach: int) -> tuple[np.ndarray, np.ndarray, n
 
     The law of c is the product of the atoms' laws (``_atom_law_rows``),
     folded by one cyclic FFT as long as the widest type's run of those
-    counts, in Bernstein's bound, rounded up to a power of two: what wraps
-    onto a type's run is less likely than the cut.  Kostka numbers of two
+    counts (``_count_window``), rounded up to a power of two: what wraps
+    onto a type's run is less likely than the cut.  A phase on each type's
+    spectrum starts its inverse FFT at its run, from which the band reads
+    law(h) + law(n - h) with no other copy.  Kostka numbers of two
     rows are 0/1, so Tr P_(a, n - a) is dim S_n(a) sum over h <= a of
     law(h) / C(n, h), read out as C(n, a) times the sum: a cumulative sum
     per block of READ_BLOCK labels scaled to its first, and a log-domain
@@ -330,25 +358,26 @@ def two_row_bands(spectra, types, reach: int) -> tuple[np.ndarray, np.ndarray, n
     first, last = _count_window(spectra, types)
     first, last = np.maximum(first, lo), np.minimum(last, hi)
     size = 1 << int((last - first).max()).bit_length()
-    product = 1.0
-    for rows, inverse in laws:  # each law folded onto its counts modulo size
+    # each type's spectrum turned by e^(2 pi i k (first - lo) / size), so that its law starts at first
+    product = np.exp(2j * np.pi / size * np.arange(size))[
+        np.multiply.outer(first - lo, np.arange(size // 2 + 1)) % size]
+    while laws:  # each law folded onto its counts modulo size, then dropped
+        rows, inverse = laws.pop()
         folded = np.pad(rows, ((0, 0), (0, -rows.shape[1] % size))).reshape(len(rows), -1, size).sum(axis=1)
-        product = product * np.fft.rfft(folded)[inverse]
+        product *= np.fft.rfft(folded)[inverse]
     low = np.maximum(np.maximum(first, n - last), amin)
     start = low - (low - amin) % b
     top = np.maximum(last, n - first) + 1
     core = -(-int((top - start).max()) // b)  # blocks holding the law
     blocks = max(core, -(-int((top + reach - start).max()) // b))
-    # law(h) + law(n - h) for h = start, ...: windows of the law between zeros
-    span = core * b
-    padded, rows, origin = np.zeros((t, size + 2 * span)), np.arange(t), first
-    cyclic, turn = np.fft.irfft(product, size), (first - lo) % size  # index i the count lo + i modulo size
-    if turn.any():  # each row turned to start at its count first
-        cyclic = sliding_window_view(np.concatenate([cyclic, cyclic], axis=1), size, axis=1)[rows, turn]
-    padded[:, span:span + size] = cyclic
-    by_h = sliding_window_view(padded, span, axis=1)[rows, np.clip(span + start - origin, 0, size + span)]
-    by_h += sliding_window_view(padded[:, ::-1], span, axis=1)[
-        rows, np.clip(size + span - 1 - n + start + origin, 0, size + span)]
+    cyclic = np.zeros((t, size + 2))  # column 1 + i the count first + i modulo size, a 0 each side
+    np.fft.irfft(product, size, out=cyclic[:, 1:-1])
+    del product
+    # law(h) + law(n - h) for h = start, ...: 0 off the counts first, ..., first + size - 1
+    cols, origin, by_h = np.arange(core * b), np.arange(t)[:, None] * (size + 2), np.zeros((t, core * b))
+    for at, step in ((start - first + 1, 1), (n - start - first + 1, -1)):
+        by_h += cyclic.take(np.clip(at[:, None] + step * cols, 0, size + 1) + origin)
+    del cyclic
     by_h[start * 2 == n, 0] /= 2  # h = n/2 is the one count c = n/2
     idx = np.minimum((start - amin)[:, None] // b + np.arange(blocks), len(rise) - 1)
     sums = by_h.reshape(t, core, b)

@@ -15,9 +15,11 @@ entropy of a count vector; the ten-start finite-difference SLSQP for the
 overflow floor's divergence program, against which
 ``bounds._min_divergence`` is checked; the zero-sum ball by a loop over
 its heads, against which the grid of ``info.sum_zero_ball`` is checked;
-and the per-sample Monte Carlo
+the per-sample Monte Carlo
 loop, against which the type-tallied sampling route of
-``codec.cluster_expectations`` is checked.
+``codec.cluster_expectations`` is checked; and the partial trace of a
+dense state, from which the simulated per-copy errors take each copy's
+marginal.
 """
 
 from __future__ import annotations
@@ -34,6 +36,25 @@ from scipy import optimize
 from qvlcode import codec, info, young
 from qvlcode.linalg import tensor
 from qvlcode.schur_weyl import _atom_laws, dense_block_probs, permutation_index_map
+
+
+def partial_trace(state: np.ndarray, d: int, keep: int) -> np.ndarray:
+    """Trace out all tensor slots except ``keep`` from a state on (C^d)^{x n},
+    or from each state of a stack (leading axes kept).
+
+    ``n`` is inferred from the matrix size, which must be an exact power
+    of d.  Slots are 0-indexed.  The trace of the result equals the
+    trace of the input.
+    """
+    dim = state.shape[-1]
+    n = round(np.log(dim) / np.log(d)) if d > 1 and dim > 0 else 0
+    if d**n != dim or state.shape[-2:] != (dim, dim):
+        raise ValueError(f"state dimension {state.shape} is not a power of d={d}")
+    if not 0 <= keep < n:
+        raise ValueError(f"keep index {keep} out of range for n={n}")
+    # rows and columns split as (slots before, slot keep, slots after)
+    split = (d**keep, d, d ** (n - keep - 1))
+    return np.einsum("...aibajb->...ij", state.reshape(state.shape[:-2] + split + split))
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import oracles
-from qvlcode import cli, codec, info, linalg, young
+from oracles import partial_trace
+from qvlcode import cli, codec, info, linalg, schur_weyl, young
 from qvlcode.codec import REJECT, CodeParams, build_code, delta_schedule
 from qvlcode.linalg import (
     DimensionBudgetError,
@@ -18,7 +19,6 @@ from qvlcode.linalg import (
     basis_source,
     fidelity,
     joint_eigenbasis,
-    partial_trace,
     psd_sqrt,
     pure_source,
     random_density,
@@ -548,6 +548,34 @@ def test_two_row_batches_stay_within_their_bytes(monkeypatch):
         tracemalloc.stop()
     assert peak < 2 << 20
     np.testing.assert_allclose(list(got.values()), list(want.values()), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [100, 1500])
+def test_two_row_batches_bound_each_peak(n, monkeypatch):
+    # three atoms: the traced peak of each batch, from its yield to the
+    # next, lies between half the bytes two_row_batches gives it and those
+    # bytes; at n = 1500 only the first 4,500 types are taken
+    code = build_code(CodeParams(n=n, d=2, delta=delta_schedule(n)[0]))
+    diag = np.array([[0.2, 0.8], [0.5, 0.5], [0.9, 0.1]])
+    taus, weights = (a[:4500] for a in codec._atom_types((0.3, 0.3, 0.4), n))
+    windows = []
+
+    def traced(*args):
+        for rows, held in schur_weyl.two_row_batches(*args):
+            windows.append([tracemalloc.get_traced_memory()[0], held])
+            tracemalloc.reset_peak()
+            yield rows, held
+            windows[-1][0] = tracemalloc.get_traced_memory()[1] - windows[-1][0]
+
+    monkeypatch.setattr(codec, "two_row_batches", traced)
+    tracemalloc.start()
+    try:
+        codec._two_row_expectations(code, diag, taus, weights, (1.0, 1.5))
+    finally:
+        tracemalloc.stop()
+    assert len(windows) >= 3
+    for peak, model in windows:
+        assert 0.5 * model <= peak <= model, (peak, model)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import partial_trace
 from qvlcode import linalg
 
 from qvlcode.linalg import (
@@ -13,7 +14,6 @@ from qvlcode.linalg import (
     factor_fidelity,
     fidelity,
     joint_eigenbasis,
-    partial_trace,
     psd_factor,
     psd_sqrt,
     pure_source,

@@ -374,9 +374,10 @@ def test_two_row_bands_against_convolved_route(n):
 
 @pytest.mark.parametrize("n, q", [(3000, 0.999), (5000, 0.95), (5000, 0.02)])
 def test_two_row_bands_of_skewed_atoms(n, q):
-    # an atom near a point mass: Hoeffding's window of its law is far wider
-    # than Bernstein's of the product, which the FFT's length follows, so the
-    # law is folded onto it whole; one type per call, so no other type widens it
+    # an atom near a point mass: its law's window (111 entries at q = 0.999)
+    # is wider than the run of the product, which n cuts and the FFT's length
+    # follows (64), so the law is folded onto it; one type per call, so no
+    # other type widens it
     a = np.arange((n + 1) // 2, n + 1)
     labels = np.stack([a, n - a], axis=1)
     spectra = np.array([[q, 1 - q], [0.3, 0.7]])
@@ -384,6 +385,45 @@ def test_two_row_bands_of_skewed_atoms(n, q):
         got = diagonal_block_probs(labels, spectra, types)
         np.testing.assert_allclose(got, oracles.convolved_two_row_probs(spectra, types), rtol=0, atol=1e-11)
         assert math.fsum(got[0]) == pytest.approx(1.0, abs=1e-10)
+
+
+def turns_and_size(spectra, types):
+    """first - lo of each type (where its run of likely first-letter counts
+    starts, past where the product of its atoms' law windows does) and the
+    FFT length, as ``two_row_bands`` takes them."""
+    lo, hi = np.zeros(len(types), dtype=np.int64), np.zeros(len(types), dtype=np.int64)
+    for q, column in zip(spectra, types.T):
+        distinct, inverse = np.unique(column, return_inverse=True)
+        begin, rows = schur_weyl._atom_law_rows(q, distinct, np.array([1, 0]))
+        lo += begin[inverse]
+        hi += begin[inverse] + rows.shape[1] - 1
+    first, last = schur_weyl._count_window(spectra, types)
+    first, last = np.maximum(first, lo), np.minimum(last, hi)
+    return first - lo, 1 << int((last - first).max()).bit_length()
+
+
+@pytest.mark.parametrize("n, zero_probs, wraps", [(100, (0.999, 0.998, 0.997), False),
+                                                   (1500, (0.2, 0.5, 0.9), False),
+                                                   (1500, (0.999, 0.998, 0.997), True)])
+def test_two_row_bands_turned_in_the_frequency_domain(n, zero_probs, wraps):
+    # each type's law starts at its own first count, turned there by a
+    # phase on its spectrum: 40 mixed three-atom types, whose run starts
+    # past the product of their atoms' windows in every row; near point
+    # masses at n = 1500 turn some rows by more than the FFT length, so the
+    # phase index wraps.  One batched call equals the per-type calls and
+    # the full-length convolution
+    a = np.arange((n + 1) // 2, n + 1)
+    labels = np.stack([a, n - a], axis=1)
+    types = np.array(young.compositions(n, 3))
+    types = types[(types > 0).all(axis=1)]
+    types = types[np.random.default_rng(n).choice(len(types), 40, replace=False)]
+    spectra = np.array([[q, 1 - q] for q in zero_probs])
+    turns, size = turns_and_size(spectra, types)
+    assert (turns != 0).all() and (turns > size).any() == wraps
+    got = diagonal_block_probs(labels, spectra, types)
+    alone = np.concatenate([diagonal_block_probs(labels, spectra, tau[None]) for tau in types])
+    np.testing.assert_allclose(got, alone, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(got, oracles.convolved_two_row_probs(spectra, types), rtol=0, atol=1e-12)
 
 
 def test_two_row_bands_at_large_n():
@@ -515,6 +555,18 @@ def test_atom_laws_against_scipy_pmfs(d, n):
         for c in (0, 1, n // 3, n):
             alone_first, (alone,) = schur_weyl._atom_laws(q, np.array([c]), strides)
             assert alone_first[0] == first[c] and np.array_equal(alone, rows[c])
+
+
+def test_atom_law_window_follows_the_variance():
+    # near a point mass Bernstein's window is the narrower: 111 entries at
+    # q = 0.999 and count 3,000, where Hoeffding's has 581; at q = 1/2
+    # Hoeffding's is; either way the row holds the whole law
+    cut = math.log(2 / schur_weyl.NEGLIGIBLE_PMF)
+    counts = np.array([3000])
+    for q, width in ((0.999, 111), (0.5, 2 * math.ceil(math.sqrt(3000 * cut / 2)) + 1)):
+        _, rows = schur_weyl._atom_law_rows(np.array([q, 1 - q]), counts, np.array([1, 0]))
+        assert rows.shape == (1, width)
+        assert math.fsum(rows[0]) == pytest.approx(1.0, abs=1e-11)  # ln 3000! to rounding
 
 
 def test_type_distribution():
