@@ -6,24 +6,25 @@ Output is byte-stable for a fixed configuration and seed, independent of
 the worker-thread count: threads only split the rows of ``dims`` and
 ``lemma-l1``, which are always collected in submission order.
 
-Exit codes: 0 success, 1 invalid configuration, 2 dimension budget
-exceeded, 3 numerical failure.
+The options are common to all commands and come before or after the
+command as ``--opt value`` or ``--opt=value``, by full name only.  Exit
+codes: 0 success, 1 invalid configuration, 2 dimension budget exceeded,
+3 numerical failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
-import locale  # noqa: F401  at start, not in the first operation (argparse's gettext loads it)
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-import numpy.ma  # noqa: F401  likewise (np.unique)
+import numpy.ma  # noqa: F401  at start, not in the first operation (np.unique)
 import numpy.random  # noqa: F401  likewise (Monte Carlo)
 
 from . import __version__, bounds, codec, info, young
@@ -89,7 +90,7 @@ def _parse_spectrum(text: str) -> tuple[float, ...]:
 
 
 def _parse_spectrum_set(text: str) -> tuple[tuple[float, ...], ...]:
-    return tuple(_parse_spectrum(part) for part in text.split(";") if part)
+    return tuple(_parse_spectrum(part) for part in text.split(";"))
 
 
 def _parse_n_grid(text: str) -> tuple[int, ...]:
@@ -124,19 +125,19 @@ def load_source_file(path: str) -> Source:
 
 
 # smallest value each numeric setting may take (NaN fails every comparison)
-MINIMA = {"n": 1, "d": 1, "delta": 0.0, "delta1": 0.0, "samples": 2, "seed": 0}
+MINIMA = {"n": 1, "d": 1, "delta": 0.0, "delta1": 0.0, "samples": 2, "seed": 0, "threads": 1}
 # commands whose --spectrum is a spectrum on C^d
 ON_D = ("overflow", "bounds", "error", "distribution", "fixed-length")
 SIMULATED = {"definitional": "average_error_definitional", "prime": "average_error_prime"}  # criteria by simulation
 
 
-def _validate(config: ExperimentConfig) -> None:
+def _validate(config: ExperimentConfig, threads: int) -> None:
     """ConfigError for a setting out of range, before any command runs."""
     for name in ("delta", "delta1", "rate", "t1", "t0", "dtheta"):
         if not math.isfinite(getattr(config, name) or 0.0):  # an unset option passes
             raise ConfigError(f"--{name} must be a finite number")
     for name, low in MINIMA.items():
-        value = getattr(config, name)
+        value = threads if name == "threads" else getattr(config, name)
         if value is not None and not value >= low:
             raise ConfigError(f"--{name} must be at least {low}, got {value}")
     if config.delta1 is not None and config.delta is not None and not config.delta1 < config.delta:
@@ -223,7 +224,7 @@ def cmd_dims(config: ExperimentConfig, threads: int) -> list[dict]:
             "method": "exact",
         }
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, len(labels), os.cpu_count() or 1)) as pool:
         return list(pool.map(row, labels))
 
 
@@ -347,7 +348,7 @@ def cmd_lemma_l1(config: ExperimentConfig, threads: int) -> list[dict]:
         err = codec.average_error_exact(code, source)
         return {"n": n, "error": err, "floor_constant": floor, "method": "closed-form"}
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, len(config.n_grid), os.cpu_count() or 1)) as pool:
         return list(pool.map(row, config.n_grid))
 
 
@@ -435,8 +436,8 @@ def emit(results: list[dict], config: ExperimentConfig) -> str:
 def run(config: ExperimentConfig, threads: int = 1) -> str:
     """Execute one experiment and return the rendered output text."""
     if config.command not in COMMANDS:
-        raise ConfigError(f"unknown command {config.command!r}")
-    _validate(config)
+        raise ConfigError(f"need a command, one of {', '.join(COMMANDS)}; got {config.command!r}")
+    _validate(config, threads)
     command = COMMANDS[config.command]
     results = command(config, threads) if config.command in ("dims", "lemma-l1") else command(config)
     return emit(results, config)
@@ -444,52 +445,76 @@ def run(config: ExperimentConfig, threads: int = 1) -> str:
 
 # --- argument parsing -----------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse exits with 2; remap to ConfigError
-        raise ConfigError(message)
+# every option, for every command: name -> (type, default, choices, help); a bool is a flag
+OPTIONS = {
+    "n": (int, None, None, "block length"),
+    "d": (int, 2, None, "dimension of one letter"),
+    "delta": (float, None, None, "radius of the code's spectrum balls"),
+    "delta1": (float, None, None, "inner radius of a restricted code, below --delta"),
+    "rate": (float, None, None, "rate in nats per letter"),
+    "schedule": (bool, False, None, "a flag: use the radius schedule delta = n^(-1/4)"),
+    "spectrum": (_parse_spectrum, None, None, "comma-separated descending probabilities"),
+    "spectrum-set": (_parse_spectrum_set, None, None, "semicolon-separated spectra for a restricted code"),
+    "source": (str, None, None, "path to a JSON source file"),
+    "n-grid": (_parse_n_grid, None, None, "start:stop:step or comma list"),
+    "t1": (float, None, None, "sec6-gap: parameter of the true source"),
+    "t0": (float, None, None, "sec6-gap: parameter of the coded source"),
+    "dtheta": (float, None, None, "sec6-gap: rotation angle at t1"),
+    "criterion": (str, "exact", ("exact", "dprime", "prime", "definitional"), "error criterion"),
+    "samples": (int, None, None, "Monte Carlo samples in place of the exact sum"),
+    "seed": (int, 0, None, "Monte Carlo seed"),
+    "format": (str, "csv", ("csv", "json"), "output format"),
+    "output": (str, None, None, "write to this file, not to stdout"),
+    "threads": (int, 1, None, "worker threads for the rows of dims and lemma-l1"),
+}
 
 
-def build_parser() -> _Parser:
-    """One parser for every command: the command is a positional, and the
-    options, common to all commands, may come before or after it."""
-    p = _Parser(prog="qvlcode", description=__doc__)
-    p.add_argument("command", choices=list(COMMANDS))
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--delta1", type=float)
-    p.add_argument("--rate", type=float)
-    p.add_argument("--schedule", action="store_true", help="use the radius schedule delta = n^(-1/4)")
-    p.add_argument("--spectrum", type=str, help="comma-separated descending probabilities")
-    p.add_argument("--spectrum-set", type=str, help="semicolon-separated spectra for a restricted code")
-    p.add_argument("--source", type=str, help="path to a JSON source file")
-    p.add_argument("--n-grid", type=str, help="start:stop:step or comma list")
-    p.add_argument("--t1", type=float)
-    p.add_argument("--t0", type=float)
-    p.add_argument("--dtheta", type=float)
-    p.add_argument("--criterion", type=str, default="exact", choices=["exact", "dprime", "prime", "definitional"])
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", type=str, default="csv", choices=["csv", "json"])
-    p.add_argument("--output", type=str)
-    p.add_argument("--threads", type=int, default=1)
-    return p
+def parse_args(argv) -> dict:
+    """argv as {"command": ..., option: value}, "_" for "-" in names; a ConfigError for any other token.
+    The command is the one positional; options, by full name only, come before or after it."""
+    args = {"command": None, **{name.replace("-", "_"): spec[1] for name, spec in OPTIONS.items()}}
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("-"):
+            if args["command"] is not None:
+                raise ConfigError(f"unexpected argument {token!r}")
+            args["command"] = token
+            continue
+        name, eq, value = token[2:].partition("=")
+        if not token.startswith("--") or name not in OPTIONS:
+            raise ConfigError(f"unknown option {token!r}")
+        kind, _, choices, _ = OPTIONS[name]
+        if kind is bool and eq:
+            raise ConfigError(f"--{name} takes no value")
+        if kind is not bool and not eq and (value := next(tokens, "--")).startswith("--"):
+            raise ConfigError(f"--{name} needs a value")
+        try:
+            value = True if kind is bool else kind(value)
+        except ValueError as exc:  # a ConfigError of the spectrum and grid readers too
+            raise ConfigError(f"--{name}: {exc}") from None
+        if choices and value not in choices:
+            raise ConfigError(f"--{name} must be one of {', '.join(choices)}, got {value!r}")
+        args[name.replace("-", "_")] = value
+    return args
 
 
-def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    raw = vars(args)
-    kwargs = {f.name: raw[f.name] for f in fields(ExperimentConfig) if f.name in raw}
-    for name, parse in (("spectrum", _parse_spectrum), ("spectrum_set", _parse_spectrum_set),
-                        ("n_grid", _parse_n_grid)):
-        kwargs[name] = parse(raw[name]) if raw[name] else None
-    return ExperimentConfig(source_path=args.source, **kwargs)
+def config_from_args(args: dict) -> ExperimentConfig:
+    kwargs = {f.name: args[f.name] for f in fields(ExperimentConfig) if f.name in args}
+    return ExperimentConfig(source_path=args["source"], **kwargs)
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(f"usage: qvlcode {{{','.join(COMMANDS)}}} [--option value | --option=value ...]\n\n{__doc__}")
+        for name, (_, default, choices, text) in OPTIONS.items():
+            print(f"  --{name:16}{text}" + (f" ({'|'.join(choices)})" if choices else "")
+                  + ("" if default in (None, False) else f" [default {default}]"))
+        return 0
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(argv)
         config = config_from_args(args)
-        text = run(config, threads=args.threads)
+        text = run(config, threads=args["threads"])
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

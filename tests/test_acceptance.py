@@ -343,7 +343,7 @@ def test_criterion_10_cli_determinism():
     for argv in cases:
         outputs = []
         for threads in (1, 4, 8):
-            config = cli.config_from_args(cli.build_parser().parse_args(argv))
+            config = cli.config_from_args(cli.parse_args(argv))
             outputs.append(cli.run(config, threads=threads).encode())
         assert outputs[0] == outputs[1] == outputs[2], argv
     report("10", True, "3 commands byte-identical across 1/4/8 threads")

@@ -1,9 +1,11 @@
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+from dataclasses import fields
 
 import pytest
 
@@ -16,8 +18,8 @@ def run_cli(args, capsys=None):
 
 
 def run_text(args):
-    config = cli.config_from_args(cli.build_parser().parse_args(args))
-    threads = cli.build_parser().parse_args(args).threads
+    config = cli.config_from_args(cli.parse_args(args))
+    threads = cli.parse_args(args)["threads"]
     return cli.run(config, threads=threads)
 
 
@@ -175,6 +177,8 @@ class TestConfigHandling:
         ["lemma-l1", "--spectrum", "0.7,0.3", "--n-grid", "10", "--samples", "7"],
         ["lemma-l2", "--spectrum", "0.7,0.3", "--n-grid", "10", "--samples", "7"],
         ["sec6-gap", "--t1", "0.2", "--t0", "0.1", "--dtheta", "0.1", "--samples", "7"],
+        ["dims", "--n", "3", "--threads", "0"],
+        ["dims", "--n", "3", "--threads", "-2"],
     ])
     def test_out_of_range_exits_1(self, argv, capsys):
         assert cli.main(argv) == 1
@@ -223,6 +227,70 @@ class TestConfigHandling:
     def test_options_before_the_command(self):
         assert run_text(["--n", "4", "--format", "json", "dims"]) == run_text(["dims", "--n", "4", "--format", "json"])
 
+    def test_option_with_equals_sign(self):
+        assert cli.parse_args(["dims", "--n=4", "--format=json"]) == cli.parse_args(["--n", "4", "dims", "--format", "json"])
+
+    def test_every_option_is_a_setting_with_its_default(self):
+        defaults = {f.name: f.default for f in fields(cli.ExperimentConfig)}
+        defaults["source"] = defaults.pop("source_path")
+        defaults["threads"] = inspect.signature(cli.run).parameters["threads"].default
+        for name, (_, default, _, _) in cli.OPTIONS.items():
+            assert defaults[name.replace("-", "_")] == default, name
+        assert cli.config_from_args(cli.parse_args(["dims"])) == cli.ExperimentConfig(command="dims")
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--n", "3"],
+        ["error", "--n", "4", "--schedule=1", "--spectrum", "0.7,0.3"],
+        ["dims", "--n"],
+        ["dims", "--n", "--d", "2"],
+        ["dims", "--n", "3", "--bogus", "1"],
+        ["dims", "-n", "3"],
+        ["error", "--n", "4", "--schedule", "--spectrum", "0.7,0.3", "--crit", "dprime"],
+        ["error", "--n", "4", "--schedule", "--spectrum", "0.7,0.3", "--criterion", "bogus"],
+        ["dims", "--n", "3", "--format=xml"],
+        ["dims", "--n", "three"],
+        ["dims", "--n", "3", "--d="],
+        ["dims", "dims", "--n", "3"],
+        ["dims", "--n", "3", "overflow"],
+        ["bounds", "--n", "40", "--schedule", "--rate", "0.6", "--spectrum", "0.7,0.3", "--spectrum-set", ";"],
+        ["error", "--n", "4", "--delta", "0.3", "--delta1", "0.1", "--spectrum", "0.7,0.3", "--spectrum-set="],
+    ])
+    def test_malformed_command_line_exits_1(self, argv, capsys):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_help_lists_every_command_and_option(self, flag, capsys):
+        assert cli.main([flag]) == 0
+        out = capsys.readouterr().out
+        for name in [*cli.COMMANDS, *(f"--{option} " for option in cli.OPTIONS)]:
+            assert name in out, name
+
+    @pytest.mark.parametrize("argv, rows", [
+        (["dims", "--n", "3"], 2),
+        (["lemma-l1", "--spectrum", "0.7,0.3", "--n-grid", "10,20,30"], 3),
+    ])
+    def test_thread_pool_capped_by_rows_and_cores(self, argv, rows, monkeypatch):
+        sizes = []
+
+        class Recorder:  # runs the rows in this thread: no thread starts
+            map = staticmethod(map)
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Recorder)
+        run_text(argv + ["--threads", "1000000"])
+        assert sizes == [min(rows, os.cpu_count() or 1)]
+
     def test_block_probability_off_the_unit_interval_exits_3(self, monkeypatch, tmp_path, capsys):
         # doubled scales of the polarized route give block probabilities up
         # to 2: a numerical failure, reported without a traceback
@@ -253,7 +321,7 @@ class TestConfigHandling:
     def test_config_round_trip(self):
         argv = ["overflow", "--n", "100", "--schedule", "--spectrum", "0.7,0.3",
                 "--rate", "0.7", "--format", "json", "--seed", "5"]
-        config = cli.config_from_args(cli.build_parser().parse_args(argv))
+        config = cli.config_from_args(cli.parse_args(argv))
         text = cli.run(config)
         doc = json.loads(text)
         parsed = cli.ExperimentConfig.from_dict(doc["config"])
@@ -567,6 +635,10 @@ def test_cli_starts_without_scipy():
     run_fresh("import qvlcode.cli\nassert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], sys.modules\n")
 
 
+def test_cli_starts_without_argparse():
+    run_fresh("import qvlcode.cli\nassert not {'argparse', 'gettext'} & set(sys.modules), sorted(sys.modules)\n")
+
+
 def test_operations_import_nothing_after_start(tmp_path):
     # each command runs in the process that imported qvlcode.cli, as in a
     # forked worker; none leaves a module to import on its first call
@@ -578,7 +650,13 @@ def test_operations_import_nothing_after_start(tmp_path):
              ["error", "--n", "5", "--schedule", "--source", str(path), "--samples", "20", "--seed", "3"],
              ["exponent", "--rate", "0.9", "--spectrum", "0.6,0.3,0.1"],
              ["bounds", "--n", "40000", "--d", "3", "--schedule", "--rate", "1.05", "--spectrum", "0.6,0.3,0.1",
-              "--spectrum-set", "0.5,0.3,0.2"]]
+              "--spectrum-set", "0.5,0.3,0.2"],
+             ["overflow", "--n", "250", "--schedule", "--spectrum", "0.7,0.3", "--rate", "0.5"],
+             ["overflow", "--n", "12", "--d", "3", "--schedule", "--spectrum", "0.5,0.3,0.2", "--rate", "0.9"],
+             ["distribution", "--n", "20", "--schedule", "--spectrum", "0.7,0.3"],
+             ["fixed-length", "--n", "20", "--schedule", "--spectrum", "0.7,0.3", "--rate", "0.5"],
+             ["decompose-check", "--n", "4", "--d", "2"],
+             ["dims", "--n", "4", "--d", "3", "--threads", "2"]]
     run_fresh("from qvlcode import cli\n"
               "loaded = set(sys.modules)\n"
               f"for argv in {argvs!r}:\n"
