@@ -501,9 +501,9 @@ def decay_rate_ceiling(p_spec, n: int) -> float:
 def decay_rate_table(p_spec, n_grid, delta_fn=None):
     """Table of (n, -(1/n) ln error, ceiling) for the basis source.
 
-    ``delta_fn`` defaults to n^(-1/4).  Uses the qubit closed form, one
-    O(n) pass per atom type kept, so the grid reaches n = 10^4 in about a
-    second per point.
+    ``delta_fn`` defaults to n^(-1/4).  Uses the banded commuting-qubit
+    route, O(band) per atom type kept, so ``lemma-l2`` on the grid
+    100000, 1000000 takes about 1.6 s.
     """
     from .codec import CodeParams, average_error_exact, build_code
     from .linalg import basis_source

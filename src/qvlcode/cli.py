@@ -414,23 +414,30 @@ COMMANDS = {
 # --- emission -----------------------------------------------------------------
 
 def emit(results: list[dict], config: ExperimentConfig) -> str:
-    """Render results as CSV or JSON text (byte-stable for fixed inputs)."""
+    """Render results as CSV or JSON text (byte-stable for fixed inputs).
+    Exact integers (the dimensions of ``dims``) print in full: Python's
+    int-to-str digit limit is lifted while they are converted."""
     if not results:
         raise NumericalFailure("no results to emit")
-    if config.format == "json":
-        doc = {
-            "config": config.to_dict(),
-            "results": results,
-            "seed": config.seed,
-            "version": __version__,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(results[0].keys()), lineterminator="\n")
-    writer.writeheader()
-    for row in results:
-        writer.writerow(row)
-    return buf.getvalue()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if config.format == "json":
+            doc = {
+                "config": config.to_dict(),
+                "results": results,
+                "seed": config.seed,
+                "version": __version__,
+            }
+            return json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(results[0].keys()), lineterminator="\n")
+        writer.writeheader()
+        for row in results:
+            writer.writerow(row)
+        return buf.getvalue()
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def run(config: ExperimentConfig, threads: int = 1) -> str:

@@ -434,38 +434,61 @@ def _two_row_expectations(code: VLCode, diag, taus, weights, exponents) -> np.nd
     """The weighed sums over the types of each outcome's clipped trace to
     each exponent, in ``outcomes`` order, for commuting qubit atoms.
 
-    Outcome k0 sums the labels within t of it.  Each type's band from
-    ``schur_weyl.two_row_bands``, reaching 2t past its law, gives every
-    outcome that meets it by a cumulative sum; types whose bands start
-    together add up by one matrix product.  Below the band an outcome is
-    0.  Above it the outcome is S_tau D(k0), with S_tau the type's total
-    and D(k0) the window sum of dim S_n, so its e-th power separates: those
-    of all types are D(k0)^e times one log-domain prefix sum of
-    w_tau S_tau^e over the types ordered by where their band ends.
+    Outcome k0 sums the 2t + 1 labels within t of it.  Each type's band
+    from ``schur_weyl.two_row_bands`` ends where the dim S_n tail past its
+    law is below the cut, so its cumulative sum c gives three runs of
+    outcomes: a rising edge, the windows that end in the band, c less c
+    2t + 1 labels before; a flat run, where the window holds the whole
+    band (if wider), the band's total C; a falling edge, the windows that
+    end past the band and start in it, C less c.  The edges of types whose
+    bands start together add up by one matrix product; the flat runs are
+    ranges added into a difference array, one cumulative sum per exponent.
+    Below the band an outcome is 0.  Above it the outcome is S_tau D(k0),
+    with S_tau the type's total and D(k0) the window sum of dim S_n, so its
+    e-th power separates: those of all types are D(k0)^e times one
+    log-domain prefix sum of w_tau S_tau^e over the types ordered by where
+    their falling edge ends.  A type costs O(band), and every batch
+    writes its arrays into one buffer, allocated for the largest.
     """
     n, t = code.n, code.c1_count // 2  # C1 = 2t + 1
     amin, width, size = (n + 1) // 2, 2 * t + 1, len(code.outcomes)
     # outcome u = k0 - amin + t, rising; ln D(k0) once for all types
     log_dims = code._cluster_reduce(young.log_dim_sym_group(code._label_array), np.logaddexp)[::-1]
     taus, weights = _by_nearby_counts(taus, weights, BATCH_TYPES)
+    batches, _, floats = two_row_batches(diag, taus, BATCH_BYTES, BATCH_TYPES)
+    work = np.empty(floats)
     totals = np.zeros((len(exponents), size))
+    steps = np.zeros((len(exponents), size + 1))  # the flat runs, as differences
     ends, log_totals = np.zeros(len(taus), dtype=np.int64), np.zeros(len(taus))
-    for rows, _ in two_row_batches(diag, taus, 2 * t, BATCH_BYTES, BATCH_TYPES):
-        start, bands, log_totals[rows] = two_row_bands(diag, taus[rows], 2 * t)
-        span = bands.shape[1]
+    for rows in batches:
+        start, bands, log_totals[rows] = two_row_bands(diag, taus[rows], work)
+        (k, span), u = bands.shape, start - amin
+        drop = min(span, width)  # the windows that end past the band and start in it
+        fall = work[bands.size:bands.size + k * drop].reshape(k, drop)
+        power = work[bands.size + fall.size:2 * bands.size + fall.size].reshape(k, span)
         np.cumsum(bands, axis=1, out=bands)
+        np.subtract(bands[:, -1:], bands[:, span - drop:], out=fall)  # after the band c is its total
+        total = np.clip(bands[:, -1], 0.0, 1.0)
         bands[:, width:] -= bands[:, :-width]  # numpy reads the overlapping operand from a copy
         np.clip(bands, 0.0, 1.0, out=bands)
-        ends[rows] = start - amin + span  # the first outcome above the band
-        offsets, group = np.unique(start - amin, return_inverse=True)
+        np.clip(fall, 0.0, 1.0, out=fall)
+        ends[rows] = u + span + width - 1  # the first outcome above the falling edge
+        offsets, group = np.unique(u, return_inverse=True)
         weighed = np.zeros((len(offsets), len(group)))
         weighed[group, np.arange(len(group))] = weights[rows]
         for j, e in enumerate(exponents):
-            for u, row in zip(offsets.tolist(), weighed @ bands**e):
-                totals[j, u:u + span] += row[:size - u]
+            for edge, shift in ((bands, 0), (fall, max(span, width))):
+                lifted = np.power(edge, e, out=power[:, :edge.shape[1]])
+                for v, row in zip((offsets + shift).tolist(), weighed @ lifted):
+                    totals[j, v:v + len(row)] += row[:max(size - v, 0)]
+            if span < width:  # the flat runs u + span, ..., u + width - 1
+                np.add.at(steps[j], np.minimum(u + span, size), weights[rows] * total**e)
+                np.subtract.at(steps[j], np.minimum(u + width, size), weights[rows] * total**e)
     by_end = np.argsort(ends, kind="stable")
     below = np.searchsorted(ends[by_end], np.arange(size), side="right")  # the types below each outcome
     for j, e in enumerate(exponents):
+        # in long double, so what rounding leaves past a run's end is far below the outcomes' 1e-16
+        totals[j] += np.cumsum(steps[j, :size], dtype=np.longdouble)
         prefix = np.logaddexp.accumulate((np.log(weights) + e * log_totals)[by_end])
         totals[j] += np.exp(e * log_dims + np.append(-np.inf, prefix)[below])
     return totals[:, ::-1]

@@ -268,18 +268,39 @@ def _two_row_tables(n: int) -> tuple[np.ndarray, ...]:
     """Per h = ceil(n/2), ... in blocks of READ_BLOCK, and one more block
     past n that later blocks read: e^-off(h) and e^off(h) (2h - n + 1) / (h + 1)
     (0 past n), off(h) = ln C(n, h) - ln C(n, h0) from the block's first h0;
-    per block ln C(n, h0) and its rise to the next block's.  off and the
-    rises sum ln((n - j + 1) / j), so are exact to rounding at any n."""
+    per block ln C(n, h0), its rise to the next block's, and ln of the sum
+    of dim S_n(a) over a >= h0 (-inf past n).  off and the rises sum
+    ln((n - j + 1) / j), so are exact to rounding at any n."""
     amin = (n + 1) // 2
     h = amin + np.arange((-(-(n + 1 - amin) // READ_BLOCK) + 1) * READ_BLOCK).reshape(-1, READ_BLOCK)
     step = np.where(h <= n, np.log(np.maximum(n - h + 1, 1) / h), 0.0)  # ln C(n, h) - ln C(n, h - 1)
     off = np.cumsum(step, axis=1) - step[:, :1]
     h0 = np.minimum(h[:, 0], n)
-    out = (np.exp(-off), np.where(h <= n, np.exp(off) * (2 * h - n + 1) / (h + 1), 0.0),
-           young.log_factorial(n) - young.log_factorial(h0) - young.log_factorial(n - h0),
-           off[:, -1] + np.append(step[1:, 0], 0.0))
+    scale = np.where(h <= n, np.exp(off) * (2 * h - n + 1) / (h + 1), 0.0)  # dim S_n(h) / C(n, h0)
+    log_comb = young.log_factorial(n) - young.log_factorial(h0) - young.log_factorial(n - h0)
+    with np.errstate(divide="ignore"):
+        tail = np.logaddexp.accumulate((np.log(scale.sum(axis=1)) + log_comb)[::-1])[::-1]
+    out = (np.exp(-off), scale, log_comb, off[:, -1] + np.append(step[1:, 0], 0.0), tail)
     for a in out:
         a.setflags(write=False)
+    return out
+
+
+# FFT lengths of the two-row route: numpy's FFT is fast at 2^i 5^j (at 10,000 it took a
+# third of the time it took at 16,384, on four rows of one 2-vCPU virtual machine)
+FFT_LENGTHS = np.array(sorted(2**i * 5**j for i in range(62) for j in range(27) if 2**i * 5**j < 2**62))
+
+
+def _fft_length(run):
+    """The smallest FFT length above ``run`` (an int or an array of them)."""
+    return FFT_LENGTHS[np.searchsorted(FFT_LENGTHS, run, side="right")]
+
+
+@lru_cache(maxsize=4)
+def _roots(size: int) -> np.ndarray:
+    """e^(2 pi i k / size) for k < size, read-only."""
+    out = np.exp(2j * np.pi / size * np.arange(size))
+    out.setflags(write=False)
     return out
 
 
@@ -292,50 +313,88 @@ def _count_window(spectra, types) -> tuple[np.ndarray, np.ndarray]:
         np.minimum(np.floor(mean + reach), n).astype(np.int64)
 
 
-def two_row_batches(spectra, types, reach: int, budget: int, most: int):
+def _band_labels(n: int, first, last) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The band of labels a of types whose first-letter counts lie in
+    first..last: (start, top, stop).  h = max(c, n - c) runs below top; the
+    band starts at the block of its lowest h and stops at the first block
+    past top - 1 from which the sum of dim S_n is below NEGLIGIBLE_PMF
+    times dim S_n(top - 1).  Above top - 1, Tr P_(a, n - a) is dim S_n(a)
+    times the type's total, at most dim S_n(a) / dim S_n(top - 1)."""
+    amin, b = (n + 1) // 2, READ_BLOCK
+    _, scale, log_comb, _, tail = _two_row_tables(n)
+    low = np.maximum(np.maximum(first, n - last), amin)
+    top = np.maximum(last, n - first) + 1
+    log_dim = log_comb[(top - 1 - amin) // b] + np.log(scale.ravel()[top - 1 - amin])
+    stop = amin + b * np.searchsorted(-tail, math.log(1 / NEGLIGIBLE_PMF) - log_dim)
+    return low - (low - amin) % b, top, stop
+
+
+def two_row_batches(spectra, types, budget: int, most: int) -> tuple[list[slice], np.ndarray, int]:
     """Consecutive batches of the rows of a (T, m) array of atom counts for
-    ``two_row_bands``, as (rows, bytes): each as long as what the call and a
-    reduction of its bands hold at their peak stays within ``budget``
-    bytes, at least 1 row and at most ``most``.  A batch holds 7 rows of an
-    atom's law (``_reach`` wide, 1 for a point mass) per distinct count of
-    the atom in it; per type, at the batch's widest, the larger of a row of
-    the FFT and 2 of the reach, and the larger of a row of the FFT and 3 of
-    the band without its reach."""
+    ``two_row_bands``, planned from per-type arrays of one pass over them:
+    (the batches, the bytes each holds at its peak, the floats of the
+    ``work`` buffer the largest asks of ``two_row_bands``).  Each is as
+    long as its own arrays stay within ``budget`` bytes, at least 1 row and
+    at most ``most``; the bytes reported add what a caller keeps for every
+    type (its counts and four floats).  Per type, at the batch's widest, a
+    batch holds the buffer: the band three times (bands, the windows past
+    them, a power), or the FFT spectrum and its inverse where longer; and
+    the larger of a band core of the read-out's indices and the atoms'
+    laws (``_reach`` wide, 1 for a point mass): one row per distinct count
+    of each atom in the batch, six more or two FFT rows for the widest."""
     types, spectra = np.asarray(types, dtype=np.int64), np.asarray(spectra, dtype=float)
-    n, q = int(types[0].sum()), spectra[:, :1] * spectra[:, 1:]
+    n, q, b = int(types[0].sum()), spectra[:, :1] * spectra[:, 1:], READ_BLOCK
     c = np.arange(n + 1)
     widths = np.where(q > 0, np.minimum(c, 2 * np.ceil(_reach(c, c * q))) + 1, 1)  # of each atom's law, by count
-    start = 0
-    while start < len(types):
-        run = types[start:start + most]
-        first, last = _count_window(spectra, run)
-        size = np.ldexp(1.0, np.frexp(np.maximum.accumulate(last - first))[1])
-        # h = max(c, n - c) from ceil(n/2) up: the band without its reach is shorter than this
-        band = np.maximum(last, n - first) - np.maximum(np.maximum(first, n - last), (n + 1) // 2) + 2 * READ_BLOCK
-        counts = np.ascontiguousarray(run.T)
-        order = np.argsort(counts, axis=1, kind="stable")
-        ranked, seen = np.take_along_axis(counts, order, axis=1), np.ones(counts.shape)
-        np.put_along_axis(seen, order[:, 1:], ranked[:, 1:] != ranked[:, :-1], axis=1)  # 1 where a count first occurs
-        law = np.take_along_axis(widths, np.maximum.accumulate(counts, axis=1), axis=1)
-        held = 8 * (np.arange(1, len(run) + 1) * (np.maximum(size, 2 * reach)
-                                                  + np.maximum(size, 3 * np.maximum.accumulate(band)))
-                    + 7 * (np.cumsum(seen, axis=1) * law).sum(axis=0))
-        stop = start + max(1, int((held <= budget).sum()))
-        yield slice(start, stop), held[stop - start - 1]
-        start = stop
+    # per type: the run of likely counts, the band and its core in labels, and each atom's law width;
+    # per atom and type the row before of the same count, or -1
+    (t, m), need = types.shape, np.empty((3 + len(spectra), len(types)), dtype=np.int32)
+    first, last = _count_window(spectra, types)
+    need[0] = last - first
+    start, top, stop = _band_labels(n, first, last)
+    need[1], need[2] = stop - start, -(-(top - start) // b) * b
+    del first, last, start, top, stop
+    prev = np.empty((m, t), dtype=np.int32)
+    for j, column in enumerate(types.T):
+        need[3 + j] = widths[j, column]
+        order = np.argsort(column, kind="stable")
+        ranked = column[order]
+        prev[j, order] = np.append(-1, np.where(ranked[1:] == ranked[:-1], order[:-1], -1))
+    del order, ranked
+    bounds, temps, work = [0], [], 0
+    while bounds[-1] < len(types):
+        a = bounds[-1]
+        widest = np.maximum.accumulate(need[:, a:a + most], axis=1)
+        (run, span, core), law = widest[:3], widest[3:]
+        size = _fft_length(np.minimum(run, (law - 1).sum(axis=0)))  # the laws' product is no wider
+        rows = np.arange(1, len(size) + 1)
+        floats = rows * (np.maximum(span, size + 2) + np.maximum(size + 2, 2 * span))
+        count = np.cumsum(prev[:, a:a + most] < a, axis=1)  # distinct counts of each atom
+        laws = (count * law).sum(axis=0) + (count * np.maximum(6 * law, law + 2 * size)).max(axis=0)
+        extra = np.maximum(rows * core, laws) + 32 * rows + (1 << 15)  # and numpy's ufunc buffers
+        k = max(1, int(np.searchsorted(np.maximum(floats, work) + extra, budget / 8, side="right")))
+        bounds.append(a + k)
+        temps.append(extra[k - 1])
+        work = max(work, int(floats[k - 1]))
+    held = 8 * (work + np.array(temps) + (m + 4) * t)  # the buffer is the largest batch's
+    return [slice(a, z) for a, z in zip(bounds, bounds[1:])], held, work
 
 
-def two_row_bands(spectra, types, reach: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def two_row_bands(spectra, types, work=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tr P_(a, n - a) of the product of diag(spectra[j])^{x types[i, j]}
     for each row i of a (T, m) array of atom counts summing to n, on a band
     of labels: (starts, bands, log totals).  Row i holds a = starts[i], ...
     from below the type's lowest h = max(c, n - c), c a first-letter count
-    likelier than NEGLIGIBLE_PMF, to ``reach`` past its highest (0 past n).
-    Below the band Tr P_(a, n - a) is 0; above it, dim S_n(a) e^(log total).
+    likelier than NEGLIGIBLE_PMF, to where the sum of dim S_n above falls
+    below that cut (``_band_labels``), at most a few blocks past its
+    highest h (0 past n).  Below the band Tr P_(a, n - a) is 0; above it,
+    dim S_n(a) e^(log total).  The arrays are written into ``work``, a flat
+    float buffer as long as ``two_row_batches`` says, if given; the bands
+    are its first T x len entries, and the rest is free once this returns.
 
     The law of c is the product of the atoms' laws (``_atom_law_rows``),
     folded by one cyclic FFT as long as the widest type's run of those
-    counts (``_count_window``), rounded up to a power of two: what wraps
+    counts (``_count_window``), rounded up to one of FFT_LENGTHS: what wraps
     onto a type's run is less likely than the cut.  A phase on each type's
     spectrum starts its inverse FFT at its run, from which the band reads
     law(h) + law(n - h) with no other copy.  Kostka numbers of two
@@ -347,7 +406,7 @@ def two_row_bands(spectra, types, reach: int) -> tuple[np.ndarray, np.ndarray, n
     types, spectra = np.asarray(types, dtype=np.int64), np.asarray(spectra, dtype=float)
     n, b, t = int(types[0].sum()), READ_BLOCK, len(types)
     amin = (n + 1) // 2
-    einv, scale, log_comb, rise = _two_row_tables(n)
+    einv, scale, log_comb, rise, _ = _two_row_tables(n)
     lo, hi, laws = np.zeros(t, dtype=np.int64), np.zeros(t, dtype=np.int64), []
     for q, column in zip(spectra, types.T):
         distinct, inverse = np.unique(column, return_inverse=True)
@@ -357,31 +416,44 @@ def two_row_bands(spectra, types, reach: int) -> tuple[np.ndarray, np.ndarray, n
         laws.append((rows, inverse))
     first, last = _count_window(spectra, types)
     first, last = np.maximum(first, lo), np.minimum(last, hi)
-    size = 1 << int((last - first).max()).bit_length()
+    size = int(_fft_length((last - first).max()))
+    start, top, stop = _band_labels(n, first, last)
+    core, blocks = -(-int((top - start).max()) // b), int((stop - start).max()) // b  # blocks to the law's top, in all
+    # the bands, first the inverse FFT (before it the turns and each atom's spectra); then the FFT
+    # spectrum, then the read-out's block sums and one more read of the law
+    head = t * max(blocks * b, size + 2)
+    if work is None:
+        work = np.empty(head + t * max(size + 2, 2 * core * b))
     # each type's spectrum turned by e^(2 pi i k (first - lo) / size), so that its law starts at first
-    product = np.exp(2j * np.pi / size * np.arange(size))[
-        np.multiply.outer(first - lo, np.arange(size // 2 + 1)) % size]
-    while laws:  # each law folded onto its counts modulo size, then dropped
+    product = work[head:head + 2 * t * (size // 2 + 1)].view(complex).reshape(t, size // 2 + 1)
+    spectrum = work[:2 * t * (size // 2 + 1)].view(complex).reshape(t, size // 2 + 1)
+    turns = work[:t * (size // 2 + 1)].view(np.int64).reshape(t, size // 2 + 1)
+    np.multiply.outer(first - lo, np.arange(size // 2 + 1), out=turns)
+    turns %= size
+    np.take(_roots(size), turns, out=product, mode="clip")
+    while laws:  # each law folded onto its counts modulo size (rfft pads a shorter one), then dropped
         rows, inverse = laws.pop()
-        folded = np.pad(rows, ((0, 0), (0, -rows.shape[1] % size))).reshape(len(rows), -1, size).sum(axis=1)
-        product *= np.fft.rfft(folded)[inverse]
-    low = np.maximum(np.maximum(first, n - last), amin)
-    start = low - (low - amin) % b
-    top = np.maximum(last, n - first) + 1
-    core = -(-int((top - start).max()) // b)  # blocks holding the law
-    blocks = max(core, -(-int((top + reach - start).max()) // b))
-    cyclic = np.zeros((t, size + 2))  # column 1 + i the count first + i modulo size, a 0 each side
+        if rows.shape[1] > size:
+            rows = np.pad(rows, ((0, 0), (0, -rows.shape[1] % size))).reshape(len(rows), -1, size).sum(axis=1)
+        product *= np.fft.rfft(rows, size).take(inverse, axis=0, out=spectrum, mode="clip")
+    del rows  # before the read-out's indices
+    cyclic = work[:t * (size + 2)].reshape(t, size + 2)  # column 1 + i the count first + i modulo size, a 0 each side
+    cyclic[:, [0, -1]] = 0.0
     np.fft.irfft(product, size, out=cyclic[:, 1:-1])
-    del product
     # law(h) + law(n - h) for h = start, ...: 0 off the counts first, ..., first + size - 1
-    cols, origin, by_h = np.arange(core * b), np.arange(t)[:, None] * (size + 2), np.zeros((t, core * b))
-    for at, step in ((start - first + 1, 1), (n - start - first + 1, -1)):
-        by_h += cyclic.take(np.clip(at[:, None] + step * cols, 0, size + 1) + origin)
-    del cyclic
+    cols, origin = np.arange(core * b), np.arange(t)[:, None] * (size + 2)
+    by_h, read = work[head:head + 2 * t * core * b].reshape(2, t, core * b)
+    for out, (at, step) in zip((by_h, read), ((start - first + 1, 1), (n - start - first + 1, -1))):
+        at = at[:, None] + step * cols
+        np.clip(at, 0, size + 1, out=at)
+        at += origin
+        cyclic.take(at, out=out, mode="clip")
+    del at
+    by_h += read
     by_h[start * 2 == n, 0] /= 2  # h = n/2 is the one count c = n/2
     idx = np.minimum((start - amin)[:, None] // b + np.arange(blocks), len(rise) - 1)
     sums = by_h.reshape(t, core, b)
-    sums *= einv[idx[:, :core]]
+    sums *= einv.take(idx[:, :core], axis=0, out=read.reshape(t, core, b), mode="clip")
     np.cumsum(sums, axis=2, out=sums)
     up = np.cumsum(rise[idx], axis=1) - rise[idx]  # ln C(n, h0) - ln C(n, start) per block
     with np.errstate(divide="ignore"):
@@ -389,9 +461,11 @@ def two_row_bands(spectra, types, reach: int) -> tuple[np.ndarray, np.ndarray, n
     earlier = np.concatenate([np.full((t, 1), -np.inf), prefix, np.repeat(prefix[:, -1:], blocks - core, axis=1)],
                              axis=1)[:, :blocks]
     carry = np.exp(up + earlier)[:, :, None]
-    bands = scale[idx]
+    bands = work[:t * blocks * b].reshape(t, blocks, b)
+    scale.take(idx, axis=0, out=bands, mode="clip")
     bands[:, core:] *= carry[:, core:]
-    bands[:, :core] *= carry[:, :core] + sums
+    sums += carry[:, :core]
+    bands[:, :core] *= sums
     return start, bands.reshape(t, blocks * b), prefix[:, -1] - log_comb[idx[:, 0]]
 
 
@@ -402,11 +476,11 @@ def diagonal_block_probs(labels, spectra, counts=None) -> np.ndarray:
     array, at any n.
 
     The state depends on the slots only through the law of its letter
-    counts.  Two rows take ``two_row_bands`` on bands that reach n, 0
-    below them.  More rows convolve the laws of each atom's distinct
-    counts in the batch, from one ``_atom_laws`` pass, over each type's
-    atoms on their index, and weigh the law, summed by sorted content,
-    against the Kostka matrix of ``_diagonal_weights``.
+    counts.  Two rows take ``two_row_bands``: 0 below the bands, dim S_n
+    times the type's total above them.  More rows convolve the laws of
+    each atom's distinct counts in the batch, from one ``_atom_laws`` pass,
+    over each type's atoms on their index, and weigh the law, summed by
+    sorted content, against the Kostka matrix of ``_diagonal_weights``.
     """
     labels = np.asarray(labels, dtype=np.int64)
     spectra = np.asarray(spectra, dtype=float)
@@ -416,9 +490,12 @@ def diagonal_block_probs(labels, spectra, counts=None) -> np.ndarray:
     if d == 2:
         if (labels.sum(axis=1) != n).any() or (labels[:, 0] < (n + 1) // 2).any():
             raise KeyError(f"labels off the partitions of n = {n} into two parts")
-        start, bands, _ = two_row_bands(spectra, types, n)  # each band reaches n
+        start, bands, log_totals = two_row_bands(spectra, types)
         j = labels[:, 0] - start[:, None]
-        probs = np.where(j < 0, 0.0, np.take_along_axis(bands, np.maximum(j, 0), axis=1))
+        with np.errstate(over="ignore"):  # below the bands, not read
+            above = np.exp(young.log_dim_sym_group(labels) + log_totals[:, None])
+        inside = np.take_along_axis(bands, np.clip(j, 0, bands.shape[1] - 1), axis=1)
+        probs = np.where(j < 0, 0.0, np.where(j < bands.shape[1], inside, above))
         return _probabilities(probs.reshape(counts.shape[:-1] + (len(labels),)), "a diagonal block probability")
     strides = np.append((n + 1) ** np.arange(d - 2, -1, -1), 0)
     starts, factors = np.zeros(len(types), dtype=np.int64), []

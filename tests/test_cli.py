@@ -9,7 +9,7 @@ from dataclasses import fields
 
 import pytest
 
-from qvlcode import bounds, cli, info, schur_weyl
+from qvlcode import bounds, cli, info, schur_weyl, young
 
 
 def run_cli(args, capsys=None):
@@ -36,6 +36,23 @@ class TestDims:
         text = run_text(["dims", "--n", "4", "--d", "3", "--format", "json"])
         doc = json.loads(text)
         assert sum(r["dim_total"] for r in doc["results"]) == 81
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_past_the_int_digit_limit(self, fmt, capsys):
+        # dim S_2200(1100, 1100) has 660 digits: with the int-to-str limit at
+        # 640 the command still prints every dimension in full, exit 0, and
+        # the limit is back as it was after the output
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert cli.main(["dims", "--n", "2200", "--format", fmt]) == 0
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        out = capsys.readouterr().out
+        dim = str(young.dim_sym_group((1100, 1100)))
+        assert len(dim) > 640
+        assert (f",{dim}," if fmt == "csv" else f": {dim},") in out
 
 
 class TestDecomposeCheck:

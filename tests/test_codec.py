@@ -550,32 +550,61 @@ def test_two_row_batches_stay_within_their_bytes(monkeypatch):
     np.testing.assert_allclose(list(got.values()), list(want.values()), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [100, 1500])
-def test_two_row_batches_bound_each_peak(n, monkeypatch):
-    # three atoms: the traced peak of each batch, from its yield to the
-    # next, lies between half the bytes two_row_batches gives it and those
-    # bytes; at n = 1500 only the first 4,500 types are taken
+@pytest.mark.parametrize("weights, zero_probs", [((0.7, 0.3), (1.0, 0.0)), ((0.5, 0.5), (0.9, 0.4))])
+def test_two_row_expectations_count_each_label_c1_times(weights, zero_probs):
+    # n = 1e5: each label lies in C1 = 7,953 clusters, so the e = 1
+    # expectations over all outcomes sum to C1 (the types' weights and block
+    # probabilities sum to 1), unless a rising or falling edge or a flat run
+    # is counted twice or dropped; the bands hold about 100 labels for the
+    # basis states and 3,200 for diag(0.9, 0.1) and diag(0.4, 0.6)
+    n = 100_000
+    code = build_code(CodeParams(n=n, d=2, delta=delta_schedule(n)[0]))
+    (got,), _ = codec.cluster_expectations(code, commuting_source(weights, zero_probs), (1.0,))
+    assert math.fsum(got.values()) == pytest.approx(code.c1_count, rel=1e-9)
+
+
+def traced_two_row_call(n, budget=None, monkeypatch=None):
+    """The tracemalloc peak of one _two_row_expectations call on three
+    commuting atoms at n (only the first 4,500 types), the bytes
+    two_row_batches gives each of its batches, and the expectations."""
     code = build_code(CodeParams(n=n, d=2, delta=delta_schedule(n)[0]))
     diag = np.array([[0.2, 0.8], [0.5, 0.5], [0.9, 0.1]])
     taus, weights = (a[:4500] for a in codec._atom_types((0.3, 0.3, 0.4), n))
-    windows = []
-
-    def traced(*args):
-        for rows, held in schur_weyl.two_row_batches(*args):
-            windows.append([tracemalloc.get_traced_memory()[0], held])
-            tracemalloc.reset_peak()
-            yield rows, held
-            windows[-1][0] = tracemalloc.get_traced_memory()[1] - windows[-1][0]
-
-    monkeypatch.setattr(codec, "two_row_batches", traced)
+    if budget is not None:
+        monkeypatch.setattr(codec, "BATCH_BYTES", budget)
+    sorted_taus = codec._by_nearby_counts(taus, weights, codec.BATCH_TYPES)[0]
+    held = schur_weyl.two_row_batches(diag, sorted_taus, codec.BATCH_BYTES, codec.BATCH_TYPES)[1]
+    codec._two_row_expectations(code, diag, taus, weights, (1.0, 1.5))  # the per-n tables cached
     tracemalloc.start()
     try:
-        codec._two_row_expectations(code, diag, taus, weights, (1.0, 1.5))
+        got = codec._two_row_expectations(code, diag, taus, weights, (1.0, 1.5))
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(windows) >= 3
-    for peak, model in windows:
-        assert 0.5 * model <= peak <= model, (peak, model)
+    return peak, held, got
+
+
+@pytest.mark.parametrize("n", [100, 1500])
+def test_two_row_batches_bound_each_peak(n):
+    # three atoms: every batch writes into one buffer sized for the
+    # largest, so the traced peak of the whole call lies between half the
+    # bytes two_row_batches gives the largest batch and those bytes
+    peak, held, _ = traced_two_row_call(n)
+    assert len(held) >= 3
+    assert 0.5 * held.max() <= peak <= held.max(), (peak, held.max())
+
+
+@pytest.mark.parametrize("n", [100, 1500])
+def test_two_row_batches_hold_one_batch_at_a_time(n, monkeypatch):
+    # with a quarter of the budget the call takes several times as many
+    # batches, and its traced peak is still that of its largest batch (no
+    # batch's arrays outlive it); the expectations are those of the
+    # default batches
+    want = traced_two_row_call(n)[2]
+    peak, held, got = traced_two_row_call(n, 1 << 20, monkeypatch)
+    assert len(held) >= 12
+    assert peak <= held.max(), (peak, held.max())
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
