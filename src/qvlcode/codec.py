@@ -42,6 +42,7 @@ from .linalg import (
     tensor,
 )
 from .schur_weyl import (
+    band_scratch,
     block_probs_product,
     dense_block_probs,
     dense_bytes,
@@ -458,18 +459,19 @@ def _two_row_expectations(code: VLCode, diag, taus, weights, exponents) -> np.nd
     batches, _, floats = two_row_batches(diag, taus, BATCH_BYTES, BATCH_TYPES)
     work = np.empty(floats)
     totals = np.zeros((len(exponents), size))
-    steps = np.zeros((len(exponents), size + 1))  # the flat runs, as differences
+    steps = np.zeros((len(exponents), size + 1), dtype=np.longdouble)  # the flat runs, as differences
     ends, log_totals = np.zeros(len(taus), dtype=np.int64), np.zeros(len(taus))
     for rows in batches:
         start, bands, log_totals[rows] = two_row_bands(diag, taus[rows], work)
         (k, span), u = bands.shape, start - amin
         drop = min(span, width)  # the windows that end past the band and start in it
-        fall = work[bands.size:bands.size + k * drop].reshape(k, drop)
-        power = work[bands.size + fall.size:2 * bands.size + fall.size].reshape(k, span)
-        np.cumsum(bands, axis=1, out=bands)
-        np.subtract(bands[:, -1:], bands[:, span - drop:], out=fall)  # after the band c is its total
-        total = np.clip(bands[:, -1], 0.0, 1.0)
-        bands[:, width:] -= bands[:, :-width]  # numpy reads the overlapping operand from a copy
+        sums, fall = band_scratch(work, bands)  # sums: c, then each edge's powers
+        fall = fall[:, :drop]
+        np.cumsum(bands, axis=1, out=sums)
+        np.subtract(sums[:, -1:], sums[:, span - drop:], out=fall)  # after the band c is its total
+        total = np.clip(sums[:, -1], 0.0, 1.0)
+        bands[:, :width] = sums[:, :width]
+        np.subtract(sums[:, width:], sums[:, :-width], out=bands[:, width:])
         np.clip(bands, 0.0, 1.0, out=bands)
         np.clip(fall, 0.0, 1.0, out=fall)
         ends[rows] = u + span + width - 1  # the first outcome above the falling edge
@@ -478,7 +480,7 @@ def _two_row_expectations(code: VLCode, diag, taus, weights, exponents) -> np.nd
         weighed[group, np.arange(len(group))] = weights[rows]
         for j, e in enumerate(exponents):
             for edge, shift in ((bands, 0), (fall, max(span, width))):
-                lifted = np.power(edge, e, out=power[:, :edge.shape[1]])
+                lifted = np.power(edge, e, out=sums[:, :edge.shape[1]])
                 for v, row in zip((offsets + shift).tolist(), weighed @ lifted):
                     totals[j, v:v + len(row)] += row[:max(size - v, 0)]
             if span < width:  # the flat runs u + span, ..., u + width - 1
@@ -487,8 +489,9 @@ def _two_row_expectations(code: VLCode, diag, taus, weights, exponents) -> np.nd
     by_end = np.argsort(ends, kind="stable")
     below = np.searchsorted(ends[by_end], np.arange(size), side="right")  # the types below each outcome
     for j, e in enumerate(exponents):
-        # in long double, so what rounding leaves past a run's end is far below the outcomes' 1e-16
-        totals[j] += np.cumsum(steps[j, :size], dtype=np.longdouble)
+        # the runs' weights add in long double, so what rounding leaves past a run's end is far below
+        # the outcomes' 1e-16; a sum of non-negative runs, so below 0 only by that rounding
+        totals[j] += np.maximum(np.cumsum(steps[j, :size]), 0.0)
         prefix = np.logaddexp.accumulate((np.log(weights) + e * log_totals)[by_end])
         totals[j] += np.exp(e * log_dims + np.append(-np.inf, prefix)[below])
     return totals[:, ::-1]

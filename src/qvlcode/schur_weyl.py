@@ -286,62 +286,85 @@ def _two_row_tables(n: int) -> tuple[np.ndarray, ...]:
     return out
 
 
-# FFT lengths of the two-row route: numpy's FFT is fast at 2^i 5^j (at 10,000 it took a
-# third of the time it took at 16,384, on four rows of one 2-vCPU virtual machine)
-FFT_LENGTHS = np.array(sorted(2**i * 5**j for i in range(62) for j in range(27) if 2**i * 5**j < 2**62))
-
-
 def _fft_length(run):
-    """The smallest FFT length above ``run`` (an int or an array of them)."""
-    return FFT_LENGTHS[np.searchsorted(FFT_LENGTHS, run, side="right")]
-
-
-@lru_cache(maxsize=4)
-def _roots(size: int) -> np.ndarray:
-    """e^(2 pi i k / size) for k < size, read-only."""
-    out = np.exp(2j * np.pi / size * np.arange(size))
-    out.setflags(write=False)
-    return out
+    """The smallest power of two above ``run`` (an int or an array of them)."""
+    return np.ldexp(1.0, np.frexp(run)[1]).astype(np.int64)
 
 
 def _count_window(spectra, types) -> tuple[np.ndarray, np.ndarray]:
-    """The first-letter counts of each type within ``_reach`` of their mean,
-    likelier than NEGLIGIBLE_PMF in all: (first, last), within [0, n]."""
-    mean, n = types @ spectra[:, 0], types.sum(axis=1)
-    reach = _reach(n, types @ (spectra[:, 0] * spectra[:, 1]))
-    return np.maximum(np.ceil(mean - reach), 0).astype(np.int64), \
-        np.minimum(np.floor(mean + reach), n).astype(np.int64)
+    """The first-letter counts of each type likelier than NEGLIGIBLE_PMF:
+    within ``_reach`` of their mean and of each atom's (exactly its mean
+    if the atom has a zero letter), as (first, last), within [0, n].  A
+    row's window depends on that row alone."""
+    p, var = spectra[:, 0], spectra[:, 0] * spectra[:, 1]
+    mean, n = types @ p, types.sum(axis=1)
+    reach, each = _reach(n, types @ var), np.where(var > 0, _reach(types, types * var), 0.0)
+    low = np.maximum(np.ceil(types * p - each), 0).sum(axis=1)  # where _atom_law_rows starts the laws
+    high = np.minimum(np.floor(types * p + each), types).sum(axis=1)
+    return np.maximum(np.ceil(mean - reach), low).astype(np.int64), \
+        np.minimum(np.floor(mean + reach), high).astype(np.int64)
 
 
-def _band_labels(n: int, first, last) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The band of labels a of types whose first-letter counts lie in
-    first..last: (start, top, stop).  h = max(c, n - c) runs below top; the
-    band starts at the block of its lowest h and stops at the first block
-    past top - 1 from which the sum of dim S_n is below NEGLIGIBLE_PMF
-    times dim S_n(top - 1).  Above top - 1, Tr P_(a, n - a) is dim S_n(a)
-    times the type's total, at most dim S_n(a) / dim S_n(top - 1)."""
-    amin, b = (n + 1) // 2, READ_BLOCK
+def _two_row_plan(spectra, types) -> tuple[np.ndarray, ...]:
+    """What ``two_row_bands`` reads and writes for each row of a (T, m)
+    array of atom counts: its ``_count_window`` first..last, and its band
+    of labels a = start, ..., stop - 1, top - 1 its highest h = max(c, n - c):
+    (first, last, start, top, stop).  The band starts at the block of its
+    lowest h and stops at the first block past top - 1 from which the sum
+    of dim S_n is below NEGLIGIBLE_PMF times dim S_n(top - 1).  Above
+    top - 1, Tr P_(a, n - a) is dim S_n(a) times the type's total, at most
+    dim S_n(a) / dim S_n(top - 1).  A row's plan depends on that row alone,
+    so ``two_row_batches`` sizes a batch by the plan its call follows."""
+    n, b = int(types[0].sum()), READ_BLOCK
+    amin = (n + 1) // 2
     _, scale, log_comb, _, tail = _two_row_tables(n)
+    first, last = _count_window(spectra, types)
     low = np.maximum(np.maximum(first, n - last), amin)
     top = np.maximum(last, n - first) + 1
     log_dim = log_comb[(top - 1 - amin) // b] + np.log(scale.ravel()[top - 1 - amin])
     stop = amin + b * np.searchsorted(-tail, math.log(1 / NEGLIGIBLE_PMF) - log_dim)
-    return low - (low - amin) % b, top, stop
+    return first, last, low - (low - amin) % b, top, stop
+
+
+def _work_layout(rows, size, span, core):
+    """Floats of the ``work`` buffer of ``two_row_bands`` for ``rows``
+    types at FFT length ``size``, with bands ``span`` labels long whose
+    first ``core`` read the law (ints or arrays of them): (head, all).
+    The head holds each atom's spectrum, then the inverse FFT, then the
+    bands; past it come the FFT product, then the read-out's two reads of
+    the law; and ``band_scratch`` gives a caller two arrays the size of
+    the bands past them once the call returns."""
+    head = rows * np.maximum(span, size + 2)
+    return head, np.maximum(head + rows * np.maximum(size + 2, 2 * core), 3 * rows * span)
+
+
+def band_scratch(work, bands) -> tuple[np.ndarray, np.ndarray]:
+    """Two arrays shaped like ``bands`` in the ``work`` buffer that
+    ``two_row_bands`` wrote them into, past them and free once it returns."""
+    k = bands.size
+    return work[k:2 * k].reshape(bands.shape), work[2 * k:3 * k].reshape(bands.shape)
+
+
+# Floats a two_row_bands call holds besides its buffer and the larger of its read-out's indices and
+# the atoms' laws: per block of READ_BLOCK labels of a band (the blocks' indices, rises, sums and
+# carries), per type (the plan and the atoms' indices), and numpy's iterator buffers, which a
+# broadcast ufunc allocates (about 2.2 x np.getbufsize() floats, whatever the operands' sizes)
+PER_BLOCK, PER_TYPE, UFUNC_BUFFER = 8, 32, 3 * np.getbufsize()
 
 
 def two_row_batches(spectra, types, budget: int, most: int) -> tuple[list[slice], np.ndarray, int]:
     """Consecutive batches of the rows of a (T, m) array of atom counts for
-    ``two_row_bands``, planned from per-type arrays of one pass over them:
-    (the batches, the bytes each holds at its peak, the floats of the
+    ``two_row_bands``, planned from each type's ``_two_row_plan`` in one
+    pass: (the batches, the bytes each holds at its peak, the floats of the
     ``work`` buffer the largest asks of ``two_row_bands``).  Each is as
     long as its own arrays stay within ``budget`` bytes, at least 1 row and
     at most ``most``; the bytes reported add what a caller keeps for every
-    type (its counts and four floats).  Per type, at the batch's widest, a
-    batch holds the buffer: the band three times (bands, the windows past
-    them, a power), or the FFT spectrum and its inverse where longer; and
-    the larger of a band core of the read-out's indices and the atoms'
-    laws (``_reach`` wide, 1 for a point mass): one row per distinct count
-    of each atom in the batch, six more or two FFT rows for the widest."""
+    type (its counts and four floats).  A batch holds the buffer
+    (``_work_layout``) at its widest type's FFT length and band; the larger
+    of the read-out's indices of the band's core and the atoms' laws
+    (``_reach`` wide, 1 for a point mass: one row per distinct count of each
+    atom in the batch, six more or two FFT rows for the widest); and a few
+    floats per block of READ_BLOCK labels and per type."""
     types, spectra = np.asarray(types, dtype=np.int64), np.asarray(spectra, dtype=float)
     n, q, b = int(types[0].sum()), spectra[:, :1] * spectra[:, 1:], READ_BLOCK
     c = np.arange(n + 1)
@@ -349,9 +372,8 @@ def two_row_batches(spectra, types, budget: int, most: int) -> tuple[list[slice]
     # per type: the run of likely counts, the band and its core in labels, and each atom's law width;
     # per atom and type the row before of the same count, or -1
     (t, m), need = types.shape, np.empty((3 + len(spectra), len(types)), dtype=np.int32)
-    first, last = _count_window(spectra, types)
+    first, last, start, top, stop = _two_row_plan(spectra, types)
     need[0] = last - first
-    start, top, stop = _band_labels(n, first, last)
     need[1], need[2] = stop - start, -(-(top - start) // b) * b
     del first, last, start, top, stop
     prev = np.empty((m, t), dtype=np.int32)
@@ -366,12 +388,12 @@ def two_row_batches(spectra, types, budget: int, most: int) -> tuple[list[slice]
         a = bounds[-1]
         widest = np.maximum.accumulate(need[:, a:a + most], axis=1)
         (run, span, core), law = widest[:3], widest[3:]
-        size = _fft_length(np.minimum(run, (law - 1).sum(axis=0)))  # the laws' product is no wider
+        size = _fft_length(run)
         rows = np.arange(1, len(size) + 1)
-        floats = rows * (np.maximum(span, size + 2) + np.maximum(size + 2, 2 * span))
+        floats = _work_layout(rows, size, span, core)[1]
         count = np.cumsum(prev[:, a:a + most] < a, axis=1)  # distinct counts of each atom
         laws = (count * law).sum(axis=0) + (count * np.maximum(6 * law, law + 2 * size)).max(axis=0)
-        extra = np.maximum(rows * core, laws) + 32 * rows + (1 << 15)  # and numpy's ufunc buffers
+        extra = np.maximum(rows * core, laws) + rows * (PER_BLOCK * span // b + PER_TYPE) + UFUNC_BUFFER
         k = max(1, int(np.searchsorted(np.maximum(floats, work) + extra, budget / 8, side="right")))
         bounds.append(a + k)
         temps.append(extra[k - 1])
@@ -386,7 +408,7 @@ def two_row_bands(spectra, types, work=None) -> tuple[np.ndarray, np.ndarray, np
     of labels: (starts, bands, log totals).  Row i holds a = starts[i], ...
     from below the type's lowest h = max(c, n - c), c a first-letter count
     likelier than NEGLIGIBLE_PMF, to where the sum of dim S_n above falls
-    below that cut (``_band_labels``), at most a few blocks past its
+    below that cut (``_two_row_plan``), at most a few blocks past its
     highest h (0 past n).  Below the band Tr P_(a, n - a) is 0; above it,
     dim S_n(a) e^(log total).  The arrays are written into ``work``, a flat
     float buffer as long as ``two_row_batches`` says, if given; the bands
@@ -394,7 +416,7 @@ def two_row_bands(spectra, types, work=None) -> tuple[np.ndarray, np.ndarray, np
 
     The law of c is the product of the atoms' laws (``_atom_law_rows``),
     folded by one cyclic FFT as long as the widest type's run of those
-    counts (``_count_window``), rounded up to one of FFT_LENGTHS: what wraps
+    counts (``_count_window``), rounded up to a power of two: what wraps
     onto a type's run is less likely than the cut.  A phase on each type's
     spectrum starts its inverse FFT at its run, from which the band reads
     law(h) + law(n - h) with no other copy.  Kostka numbers of two
@@ -407,30 +429,27 @@ def two_row_bands(spectra, types, work=None) -> tuple[np.ndarray, np.ndarray, np
     n, b, t = int(types[0].sum()), READ_BLOCK, len(types)
     amin = (n + 1) // 2
     einv, scale, log_comb, rise, _ = _two_row_tables(n)
-    lo, hi, laws = np.zeros(t, dtype=np.int64), np.zeros(t, dtype=np.int64), []
+    lo, laws = np.zeros(t, dtype=np.int64), []
     for q, column in zip(spectra, types.T):
         distinct, inverse = np.unique(column, return_inverse=True)
         begin, rows = _atom_law_rows(q, distinct, np.array([1, 0]))
         lo += begin[inverse]
-        hi += begin[inverse] + rows.shape[1] - 1
         laws.append((rows, inverse))
-    first, last = _count_window(spectra, types)
-    first, last = np.maximum(first, lo), np.minimum(last, hi)
+    first, last, start, top, stop = _two_row_plan(spectra, types)
     size = int(_fft_length((last - first).max()))
-    start, top, stop = _band_labels(n, first, last)
     core, blocks = -(-int((top - start).max()) // b), int((stop - start).max()) // b  # blocks to the law's top, in all
-    # the bands, first the inverse FFT (before it the turns and each atom's spectra); then the FFT
-    # spectrum, then the read-out's block sums and one more read of the law
-    head = t * max(blocks * b, size + 2)
+    head, floats = (int(x) for x in _work_layout(t, size, blocks * b, core * b))
     if work is None:
-        work = np.empty(head + t * max(size + 2, 2 * core * b))
+        work = np.empty(floats)
+    elif work.size < floats:
+        raise ValueError(f"two_row_bands needs a work buffer of {floats} floats, got {work.size}")
     # each type's spectrum turned by e^(2 pi i k (first - lo) / size), so that its law starts at first
     product = work[head:head + 2 * t * (size // 2 + 1)].view(complex).reshape(t, size // 2 + 1)
     spectrum = work[:2 * t * (size // 2 + 1)].view(complex).reshape(t, size // 2 + 1)
     turns = work[:t * (size // 2 + 1)].view(np.int64).reshape(t, size // 2 + 1)
     np.multiply.outer(first - lo, np.arange(size // 2 + 1), out=turns)
     turns %= size
-    np.take(_roots(size), turns, out=product, mode="clip")
+    np.take(np.exp(2j * np.pi / size * np.arange(size)), turns, out=product, mode="clip")
     while laws:  # each law folded onto its counts modulo size (rfft pads a shorter one), then dropped
         rows, inverse = laws.pop()
         if rows.shape[1] > size:

@@ -563,6 +563,18 @@ def test_two_row_expectations_count_each_label_c1_times(weights, zero_probs):
     assert math.fsum(got.values()) == pytest.approx(code.c1_count, rel=1e-9)
 
 
+@pytest.mark.parametrize("n", [10_000, 100_000])
+def test_two_row_batches_size_the_bands_of_point_masses(n):
+    # the basis states 0.5/0.5: each type's law is one first-letter count
+    # near n/2, far inside the window about its mean, so its band is cut
+    # by that point's dim S_n, which peaks there; the batches' shared
+    # buffer must hold the bands of that point, not of the window, and
+    # every label still lies in C1 clusters
+    code = build_code(CodeParams(n=n, d=2, delta=delta_schedule(n)[0]))
+    (got,), _ = codec.cluster_expectations(code, commuting_source((0.5, 0.5), (1.0, 0.0)), (1.0,))
+    assert math.fsum(got.values()) == pytest.approx(code.c1_count, rel=1e-9)
+
+
 def traced_two_row_call(n, budget=None, monkeypatch=None):
     """The tracemalloc peak of one _two_row_expectations call on three
     commuting atoms at n (only the first 4,500 types), the bytes
