@@ -491,7 +491,8 @@ def _two_row_expectations(code: VLCode, diag, taus, weights, exponents) -> np.nd
     for j, e in enumerate(exponents):
         # the runs' weights add in long double, so what rounding leaves past a run's end is far below
         # the outcomes' 1e-16; a sum of non-negative runs, so below 0 only by that rounding
-        totals[j] += np.maximum(np.cumsum(steps[j, :size]), 0.0)
+        flat = np.cumsum(steps[j, :size], out=steps[j, :size])
+        totals[j] += np.maximum(flat, 0.0, out=flat)
         prefix = np.logaddexp.accumulate((np.log(weights) + e * log_totals)[by_end])
         totals[j] += np.exp(e * log_dims + np.append(-np.inf, prefix)[below])
     return totals[:, ::-1]

@@ -298,9 +298,11 @@ def _count_window(spectra, types) -> tuple[np.ndarray, np.ndarray]:
     row's window depends on that row alone."""
     p, var = spectra[:, 0], spectra[:, 0] * spectra[:, 1]
     mean, n = types @ p, types.sum(axis=1)
-    reach, each = _reach(n, types @ var), np.where(var > 0, _reach(types, types * var), 0.0)
-    low = np.maximum(np.ceil(types * p - each), 0).sum(axis=1)  # where _atom_law_rows starts the laws
-    high = np.minimum(np.floor(types * p + each), types).sum(axis=1)
+    reach, low, high = _reach(n, types @ var), np.zeros(len(types)), np.zeros(len(types))
+    for pj, vj, column in zip(p, var, types.T):  # low: where _atom_law_rows starts the laws
+        each = _reach(column, column * vj) if vj > 0 else 0.0
+        low += np.maximum(np.ceil(column * pj - each), 0)
+        high += np.minimum(np.floor(column * pj + each), column)
     return np.maximum(np.ceil(mean - reach), low).astype(np.int64), \
         np.minimum(np.floor(mean + reach), high).astype(np.int64)
 
@@ -439,10 +441,7 @@ def two_row_bands(spectra, types, work=None) -> tuple[np.ndarray, np.ndarray, np
     size = int(_fft_length((last - first).max()))
     core, blocks = -(-int((top - start).max()) // b), int((stop - start).max()) // b  # blocks to the law's top, in all
     head, floats = (int(x) for x in _work_layout(t, size, blocks * b, core * b))
-    if work is None:
-        work = np.empty(floats)
-    elif work.size < floats:
-        raise ValueError(f"two_row_bands needs a work buffer of {floats} floats, got {work.size}")
+    work = np.empty(floats) if work is None else work
     # each type's spectrum turned by e^(2 pi i k (first - lo) / size), so that its law starts at first
     product = work[head:head + 2 * t * (size // 2 + 1)].view(complex).reshape(t, size // 2 + 1)
     spectrum = work[:2 * t * (size // 2 + 1)].view(complex).reshape(t, size // 2 + 1)

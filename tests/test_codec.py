@@ -550,28 +550,20 @@ def test_two_row_batches_stay_within_their_bytes(monkeypatch):
     np.testing.assert_allclose(list(got.values()), list(want.values()), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("weights, zero_probs", [((0.7, 0.3), (1.0, 0.0)), ((0.5, 0.5), (0.9, 0.4))])
+@pytest.mark.parametrize("weights, zero_probs", [((0.7, 0.3), (1.0, 0.0)), ((0.5, 0.5), (0.9, 0.4)),
+                                                  ((0.5, 0.5), (1.0, 0.0))])
 def test_two_row_expectations_count_each_label_c1_times(weights, zero_probs):
     # n = 1e5: each label lies in C1 = 7,953 clusters, so the e = 1
     # expectations over all outcomes sum to C1 (the types' weights and block
     # probabilities sum to 1), unless a rising or falling edge or a flat run
     # is counted twice or dropped; the bands hold about 100 labels for the
-    # basis states and 3,200 for diag(0.9, 0.1) and diag(0.4, 0.6)
+    # basis states and 3,200 for diag(0.9, 0.1) and diag(0.4, 0.6).  The
+    # basis states 0.5/0.5 put each type's one first-letter count near n/2,
+    # where dim S_n peaks, far inside the window about its mean: the batches'
+    # shared buffer must be sized by the bands of that point, not the window
     n = 100_000
     code = build_code(CodeParams(n=n, d=2, delta=delta_schedule(n)[0]))
     (got,), _ = codec.cluster_expectations(code, commuting_source(weights, zero_probs), (1.0,))
-    assert math.fsum(got.values()) == pytest.approx(code.c1_count, rel=1e-9)
-
-
-@pytest.mark.parametrize("n", [10_000, 100_000])
-def test_two_row_batches_size_the_bands_of_point_masses(n):
-    # the basis states 0.5/0.5: each type's law is one first-letter count
-    # near n/2, far inside the window about its mean, so its band is cut
-    # by that point's dim S_n, which peaks there; the batches' shared
-    # buffer must hold the bands of that point, not of the window, and
-    # every label still lies in C1 clusters
-    code = build_code(CodeParams(n=n, d=2, delta=delta_schedule(n)[0]))
-    (got,), _ = codec.cluster_expectations(code, commuting_source((0.5, 0.5), (1.0, 0.0)), (1.0,))
     assert math.fsum(got.values()) == pytest.approx(code.c1_count, rel=1e-9)
 
 
